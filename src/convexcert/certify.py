@@ -7,6 +7,8 @@ Gram-matrix feasibility SDPs along three routes:
 * the quadratic-module identity
   g_j((x+y)/2) + eps = sigma_0 + sum_k sigma_k * g_k(x) + psi_k * g_k(y)
   with all multipliers sums of squares (sufficient; eps = 0 proves convexity);
+  the refuter solves the same program with a free constant in place of eps
+  and reads its moment relaxation off the dual;
 * the preordering identity
   sigma_j * g_j((x+y)/2) = g_j((x+y)/2)^(2p) + h_j
   with sigma_j, h_j in the preordering of the doubled constraint list

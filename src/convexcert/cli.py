@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
+from typing import Callable
 
 from . import certify, refute, sdp
 from .polynomials import Polynomial
@@ -117,14 +118,15 @@ def _with_ball(spec: ProblemSpec, radius: float) -> ProblemSpec:
 
 
 def _dump_hook(config: RunConfig):
+    """hook(name, build) writes build() to DIR/name.sdp; build runs only when dumping."""
     if config.dump_dir is None:
-        return lambda name, problem: None
+        return lambda name, build: None
     directory = Path(config.dump_dir)
     directory.mkdir(parents=True, exist_ok=True)
 
-    def hook(name: str, problem: sdp.SdpProblem) -> None:
+    def hook(name: str, build: Callable[[], sdp.SdpProblem]) -> None:
         with open(directory / f"{name}.sdp", "w") as stream:
-            sdp.dump_sdp(problem, stream)
+            sdp.dump_sdp(build(), stream)
 
     return hook
 
@@ -166,7 +168,10 @@ def _certify_steps(spec: ProblemSpec, j: int, config: RunConfig, dump, entry: di
                         spec, j, d, p=config.stengle_p, solver_tol=config.solver_tol
                     )
                 else:
-                    dump(f"certify_g{j}_d{d}_eps{epsilon:g}", certify.build_qmodule_sdp(spec, j, d, epsilon))
+                    dump(
+                        f"certify_g{j}_d{d}_eps{epsilon:g}",
+                        lambda: certify.build_qmodule_sdp(spec, j, d, epsilon),
+                    )
                     outcome = certify.certify_sufficient(
                         spec, j, d, epsilon, solver_tol=config.solver_tol
                     )
@@ -222,7 +227,7 @@ def _refute_steps(spec: ProblemSpec, j: int, config: RunConfig, dump, entry: dic
     s0, s_max = _refute_schedule(config, spec)
     notes = entry["notes"]
     for s in range(s0, s_max + 1):
-        dump(f"refute_g{j}_s{s}", refute.build_moment_sdp(spec, j, s))
+        dump(f"refute_g{j}_s{s}", lambda: refute.build_moment_sdp(spec, j, s))
         result = refute.solve_relaxation(spec, j, s, solver_tol=config.solver_tol)
         record: dict = {
             "order": s,

@@ -5,7 +5,10 @@ g_j((x+y)/2) over truncated moment sequences z of probability measures on the
 doubled set: the moment matrix and one localizing matrix per doubled
 constraint must be PSD and z_0 = 1. The optimal value rho is a lower bound on
 the true minimum of g_j at midpoints of member pairs and climbs toward it as
-the order s grows.
+the order s grows. The relaxation is solved as its SOS dual, the
+quadratic-module Gram program max lambda s.t. g_j((x+y)/2) - lambda lies in
+the truncated quadratic module (the program certification builds), and z is
+read off that solve's dual multipliers, one per monomial.
 
 If rho < 0 and the moment matrix satisfies the flat-extension rank condition
 rank M_s(z) = rank M_{s-v}(z) =: t, then z is the moment sequence of a
@@ -27,9 +30,9 @@ from math import ceil
 import numpy as np
 from scipy.linalg import schur
 
-from . import sdp
+from . import certify, sdp
 from .moments import MomentSequence, monomial_basis, moment_matrix
-from .polynomials import Exponents, Polynomial, lift, midpoint_substitute
+from .polynomials import Polynomial, lift
 from .problemio import ProblemSpec
 
 RANK_SINGULAR_THRESHOLD = 1e-6
@@ -133,96 +136,23 @@ class NonconvexityWitness:
 # -- relaxation construction ---------------------------------------------------
 
 
-def _sym_selector(dim: int, p: int, q: int) -> np.ndarray:
-    """Matrix A with <A, X> = X[p, q] for symmetric X."""
-    out = np.zeros((dim, dim))
-    if p == q:
-        out[p, p] = 1.0
-    else:
-        out[p, q] = 0.5
-        out[q, p] = 0.5
-    return out
+def build_moment_sdp(spec: ProblemSpec, j: int, s: int) -> sdp.SdpProblem:
+    """Order-s relaxation for constraint j, in the SOS dual (Gram) form that is solved.
 
-
-@dataclass
-class _MomentProgram:
-    spec: ProblemSpec
-    j: int
-    s: int
-    v: int
-    v_ks: list[int]
-    slots: dict[Exponents, tuple[int, int]]
-    problem: sdp.SdpProblem
-
-    def moments_from_solution(self, solution: sdp.SdpSolution) -> MomentSequence:
-        lifted = self.spec.space.lift()
-        block0 = solution.X[0]
-        entries = {gamma: float(block0[pq]) for gamma, pq in self.slots.items()}
-        return MomentSequence(lifted, self.s, entries)
-
-
-def _moment_program(spec: ProblemSpec, j: int, s: int) -> _MomentProgram:
-    if not 1 <= j <= spec.m:
-        raise ValueError(f"constraint index {j} out of range 1..{spec.m}")
-    ghat = doubled_constraints(spec)
-    v_ks, v = relaxation_orders(spec)
+    This is the quadratic-module program g_j((x+y)/2) - lambda = sigma_0 +
+    sum_k sigma_k g_k(x) + psi_k g_k(y) with the constant-monomial row moved
+    into the objective: minimize <A_0, X> subject to the coefficient rows of
+    every other monomial gamma, in graded order. The bound is
+    rho = lambda = g_j(0) - <A_0, X>, and the multiplier y_gamma of row gamma
+    is -z_gamma for the optimal moment sequence z (z_0 = 1).
+    """
+    _v_ks, v = relaxation_orders(spec)
     if s < v:
         raise ValueError(f"relaxation order s={s} below minimum v={v}")
-    lifted = spec.space.lift()
-    mbasis = monomial_basis(lifted, s)
-    dim0 = len(mbasis)
-
-    slots: dict[Exponents, tuple[int, int]] = {}
-    for p in range(dim0):
-        ep = mbasis[p]
-        for q in range(p, dim0):
-            gamma = tuple(a + b for a, b in zip(ep, mbasis[q]))
-            slots.setdefault(gamma, (p, q))
-
-    def moment_selector(gamma: Exponents) -> np.ndarray:
-        p, q = slots[gamma]
-        return _sym_selector(dim0, p, q)
-
-    block_dims = [dim0]
-    equalities: list[tuple[dict[int, np.ndarray], float]] = []
-
-    zero_gamma = (0,) * lifted.arity
-    equalities.append(({0: moment_selector(zero_gamma)}, 1.0))
-
-    for p in range(dim0):
-        ep = mbasis[p]
-        for q in range(p, dim0):
-            gamma = tuple(a + b for a, b in zip(ep, mbasis[q]))
-            if slots[gamma] != (p, q):
-                link = _sym_selector(dim0, p, q) - moment_selector(gamma)
-                equalities.append(({0: link}, 0.0))
-
-    for k, (theta, v_k) in enumerate(zip(ghat, v_ks)):
-        lbasis = monomial_basis(lifted, s - v_k)
-        dim_loc = len(lbasis)
-        block_dims.append(dim_loc)
-        for p in range(dim_loc):
-            ep = lbasis[p]
-            for q in range(p, dim_loc):
-                eq = lbasis[q]
-                link0 = np.zeros((dim0, dim0))
-                for etheta, ctheta in theta.terms.items():
-                    gamma = tuple(a + b + c for a, b, c in zip(ep, eq, etheta))
-                    link0 -= ctheta * moment_selector(gamma)
-                mats = {0: link0, k + 1: _sym_selector(dim_loc, p, q)}
-                equalities.append((mats, 0.0))
-
-    objective_poly = midpoint_substitute(spec.constraints[j - 1])
-    cost = np.zeros((dim0, dim0))
-    for gamma, coeff in objective_poly.terms.items():
-        cost += coeff * moment_selector(gamma)
-    problem = sdp.SdpProblem(block_dims=block_dims, objective={0: cost}, equalities=equalities)
-    return _MomentProgram(spec=spec, j=j, s=s, v=v, v_ks=v_ks, slots=slots, problem=problem)
-
-
-def build_moment_sdp(spec: ProblemSpec, j: int, s: int) -> sdp.SdpProblem:
-    """Moment relaxation of order s for constraint j, in block-SDP form."""
-    return _moment_program(spec, j, s).problem
+    gram = certify._qmodule_program(spec, j, s, 0.0).to_sdp()
+    # rows follow the graded monomial basis, so the constant monomial is first
+    (constant_row, _constant), *rows = gram.equalities
+    return sdp.SdpProblem(block_dims=gram.block_dims, objective=constant_row, equalities=rows)
 
 
 def solve_relaxation(
@@ -234,14 +164,20 @@ def solve_relaxation(
 ) -> RelaxationResult:
     """Solve the order-s relaxation; rho is a lower bound on the midpoint minimum.
 
-    A stall at the requested tolerance retries once per decade up to
-    RELAXATION_TOL_CEILING before giving up; moment accuracy at 1e-7 is still
-    far inside the witness-validation tolerance downstream.
+    The Gram form from build_moment_sdp is solved and the moments are read
+    off its dual multipliers. The solve runs one decade tighter than
+    solver_tol: at equal tolerance the dual moments are less clean, enough
+    to fail the flatness rank test at hyperbola order 4. A stall retries once
+    per decade up to RELAXATION_TOL_CEILING before giving up; moment accuracy
+    at 1e-7 is still far inside the witness-validation tolerance downstream.
+    Across the duality, an infeasible Gram program means the moment
+    relaxation is unbounded, and an unbounded one means it is infeasible.
     """
-    program = _moment_program(spec, j, s)
-    tol = solver_tol
+    problem = build_moment_sdp(spec, j, s)
+    _v_ks, v = relaxation_orders(spec)
+    tol = solver_tol / 10.0
     while True:
-        solution = sdp.solve(program.problem, tol=tol, max_iter=max_iter)
+        solution = sdp.solve(problem, tol=tol, max_iter=max_iter)
         if solution.status != "stalled" or tol >= RELAXATION_TOL_CEILING:
             break
         tol = min(tol * 10.0, RELAXATION_TOL_CEILING)
@@ -253,30 +189,29 @@ def solve_relaxation(
         "dual_residual": solution.dual_residual,
         "relative_gap": solution.relative_gap,
     }
-    if solution.status == "unbounded":
+    status = {"infeasible": "inconclusive-unbounded", "unbounded": "infeasible"}.get(
+        solution.status, solution.status
+    )
+    if status != "optimal":
         return RelaxationResult(
-            j=j, s=s, v=program.v, status="inconclusive-unbounded",
+            j=j, s=s, v=v, status=status,
             rho=None, z=None, singular_values_s=None, singular_values_sv=None,
             diagnostics=diagnostics,
         )
-    if solution.status != "optimal":
-        return RelaxationResult(
-            j=j, s=s, v=program.v, status=solution.status,
-            rho=None, z=None, singular_values_s=None, singular_values_sv=None,
-            diagnostics=diagnostics,
-        )
-    z = program.moments_from_solution(solution)
-    m_s = moment_matrix(z, s)
-    m_sv = moment_matrix(z, s - program.v)
+    lifted = spec.space.lift()
+    monomials = monomial_basis(lifted, 2 * s).elements
+    entries = {monomials[0]: 1.0}
+    entries.update((gamma, -float(y)) for gamma, y in zip(monomials[1:], solution.y))
+    z = MomentSequence(lifted, s, entries)
     return RelaxationResult(
         j=j,
         s=s,
-        v=program.v,
+        v=v,
         status="optimal",
-        rho=float(solution.objective_value),
+        rho=spec.constraints[j - 1].evaluate(np.zeros(spec.n)) - float(solution.objective_value),
         z=z,
-        singular_values_s=np.linalg.svd(m_s, compute_uv=False),
-        singular_values_sv=np.linalg.svd(m_sv, compute_uv=False),
+        singular_values_s=np.linalg.svd(moment_matrix(z, s), compute_uv=False),
+        singular_values_sv=np.linalg.svd(moment_matrix(z, s - v), compute_uv=False),
         diagnostics=diagnostics,
     )
 

@@ -165,6 +165,15 @@ def test_dump_sdp_writes_instances(tmp_path, capsys):
     assert files
     head = files[0].read_text().splitlines()[0]
     assert head == "sdp 1"
+    code, _ = run_cli(capsys, [path, "--mode", "refute", "--dump-sdp", str(dump_dir)])
+    assert code == 2  # convex, so nothing to refute
+    refute_files = sorted(dump_dir.glob("refute_g*_s*.sdp"))
+    assert [f.name for f in refute_files] == ["refute_g1_s1.sdp"]
+    for f in refute_files:
+        lines = f.read_text().splitlines()
+        assert lines[0] == "sdp 1"
+        # the Gram form that is solved: one row per non-constant monomial
+        assert lines[1:3] == ["blocks 3 1 1", "nconstraints 5"]
 
 
 def test_ball_option_bounds_halfspace(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from convexcert.moments import MomentSequence
+from convexcert.certify import build_qmodule_sdp
+from convexcert.moments import MomentSequence, monomial_basis
 from convexcert.polynomials import VariableSpace
 from convexcert.refute import (
     ExtractionError,
@@ -43,9 +44,10 @@ def test_orders(interval_spec, parabola_spec):
 
 def test_build_interval_shape(interval_spec):
     problem = build_moment_sdp(interval_spec, 1, 1)
+    # Gram blocks: sigma_0 on (1, x, y), constant sigma_1 and psi_1
     assert list(problem.block_dims) == [3, 1, 1]
-    # 6 distinct moments in the 3x3 moment block, z_0 pinned, two localizing links
-    assert len(problem.equalities) == 3
+    # one coefficient row per monomial of degree 1..2 in (x, y)
+    assert len(problem.equalities) == 5
 
 
 def test_build_rejects_small_order(interval_spec):
@@ -55,12 +57,19 @@ def test_build_rejects_small_order(interval_spec):
 
 def test_objective_is_midpoint_image(interval_spec):
     problem = build_moment_sdp(interval_spec, 1, 1)
-    cost = problem.objective[0]
-    # L_z of 1 - ((x+y)/2)^2: constant slot 1, quadratic slots -1/4, -1/2, -1/4
-    assert cost[0, 0] == pytest.approx(1.0)
-    assert cost[1, 1] == pytest.approx(-0.25)
-    assert cost[2, 2] == pytest.approx(-0.25)
-    assert cost[1, 2] + cost[2, 1] == pytest.approx(-0.5)
+    # rhs are the coefficients of 1 - ((x+y)/2)^2 off the constant monomial
+    rows = monomial_basis(LIFTED1, 2).elements[1:]
+    rhs = {gamma: b for gamma, (_mats, b) in zip(rows, problem.equalities)}
+    assert rhs == pytest.approx({(1, 0): 0.0, (0, 1): 0.0, (2, 0): -0.25, (1, 1): -0.5, (0, 2): -0.25})
+    # the objective is the constant row: sigma_0[0, 0] plus the constants of g_1(x), g_1(y)
+    constant_row, constant = build_qmodule_sdp(interval_spec, 1, 1).equalities[0]
+    assert constant == pytest.approx(1.0)
+    assert set(problem.objective) == set(constant_row) == {0, 1, 2}
+    for blk, mat in constant_row.items():
+        assert np.array_equal(problem.objective[blk], mat)
+    assert np.array_equal(problem.objective[0], np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(problem.objective[1], [[1.0]])
+    assert np.array_equal(problem.objective[2], [[1.0]])
 
 
 # -- relaxations against grid oracles ------------------------------------------------
@@ -97,6 +106,17 @@ def test_unbounded_relaxation_flagged():
     assert v == 2
     result = solve_relaxation(cubic, 1, v)
     assert result.status == "inconclusive-unbounded"
+    assert result.rho is None and result.z is None
+
+
+def test_empty_set_relaxation_infeasible():
+    # -1 - x^2 >= 0 has no member: the Gram form is unbounded, so the moment
+    # relaxation is infeasible
+    from convexcert.problemio import parse_problem
+
+    empty = parse_problem("vars: x\ng: -1 - x^2\n")
+    result = solve_relaxation(empty, 1, 1)
+    assert result.status == "infeasible"
     assert result.rho is None and result.z is None
 
 
@@ -277,6 +297,25 @@ def test_hyperbola_pipeline_four_atoms():
         assert abs(abs(atom.midpoint[0]) - 0.75) <= 1e-3
         assert abs(abs(atom.midpoint[1]) - 0.75) <= 1e-3
         assert atom.violation <= -1.5
+
+
+def test_hyperbola_order_four_flat_at_default_tol():
+    # Dual moments at the caller's 1e-8 leave a fifth singular value near 1e-3,
+    # above the rank cutoff; the relaxation solves one decade tighter to be flat.
+    from pathlib import Path
+
+    from convexcert.problemio import parse_problem
+
+    path = Path(__file__).resolve().parent.parent / "problems" / "hyperbola.txt"
+    hyper = parse_problem(path.read_text())
+    result = solve_relaxation(hyper, 1, 4)
+    assert result.status == "optimal"
+    assert result.diagnostics["solver_tol"] == pytest.approx(1e-9)
+    assert result.rho == pytest.approx(-1.5625, abs=1e-3)
+    flat = rank_flatness_check(result, hyper)
+    assert flat.flat and flat.t == 4
+    atoms = extract_atoms(result, flat.t, seed=0, tol=1e-4)
+    assert validate_witness(atoms, hyper, 1) is not None
 
 
 def test_parabola_pipeline_produces_witness(parabola_spec):
