@@ -8,7 +8,8 @@ Gram-matrix feasibility SDPs along three routes:
   g_j((x+y)/2) + eps = sigma_0 + sum_k sigma_k * g_k(x) + psi_k * g_k(y)
   with all multipliers sums of squares (sufficient; eps = 0 proves convexity);
   the refuter solves the same program with a free constant in place of eps
-  and reads its moment relaxation off the dual;
+  and reads its moment relaxation off the dual, and qmodule_certificate
+  reads the eps = 0 certificate off the Gram blocks of that same solve;
 * the preordering identity
   sigma_j * g_j((x+y)/2) = g_j((x+y)/2)^(2p) + h_j
   with sigma_j, h_j in the preordering of the doubled constraint list
@@ -37,6 +38,7 @@ from .polynomials import (
     Exponents,
     Polynomial,
     VariableSpace,
+    ball_polynomial,
     coeff_linf_distance,
     lift,
     midpoint_substitute,
@@ -240,6 +242,31 @@ def _solution_diagnostics(solution: sdp.SdpSolution) -> dict:
     }
 
 
+def _certificate_fields(program: SosProgram, x_blocks: list[np.ndarray], diagnostics: dict) -> dict:
+    """Terms, residual and minimum Gram eigenvalue of solved Gram blocks."""
+    terms = program.recover(x_blocks)
+    return {
+        "terms": terms,
+        "residual": program.residual(terms),
+        "min_gram_eigenvalue": min(t.min_gram_eigenvalue() for t in terms),
+        "solver_diagnostics": diagnostics,
+    }
+
+
+def _solve_certificate(
+    program: SosProgram, solver_tol: float, max_iter: int
+) -> dict | CertificationFailure:
+    """Solve a certificate program for feasibility; certificate fields or the failure."""
+    solution = sdp.feasibility(program.to_sdp(), tol=solver_tol, max_iter=max_iter)
+    diagnostics = _solution_diagnostics(solution)
+    if solution.status != "optimal":
+        reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
+        return CertificationFailure(
+            reason=reason, solver_status=solution.status, solver_diagnostics=diagnostics
+        )
+    return _certificate_fields(program, solution.X, diagnostics)
+
+
 @dataclass
 class CertificateCheck:
     """Solver-independent recheck of a certificate's defining identity."""
@@ -306,25 +333,34 @@ def certify_sufficient(
     max_iter: int = sdp.DEFAULT_MAX_ITER,
 ) -> QuadraticModuleCertificate | CertificationFailure:
     """Attempt a quadratic-module certificate for constraint j at degree bound d."""
-    program = _qmodule_program(spec, j, d, epsilon)
-    solution = sdp.feasibility(program.to_sdp(), tol=solver_tol, max_iter=max_iter)
-    if solution.status != "optimal":
-        reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
-        return CertificationFailure(
-            reason=reason,
-            solver_status=solution.status,
-            solver_diagnostics=_solution_diagnostics(solution),
-        )
-    terms = program.recover(solution.X)
-    return QuadraticModuleCertificate(
-        j=j,
-        d=d,
-        epsilon=epsilon,
-        terms=terms,
-        residual=program.residual(terms),
-        min_gram_eigenvalue=min(t.min_gram_eigenvalue() for t in terms),
-        solver_diagnostics=_solution_diagnostics(solution),
-    )
+    fields = _solve_certificate(_qmodule_program(spec, j, d, epsilon), solver_tol, max_iter)
+    if isinstance(fields, CertificationFailure):
+        return fields
+    return QuadraticModuleCertificate(j=j, d=d, epsilon=epsilon, **fields)
+
+
+def qmodule_certificate(
+    spec: ProblemSpec,
+    j: int,
+    d: int,
+    x_blocks: list[np.ndarray],
+    solver_diagnostics: dict,
+    rho: float,
+) -> QuadraticModuleCertificate:
+    """The epsilon = 0 certificate carried by solved Gram blocks of the degree-d program.
+
+    Blocks from the relaxation of refute.solve_relaxation satisfy
+    g_j((x+y)/2) - rho = sum of the terms. A positive rho is a constant SOS
+    term: it is added to the constant entry of sigma_0's Gram matrix, which
+    stays PSD. A negative rho is left in the constant coefficient, where
+    verify_certificate judges it as part of the residual.
+    """
+    blocks = list(x_blocks)
+    if rho > 0:
+        blocks[0] = blocks[0].copy()
+        blocks[0][0, 0] += rho  # sigma_0's basis starts with the constant monomial
+    fields = _certificate_fields(_qmodule_program(spec, j, d, 0.0), blocks, solver_diagnostics)
+    return QuadraticModuleCertificate(j=j, d=d, epsilon=0.0, **fields)
 
 
 def _stengle_program(spec: ProblemSpec, j: int, d: int, p: int) -> SosProgram:
@@ -376,27 +412,17 @@ def certify_stengle(
             f"preordering certification refused for m={spec.m} > {m_max}: "
             f"it would require 2^{2 * spec.m + 1} SOS blocks; use certify_sufficient instead"
         )
-    program = _stengle_program(spec, j, d, p)
-    solution = sdp.feasibility(program.to_sdp(), tol=solver_tol, max_iter=max_iter)
-    if solution.status != "optimal":
-        reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
-        return CertificationFailure(
-            reason=reason,
-            solver_status=solution.status,
-            solver_diagnostics=_solution_diagnostics(solution),
-        )
-    terms = program.recover(solution.X)
-    sigma_terms = [t for t in terms if t.label.startswith("sigma_J")]
-    h_terms = [t for t in terms if t.label.startswith("h_J")]
+    fields = _solve_certificate(_stengle_program(spec, j, d, p), solver_tol, max_iter)
+    if isinstance(fields, CertificationFailure):
+        return fields
+    terms = fields.pop("terms")
     return PreorderingCertificate(
         j=j,
         d=d,
         p=p,
-        sigma_terms=sigma_terms,
-        h_terms=h_terms,
-        residual=program.residual(terms),
-        min_gram_eigenvalue=min(t.min_gram_eigenvalue() for t in terms),
-        solver_diagnostics=_solution_diagnostics(solution),
+        sigma_terms=[t for t in terms if t.label.startswith("sigma_J")],
+        h_terms=[t for t in terms if t.label.startswith("h_J")],
+        **fields,
     )
 
 
@@ -406,11 +432,7 @@ def _archimedean_program(spec: ProblemSpec, bound: float, d: int) -> SosProgram:
     if d < 1:
         raise ValueError("degree bound d must be at least 1")
     space = spec.space
-    norm_sq = Polynomial.zero(space)
-    for i in range(space.n):
-        xi = Polynomial.variable(space, i)
-        norm_sq = norm_sq + xi * xi
-    target = Polynomial.constant(space, bound) - norm_sq
+    target = ball_polynomial(space, bound)
     specs = [_TermSpec("sigma_0", Polynomial.constant(space, 1.0), d)]
     for k, g in enumerate(spec.constraints, start=1):
         specs.append(_TermSpec(f"sigma_{k}", g, _multiplier_degree(d, g)))
@@ -429,24 +451,10 @@ def archimedean_check(
     Success shows the module is archimedean (the set is compact), in which
     case eps-relaxed certification is complete for convex inputs.
     """
-    program = _archimedean_program(spec, bound, d)
-    solution = sdp.feasibility(program.to_sdp(), tol=solver_tol, max_iter=max_iter)
-    if solution.status != "optimal":
-        reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
-        return CertificationFailure(
-            reason=reason,
-            solver_status=solution.status,
-            solver_diagnostics=_solution_diagnostics(solution),
-        )
-    terms = program.recover(solution.X)
-    return ArchimedeanCertificate(
-        bound=bound,
-        d=d,
-        terms=terms,
-        residual=program.residual(terms),
-        min_gram_eigenvalue=min(t.min_gram_eigenvalue() for t in terms),
-        solver_diagnostics=_solution_diagnostics(solution),
-    )
+    fields = _solve_certificate(_archimedean_program(spec, bound, d), solver_tol, max_iter)
+    if isinstance(fields, CertificationFailure):
+        return fields
+    return ArchimedeanCertificate(bound=bound, d=d, **fields)
 
 
 def _identity_sides(
@@ -477,11 +485,7 @@ def _identity_sides(
         return left, right, space
     if isinstance(cert, ArchimedeanCertificate):
         space = spec.space
-        norm_sq = Polynomial.zero(space)
-        for i in range(space.n):
-            xi = Polynomial.variable(space, i)
-            norm_sq = norm_sq + xi * xi
-        left = Polynomial.constant(space, cert.bound) - norm_sq
+        left = ball_polynomial(space, cert.bound)
         right = Polynomial.zero(space)
         for term in cert.terms:
             right = right + term.contribution(space)

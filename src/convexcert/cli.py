@@ -1,7 +1,22 @@
 """Command-line orchestration: certify, refute, or analyze a problem file.
 
-The driver deepens degree/order schedules per constraint, assembles a JSON
-report, and maps outcomes to exit codes:
+Every mode walks one order ladder per constraint g_j. At each order k the
+degree-k quadratic-module program of g_j is solved once, in the Gram form of
+refute.solve_relaxation, and the mode decides only which conclusions may be
+drawn from that one solve:
+
+* bound rho >= -tol_feas: certify and analyze verify the solved Gram blocks
+  as the epsilon = 0 certificate (a positive rho joins sigma_0 as a constant
+  SOS term; a negative one stays in the constant coefficient, where the
+  residual test judges it); refute stops, as no midpoint violation is left
+  to find;
+* rho < -tol_feas: refute and analyze run the flatness test, atom
+  extraction and witness validation; certify notes that -rho is the least
+  epsilon for which the degree-k identity holds.
+
+With --stengle the preordering certificate replaces the quadratic-module
+one, solved on its own at each order before the Gram solve. The CLI
+assembles a JSON report and maps outcomes to exit codes:
 
     0   conclusive (convex, or not convex with a validated witness)
     2   inconclusive
@@ -13,16 +28,15 @@ report, and maps outcomes to exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import ceil
 from pathlib import Path
 from typing import Callable
 
 from . import certify, refute, sdp
-from .polynomials import Polynomial
+from .polynomials import ball_polynomial
 from .problemio import (
     ParseError,
     ProblemSpec,
@@ -39,19 +53,14 @@ EXIT_UNPROVEN_SIGNAL = 3
 EXIT_USAGE = 64
 EXIT_CONTRADICTION = 70
 
-DEFAULT_EPSILON_SCHEDULE = (0.0, 1e-6, 1e-4, 1e-2)
-
 
 @dataclass
 class RunConfig:
     """Run parameters; order fields left as None are derived from the problem."""
 
     mode: str = "analyze"
-    d: int | None = None
-    d_max: int | None = None
-    s: int | None = None
-    s_max: int | None = None
-    epsilons: tuple[float, ...] = DEFAULT_EPSILON_SCHEDULE
+    order: int | None = None
+    max_order: int | None = None
     ball: float | None = None
     stengle: bool = False
     stengle_p: int = 1
@@ -60,60 +69,37 @@ class RunConfig:
     tol_feas: float = 1e-6
     tol_residual: float = 1e-6
     solver_tol: float = sdp.DEFAULT_TOL
-    jobs: int = 1
     out: str | None = None
     dump_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("certify", "refute", "analyze"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.d is not None and self.d < 1:
-            raise ValueError("degree bound d must be at least 1")
-        if self.s is not None and self.s < 1:
-            raise ValueError("relaxation order s must be at least 1")
-        if self.d is not None and self.d_max is not None and self.d > self.d_max:
-            raise ValueError("d must not exceed d_max")
-        if self.s is not None and self.s_max is not None and self.s > self.s_max:
-            raise ValueError("s must not exceed s_max")
+        if self.order is not None and self.order < 1:
+            raise ValueError("order must be at least 1")
+        if self.order is not None and self.max_order is not None and self.order > self.max_order:
+            raise ValueError("order must not exceed max_order")
         for name in ("tol_feas", "tol_residual", "solver_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if any(e < 0 for e in self.epsilons):
-            raise ValueError("epsilon values must be nonnegative")
         if self.stengle_p < 1:
             raise ValueError("stengle power must be a positive integer")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
-def _certify_schedule(config: RunConfig, spec: ProblemSpec) -> tuple[int, int]:
-    if config.d is not None:
-        d = config.d
-    else:
-        d = ceil(max(g.degree for g in spec.constraints) / 2) + 1
-        if config.d_max is not None:
-            d = max(1, min(d, config.d_max))
-    d_max = config.d_max if config.d_max is not None else d + 3
-    return d, max(d, d_max)
-
-
-def _refute_schedule(config: RunConfig, spec: ProblemSpec) -> tuple[int, int]:
+def _order_ladder(config: RunConfig, spec: ProblemSpec) -> tuple[int, int]:
+    """First and last order: v = max_k ceil(deg g_k / 2) and v + 2 unless set."""
     _v_ks, v = refute.relaxation_orders(spec)
-    s = config.s if config.s is not None else v
-    if config.s is None and config.s_max is not None:
-        s = min(s, config.s_max)
-    s = max(s, v)
-    s_max = config.s_max if config.s_max is not None else s + 2
-    return s, max(s, s_max)
+    start = config.order if config.order is not None else v
+    if config.order is None and config.max_order is not None:
+        start = min(start, config.max_order)
+    start = max(start, v)
+    cap = config.max_order if config.max_order is not None else start + 2
+    return start, max(start, cap)
 
 
 def _with_ball(spec: ProblemSpec, radius: float) -> ProblemSpec:
     """Augment the constraint list with R^2 - |x|^2 >= 0 (changes the set)."""
-    space = spec.space
-    ball = Polynomial.constant(space, radius * radius)
-    for i in range(space.n):
-        xi = Polynomial.variable(space, i)
-        ball = ball - xi * xi
+    ball = ball_polynomial(spec.space, radius * radius)
     return ProblemSpec(n=spec.n, constraints=spec.constraints + (ball,), names=spec.names)
 
 
@@ -131,246 +117,135 @@ def _dump_hook(config: RunConfig):
     return hook
 
 
-def _blank_entry(j: int) -> dict:
-    return {
+def _try_certificate(entry: dict, outcome, spec: ProblemSpec, k: int, config: RunConfig) -> bool:
+    """Record one certificate check; True when it verified and certified the constraint."""
+    record: dict = {"kind": "preordering" if config.stengle else "quadratic-module", "degree": k}
+    entry["attempts"].append(record)
+    if isinstance(outcome, certify.CertificationFailure):
+        record.update(status=outcome.solver_status, reason=outcome.reason,
+                      solver=outcome.solver_diagnostics)
+        return False
+    check = certify.verify_certificate(outcome, spec, residual_tol=config.tol_residual)
+    record.update(status="optimal", residual=check.residual, verified=check.passed,
+                  solver=outcome.solver_diagnostics)
+    if not check.passed:
+        entry["notes"].append(
+            f"certificate at order {k} failed verification "
+            f"(residual {check.residual:.3e}, min eig {check.min_gram_eigenvalue:.3e})"
+        )
+        return False
+    payload = outcome.to_payload()
+    payload["verification"] = check.to_payload()
+    entry.update(verdict="certified", certificate=payload, unproven_signal=False)
+    return True
+
+
+def _try_witness(entry: dict, record: dict, result: refute.RelaxationResult,
+                 spec: ProblemSpec, config: RunConfig) -> bool:
+    """Flatness, extraction and validation; True when a witness refuted the constraint."""
+    k, notes = result.s, entry["notes"]
+    flatness = refute.rank_flatness_check(result, spec)
+    record["flatness"] = flatness.to_payload()
+    if not flatness.flat:
+        entry["unproven_signal"] = True
+        reason = "rank-ambiguous spectrum" if flatness.ambiguous else (
+            f"ranks {flatness.rank_s} vs {flatness.rank_sv} differ"
+        )
+        notes.append(
+            f"relaxation suggests non-convexity at order {k} (rho={result.rho:.3e}) "
+            f"but the flatness gate failed: {reason}"
+        )
+        return False
+    try:
+        atoms = refute.extract_atoms(result, flatness.t, seed=config.seed, tol=1e-4)
+    except refute.ExtractionError as exc:
+        entry["unproven_signal"] = True
+        notes.append(f"flat at order {k} but atom extraction failed: {exc}")
+        return False
+    witness = refute.validate_witness(atoms, spec, result.j, tol_feas=config.tol_feas)
+    if witness is None:
+        entry["unproven_signal"] = True
+        notes.append(
+            f"extracted atoms at order {k} failed direct re-evaluation; "
+            "no violation can be claimed"
+        )
+        return False
+    payload = witness.to_payload()
+    payload["order"] = k
+    payload["rho"] = result.rho
+    entry.update(verdict="refuted", witness=payload)
+    return True
+
+
+def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
+    """Constraint j's report entry: one Gram solve per order, conclusions by mode."""
+    entry = {
         "index": j,
         "verdict": "inconclusive",
         "certificate": None,
-        "near_certificates": [],
         "witness": None,
         "relaxations": [],
         "attempts": [],
         "notes": [],
         "unproven_signal": False,
     }
-
-
-def _certify_steps(spec: ProblemSpec, j: int, config: RunConfig, dump, entry: dict):
-    """Generator: one certification attempt per step, deepening d then epsilon.
-
-    Sets entry["verdict"] = "certified" (and stops) when an exact identity
-    verifies; epsilon > 0 successes are recorded as near-certificates only.
-    """
-    d0, d_max = _certify_schedule(config, spec)
-    if config.stengle:
-        epsilons: tuple[float, ...] = (0.0,)  # the preordering identity has no epsilon slack
-    elif 0.0 in config.epsilons:
-        epsilons = config.epsilons
-    else:
-        epsilons = (0.0,) + config.epsilons
-    kind = "preordering" if config.stengle else "quadratic-module"
     notes = entry["notes"]
-    for epsilon in sorted(set(epsilons)):
-        for d in range(d0, d_max + 1):
+    start, cap = _order_ladder(config, spec)
+    for k in range(start, cap + 1):
+        if config.stengle and config.mode != "refute":
             try:
-                if config.stengle:
-                    outcome = certify.certify_stengle(
-                        spec, j, d, p=config.stengle_p, solver_tol=config.solver_tol
-                    )
-                else:
-                    dump(
-                        f"certify_g{j}_d{d}_eps{epsilon:g}",
-                        lambda: certify.build_qmodule_sdp(spec, j, d, epsilon),
-                    )
-                    outcome = certify.certify_sufficient(
-                        spec, j, d, epsilon, solver_tol=config.solver_tol
-                    )
+                outcome = certify.certify_stengle(
+                    spec, j, k, p=config.stengle_p, solver_tol=config.solver_tol
+                )
             except ValueError as exc:
                 notes.append(str(exc))
-                yield
-                continue
-            record = {"kind": kind, "degree": d, "epsilon": epsilon}
-            if isinstance(outcome, certify.CertificationFailure):
-                record["status"] = outcome.solver_status
-                record["reason"] = outcome.reason
-                record["solver"] = outcome.solver_diagnostics
-                entry["attempts"].append(record)
-                yield
-                continue
-            check = certify.verify_certificate(outcome, spec, residual_tol=config.tol_residual)
-            record["status"] = "optimal"
-            record["residual"] = check.residual
-            record["verified"] = check.passed
-            record["solver"] = outcome.solver_diagnostics
-            entry["attempts"].append(record)
-            if not check.passed:
-                notes.append(
-                    f"certificate at d={d}, eps={epsilon:g} failed verification "
-                    f"(residual {check.residual:.3e}, min eig {check.min_gram_eigenvalue:.3e})"
-                )
-                yield
-                continue
-            payload = outcome.to_payload()
-            payload["verification"] = check.to_payload()
-            if epsilon == 0.0:
-                entry["verdict"] = "certified"
-                entry["certificate"] = payload
-                return
-            notes.append(
-                f"epsilon-relaxed identity holds at eps={epsilon:g}; this bounds the "
-                "midpoint defect but does not certify convexity"
-            )
-            entry["near_certificates"].append(payload)
-            # feasibility is monotone in epsilon, so the sweep stops at the
-            # tightest relaxed identity; larger epsilon adds no information
-            return
-    return
-
-
-def _refute_steps(spec: ProblemSpec, j: int, config: RunConfig, dump, entry: dict):
-    """Generator: one relaxation order per step, deepening s.
-
-    Sets entry["verdict"] = "refuted" (and stops) when extracted atoms
-    validate; a negative bound without a validated witness raises the
-    unproven signal.
-    """
-    s0, s_max = _refute_schedule(config, spec)
-    notes = entry["notes"]
-    for s in range(s0, s_max + 1):
-        dump(f"refute_g{j}_s{s}", lambda: refute.build_moment_sdp(spec, j, s))
-        result = refute.solve_relaxation(spec, j, s, solver_tol=config.solver_tol)
-        record: dict = {
-            "order": s,
-            "status": result.status,
-            "rho": result.rho,
-            "solver": result.diagnostics,
-        }
+            else:
+                if _try_certificate(entry, outcome, spec, k, config):
+                    break
+        dump(f"qmodule_g{j}_d{k}", lambda: refute.build_moment_sdp(spec, j, k))
+        result = refute.solve_relaxation(spec, j, k, solver_tol=config.solver_tol)
+        record = {"order": k, "status": result.status, "rho": result.rho, "solver": result.diagnostics}
         entry["relaxations"].append(record)
         if result.status == "inconclusive-unbounded":
             notes.append(
-                f"relaxation at s={s} is unbounded; consider --ball R to bound the set "
+                f"relaxation at order {k} is unbounded; consider --ball R to bound the set "
                 "(this changes the set under test)"
             )
-            yield
             continue
         if result.status != "optimal" or result.rho is None:
-            notes.append(f"relaxation at s={s} returned status {result.status}")
-            yield
+            notes.append(f"relaxation at order {k} returned status {result.status}")
             continue
         if result.rho >= -config.tol_feas:
-            notes.append(
-                f"lower bound rho={result.rho:.3e} at s={s} leaves no room for a midpoint "
-                "violation; deeper orders only increase it"
-            )
-            return
-        flatness = refute.rank_flatness_check(result, spec)
-        record["flatness"] = flatness.to_payload()
-        if not flatness.flat:
-            entry["unproven_signal"] = True
-            reason = "rank-ambiguous spectrum" if flatness.ambiguous else (
-                f"ranks {flatness.rank_s} vs {flatness.rank_sv} differ"
-            )
-            notes.append(
-                f"relaxation suggests non-convexity at s={s} (rho={result.rho:.3e}) "
-                f"but the flatness gate failed: {reason}"
-            )
-            yield
+            if config.mode == "refute":
+                notes.append(
+                    f"lower bound rho={result.rho:.3e} at order {k} leaves no room for a "
+                    "midpoint violation; deeper orders only increase it"
+                )
+                break
+            if not config.stengle:
+                certificate = certify.qmodule_certificate(
+                    spec, j, k, result.gram, result.diagnostics, rho=result.rho
+                )
+                if _try_certificate(entry, certificate, spec, k, config):
+                    break
             continue
-        try:
-            atoms = refute.extract_atoms(result, flatness.t, seed=config.seed, tol=1e-4)
-        except refute.ExtractionError as exc:
-            entry["unproven_signal"] = True
-            notes.append(f"flat at s={s} but atom extraction failed: {exc}")
-            yield
-            continue
-        witness = refute.validate_witness(atoms, spec, j, tol_feas=config.tol_feas)
-        if witness is None:
-            entry["unproven_signal"] = True
+        if config.mode == "certify":
             notes.append(
-                f"extracted atoms at s={s} failed direct re-evaluation; "
-                "no violation can be claimed"
+                f"no certificate at order {k}: rho={result.rho:.3e}, so epsilon={-result.rho:.3e} "
+                "is the least epsilon for which the degree-k identity holds"
             )
-            yield
             continue
-        payload = witness.to_payload()
-        payload["order"] = s
-        payload["rho"] = result.rho
-        entry["witness"] = payload
-        entry["verdict"] = "refuted"
-        return
-    return
-
-
-def _exhaust(generator) -> None:
-    for _ in generator:
-        pass
-
-
-def _certify_constraint(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
-    entry = _blank_entry(j)
-    _exhaust(_certify_steps(spec, j, config, dump, entry))
-    return entry
-
-
-def _refute_constraint(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
-    entry = _blank_entry(j)
-    _exhaust(_refute_steps(spec, j, config, dump, entry))
-    return entry
-
-
-def _analyze_constraint(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
-    """Interleave certification and refutation steps deterministically.
-
-    Each round advances both deepening schedules by one step; the round after
-    either side concludes, the other stops. The outcome is independent of
-    thread scheduling, and the contradiction flag can still fire when both
-    sides conclude in the same round.
-    """
-    cert_entry = _blank_entry(j)
-    ref_entry = _blank_entry(j)
-    cert_gen = _certify_steps(spec, j, config, dump, cert_entry)
-    ref_gen = _refute_steps(spec, j, config, dump, ref_entry)
-    cert_active, ref_active = True, True
-    while cert_active or ref_active:
-        if cert_active:
-            try:
-                next(cert_gen)
-            except StopIteration:
-                cert_active = False
-        if ref_active:
-            try:
-                next(ref_gen)
-            except StopIteration:
-                ref_active = False
-        if cert_entry["verdict"] == "certified" or ref_entry["verdict"] == "refuted":
+        if _try_witness(entry, record, result, spec, config):
             break
-    return _merge_analyze(cert_entry, ref_entry)
-
-
-def _merge_analyze(cert_entry: dict, ref_entry: dict) -> dict:
-    merged = {
-        "index": cert_entry["index"],
-        "verdict": "inconclusive",
-        "certificate": cert_entry["certificate"],
-        "near_certificates": cert_entry["near_certificates"],
-        "witness": ref_entry["witness"],
-        "relaxations": ref_entry["relaxations"],
-        "attempts": cert_entry["attempts"],
-        "notes": cert_entry["notes"] + ref_entry["notes"],
-        "unproven_signal": ref_entry["unproven_signal"],
-    }
-    certified = cert_entry["verdict"] == "certified"
-    refuted = ref_entry["verdict"] == "refuted"
-    if certified and refuted:
-        merged["verdict"] = "certified"  # make_report flags the contradiction
-    elif certified:
-        merged["verdict"] = "certified"
-        merged["unproven_signal"] = False  # certificate overrides a soft signal
-    elif refuted:
-        merged["verdict"] = "refuted"
-    return merged
+    return entry
 
 
 def _parameters_payload(config: RunConfig, spec: ProblemSpec) -> dict:
-    d0, d_max = _certify_schedule(config, spec)
-    s0, s_max = _refute_schedule(config, spec)
+    start, cap = _order_ladder(config, spec)
     return {
         "mode": config.mode,
-        "d": d0,
-        "d_max": d_max,
-        "s": s0,
-        "s_max": s_max,
-        "epsilon_schedule": sorted(set(config.epsilons) | {0.0}),
+        "order": start,
+        "max_order": cap,
         "ball": config.ball,
         "stengle": config.stengle,
         "stengle_p": config.stengle_p,
@@ -379,15 +254,14 @@ def _parameters_payload(config: RunConfig, spec: ProblemSpec) -> dict:
         "tol_feas": config.tol_feas,
         "tol_residual": config.tol_residual,
         "solver_tol": config.solver_tol,
-        "jobs": config.jobs,
     }
 
 
 def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
-    if config.archimedean is None:
+    if config.archimedean is None or config.mode == "refute":
         return None
-    d0, _ = _certify_schedule(config, spec)
-    outcome = certify.archimedean_check(spec, config.archimedean, d0, solver_tol=config.solver_tol)
+    start, _ = _order_ladder(config, spec)
+    outcome = certify.archimedean_check(spec, config.archimedean, start, solver_tol=config.solver_tol)
     if isinstance(outcome, certify.CertificationFailure):
         return {
             "bound": config.archimedean,
@@ -405,51 +279,32 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
     }
 
 
-def run_certify(config: RunConfig, spec: ProblemSpec) -> Report:
+def _run(mode: str, config: RunConfig, spec: ProblemSpec) -> Report:
     started = time.perf_counter()
+    config = dataclasses.replace(config, mode=mode)
     spec = _with_ball(spec, config.ball) if config.ball is not None else spec
     dump = _dump_hook(config)
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        entries = list(pool.map(lambda j: _certify_constraint(spec, j, config, dump), range(1, spec.m + 1)))
+    entries = [_walk_ladder(spec, j, config, dump) for j in range(1, spec.m + 1)]
     return make_report(
-        "certify",
+        mode,
         spec,
         _parameters_payload(config, spec),
         entries,
         archimedean=_archimedean_payload(config, spec),
         diagnostics={"elapsed_seconds": time.perf_counter() - started},
     )
+
+
+def run_certify(config: RunConfig, spec: ProblemSpec) -> Report:
+    return _run("certify", config, spec)
 
 
 def run_refute(config: RunConfig, spec: ProblemSpec) -> Report:
-    started = time.perf_counter()
-    spec = _with_ball(spec, config.ball) if config.ball is not None else spec
-    dump = _dump_hook(config)
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        entries = list(pool.map(lambda j: _refute_constraint(spec, j, config, dump), range(1, spec.m + 1)))
-    return make_report(
-        "refute",
-        spec,
-        _parameters_payload(config, spec),
-        entries,
-        diagnostics={"elapsed_seconds": time.perf_counter() - started},
-    )
+    return _run("refute", config, spec)
 
 
 def run_analyze(config: RunConfig, spec: ProblemSpec) -> Report:
-    started = time.perf_counter()
-    spec = _with_ball(spec, config.ball) if config.ball is not None else spec
-    dump = _dump_hook(config)
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        entries = list(pool.map(lambda j: _analyze_constraint(spec, j, config, dump), range(1, spec.m + 1)))
-    return make_report(
-        "analyze",
-        spec,
-        _parameters_payload(config, spec),
-        entries,
-        archimedean=_archimedean_payload(config, spec),
-        diagnostics={"elapsed_seconds": time.perf_counter() - started},
-    )
+    return _run("analyze", config, spec)
 
 
 def exit_code_for(report: Report) -> int:
@@ -470,17 +325,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("problem", help="problem definition file (see docs/formats.md)")
     parser.add_argument("--mode", choices=("certify", "refute", "analyze"), default="analyze")
-    parser.add_argument("-d", "--degree", type=int, default=None, help="initial SOS degree bound")
-    parser.add_argument("--max-degree", type=int, default=None, help="deepening limit for -d")
-    parser.add_argument("-s", "--order", type=int, default=None, help="initial relaxation order")
-    parser.add_argument("--max-order", type=int, default=None, help="deepening limit for -s")
-    parser.add_argument(
-        "--epsilon",
-        type=float,
-        action="append",
-        default=None,
-        help="epsilon schedule entry for relaxed certification (repeatable; default 0, 1e-6, 1e-4, 1e-2)",
-    )
+    parser.add_argument("-s", "--order", "-d", "--degree", dest="order", type=int, default=None,
+                        help="first order k of the ladder, which is also the degree bound d "
+                        "of the certificates (default: max ceil(deg g / 2))")
+    parser.add_argument("--max-order", "--max-degree", dest="max_order", type=int, default=None,
+                        help="last order of the ladder (default: first order + 2)")
     parser.add_argument("--ball", type=float, default=None, metavar="R",
                         help="add R^2 - |x|^2 >= 0 to the constraints (changes the set under test)")
     parser.add_argument("--stengle", action="store_true", help="use the preordering certificate")
@@ -490,10 +339,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for extraction randomness")
     parser.add_argument("--tol-feas", type=float, default=1e-6)
     parser.add_argument("--tol-residual", type=float, default=1e-6)
-    parser.add_argument("--jobs", type=int, default=1, help="parallel certification/refutation tasks")
     parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
     parser.add_argument("--dump-sdp", type=str, default=None, metavar="DIR",
-                        help="dump every SDP instance in sparse text form")
+                        help="dump every Gram instance that is solved, in sparse text form")
     return parser
 
 
@@ -512,11 +360,8 @@ def main(argv: list[str] | None = None) -> int:
         spec = parse_problem(text)
         config = RunConfig(
             mode=args.mode,
-            d=args.degree,
-            d_max=args.max_degree,
-            s=args.order,
-            s_max=args.max_order,
-            epsilons=tuple(args.epsilon) if args.epsilon else DEFAULT_EPSILON_SCHEDULE,
+            order=args.order,
+            max_order=args.max_order,
             ball=args.ball,
             stengle=args.stengle,
             stengle_p=args.stengle_p,
@@ -524,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tol_feas=args.tol_feas,
             tol_residual=args.tol_residual,
-            jobs=args.jobs,
             out=args.out,
             dump_dir=args.dump_sdp,
         )

@@ -306,16 +306,10 @@ def coeff_linf_distance(a: Polynomial, b: Polynomial) -> float:
     return worst
 
 
-def evaluate_on_grid(g: Polynomial, points: np.ndarray) -> np.ndarray:
-    """Evaluate g at every row of ``points``; vectorized companion of evaluate()."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != g.space.arity:
-        raise ValueError(f"expected points of shape (m, {g.space.arity})")
-    values = np.zeros(pts.shape[0])
-    for exps, coeff in g.terms.items():
-        term = np.full(pts.shape[0], coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * pts[:, i] ** e
-        values += term
-    return values
+def ball_polynomial(space: VariableSpace, bound: float) -> Polynomial:
+    """bound - |x|^2 over every variable of the space."""
+    ball = Polynomial.constant(space, bound)
+    for i in range(space.arity):
+        xi = Polynomial.variable(space, i)
+        ball = ball - xi * xi
+    return ball

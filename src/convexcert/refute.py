@@ -8,7 +8,10 @@ the true minimum of g_j at midpoints of member pairs and climbs toward it as
 the order s grows. The relaxation is solved as its SOS dual, the
 quadratic-module Gram program max lambda s.t. g_j((x+y)/2) - lambda lies in
 the truncated quadratic module (the program certification builds), and z is
-read off that solve's dual multipliers, one per monomial.
+read off that solve's dual multipliers, one per monomial. The solved Gram
+blocks are kept as well: when rho >= 0 they are the certificate of
+convexity, so one solve per (constraint, order) yields the certificate, the
+bound and the moments together.
 
 If rho < 0 and the moment matrix satisfies the flat-extension rank condition
 rank M_s(z) = rank M_{s-v}(z) =: t, then z is the moment sequence of a
@@ -69,6 +72,9 @@ class RelaxationResult:
     singular_values_s: np.ndarray | None
     singular_values_sv: np.ndarray | None
     diagnostics: dict = field(default_factory=dict)
+    # solved Gram blocks of the degree-s quadratic-module program, one per
+    # SOS multiplier; with rho >= 0 they are a convexity certificate
+    gram: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -213,6 +219,7 @@ def solve_relaxation(
         singular_values_s=np.linalg.svd(moment_matrix(z, s), compute_uv=False),
         singular_values_sv=np.linalg.svd(moment_matrix(z, s - v), compute_uv=False),
         diagnostics=diagnostics,
+        gram=solution.X,
     )
 
 

@@ -1,10 +1,10 @@
 import json
 import math
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from convexcert import cli
+from convexcert import cli, sdp
 from convexcert.problemio import validate_report_payload
 
 from conftest import (
@@ -43,14 +43,16 @@ def test_interval_certify(tmp_path, capsys):
 
 def test_parabola_certify_only_inconclusive(tmp_path, capsys):
     path = write_problem(tmp_path, PARABOLA)
-    code, payload = run_cli(
-        capsys, [path, "--mode", "certify", "-d", "1", "--max-degree", "2", "--epsilon", "0"]
-    )
+    code, payload = run_cli(capsys, [path, "--mode", "certify", "-d", "1", "--max-degree", "2"])
     assert code == 2
     assert payload["verdict"] == "inconclusive"
+    assert (payload["parameters"]["order"], payload["parameters"]["max_order"]) == (1, 2)
     g1 = payload["constraints"][0]
     assert g1["verdict"] == "inconclusive"
-    assert all(a["status"] == "infeasible" for a in g1["attempts"])
+    # a negative bound leaves no certificate to check; the true bound is -1
+    assert g1["attempts"] == []
+    assert [r["order"] for r in g1["relaxations"]] == [1, 2]
+    assert all(r["status"] == "optimal" and r["rho"] <= -0.5 for r in g1["relaxations"])
 
 
 def test_parabola_refute(tmp_path, capsys):
@@ -85,6 +87,17 @@ def test_two_interval_refute_unproven_signal(tmp_path, capsys):
     assert any(r["rho"] is not None and r["rho"] <= -0.95 for r in g1["relaxations"])
 
 
+def test_redundant_constraint_certified(tmp_path, capsys):
+    # g2 = 2 - x1^2 stays positive on [-1, 1], so its order-1 bound is rho = 1 > 0
+    path = write_problem(tmp_path, "vars: x1\ng: 1 - x1^2\ng: 2 - x1^2\n")
+    code, payload = run_cli(capsys, [path, "--mode", "certify"])
+    assert code == 0
+    g2 = payload["constraints"][1]
+    assert g2["relaxations"][0]["rho"] == pytest.approx(1.0, abs=1e-6)
+    assert g2["certificate"]["epsilon"] == 0.0
+    assert g2["certificate"]["verification"]["passed"] is True
+
+
 def test_malformed_file_exits_64(tmp_path, capsys):
     path = write_problem(tmp_path, "vars: x1\ng: x1^^2\n")
     code = cli.main([path])
@@ -108,9 +121,28 @@ def test_halfspace_analyze(tmp_path, capsys):
 
 def test_parabola_analyze(tmp_path, capsys):
     path = write_problem(tmp_path, PARABOLA)
-    code, payload = run_cli(capsys, [path, "--mode", "analyze", "--jobs", "2"])
+    code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
     assert payload["verdict"] == "not convex"
+
+
+def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
+    calls = {"solve": 0, "feasibility": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sdp, "solve", counted("solve", sdp.solve))
+    monkeypatch.setattr(sdp, "feasibility", counted("feasibility", sdp.feasibility))
+    path = write_problem(tmp_path, PARABOLA)
+    code, payload = run_cli(capsys, [path, "--mode", "analyze"])
+    assert code == 0
+    # g1: orders 1 and 2 (witness); g2 and g3: certified from their order-1 solve
+    assert calls == {"solve": 4, "feasibility": 0}
+    assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 4
 
 
 def test_interval_analyze(tmp_path, capsys):
@@ -136,14 +168,11 @@ def test_report_deterministic_under_rerun(tmp_path, capsys):
     assert _strip_timings(first) == _strip_timings(second)
 
 
-def test_report_independent_of_worker_count(tmp_path, capsys):
+def test_analyze_report_deterministic_under_rerun(tmp_path, capsys):
     path = write_problem(tmp_path, BOX)
-    _, serial = run_cli(capsys, [path, "--mode", "analyze", "--jobs", "1"])
-    _, parallel = run_cli(capsys, [path, "--mode", "analyze", "--jobs", "3"])
-    a, b = _strip_timings(serial), _strip_timings(parallel)
-    a["parameters"].pop("jobs")
-    b["parameters"].pop("jobs")
-    assert a == b
+    _, first = run_cli(capsys, [path, "--mode", "analyze"])
+    _, second = run_cli(capsys, [path, "--mode", "analyze"])
+    assert _strip_timings(first) == _strip_timings(second)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -158,22 +187,19 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_dump_sdp_writes_instances(tmp_path, capsys):
     path = write_problem(tmp_path, INTERVAL)
-    dump_dir = tmp_path / "dumps"
-    code, _ = run_cli(capsys, [path, "--mode", "certify", "--dump-sdp", str(dump_dir)])
-    assert code == 0
-    files = list(dump_dir.glob("*.sdp"))
-    assert files
-    head = files[0].read_text().splitlines()[0]
-    assert head == "sdp 1"
-    code, _ = run_cli(capsys, [path, "--mode", "refute", "--dump-sdp", str(dump_dir)])
-    assert code == 2  # convex, so nothing to refute
-    refute_files = sorted(dump_dir.glob("refute_g*_s*.sdp"))
-    assert [f.name for f in refute_files] == ["refute_g1_s1.sdp"]
-    for f in refute_files:
-        lines = f.read_text().splitlines()
+    for mode, expected_code in (("certify", 0), ("refute", 2), ("analyze", 0)):
+        dump_dir = tmp_path / mode
+        code, payload = run_cli(capsys, [path, "--mode", mode, "--dump-sdp", str(dump_dir)])
+        assert code == expected_code  # refute: convex, so nothing to refute
+        # one file per Gram solve, and it is the instance that was solved
+        solves = [f"qmodule_g{c['index']}_d{r['order']}.sdp"
+                  for c in payload["constraints"] for r in c["relaxations"]]
+        assert sorted(f.name for f in dump_dir.glob("*.sdp")) == solves == ["qmodule_g1_d1.sdp"]
+        lines = (dump_dir / solves[0]).read_text().splitlines()
         assert lines[0] == "sdp 1"
-        # the Gram form that is solved: one row per non-constant monomial
+        # the Gram form: one row per non-constant monomial, the constant one as objective
         assert lines[1:3] == ["blocks 3 1 1", "nconstraints 5"]
+        assert any(line.startswith("c ") for line in lines)
 
 
 def test_ball_option_bounds_halfspace(tmp_path, capsys):
@@ -223,16 +249,6 @@ def test_cubic_halfline_unbounded_advice(tmp_path, capsys):
     assert any("--ball" in note for note in g1["notes"])
 
 
-def test_epsilon_flag_repeatable(tmp_path, capsys):
-    path = write_problem(tmp_path, INTERVAL)
-    code, payload = run_cli(
-        capsys,
-        [path, "--mode", "certify", "--epsilon", "0", "--epsilon", "1e-4"],
-    )
-    assert code == 0
-    assert payload["parameters"]["epsilon_schedule"] == [0.0, 1e-4]
-
-
 def test_attempts_carry_solver_diagnostics(tmp_path, capsys):
     path = write_problem(tmp_path, INTERVAL)
     code, payload = run_cli(capsys, [path, "--mode", "certify"])
@@ -245,10 +261,35 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(mode="nope")
     with pytest.raises(ValueError):
-        cli.RunConfig(d=3, d_max=2)
+        cli.RunConfig(order=3, max_order=2)
+    with pytest.raises(ValueError):
+        cli.RunConfig(order=0)
     with pytest.raises(ValueError):
         cli.RunConfig(tol_feas=0.0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(jobs=0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(epsilons=(-1e-3,))
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+# the analyze column of the README table: (verdict, exit code)
+README_OUTCOMES = {
+    "interval": ("convex", 0),
+    "disk": ("convex", 0),
+    "halfspace": ("convex", 0),
+    "box": ("convex", 0),
+    "parabola": ("not convex", 0),
+    "hyperbola": ("not convex", 0),
+    "two_interval": ("inconclusive", 3),
+    "cubic_halfline": ("inconclusive", 2),
+}
+# (order, atom count) of the first witness, as the README table states it
+README_WITNESSES = {"parabola": (2, 2), "hyperbola": (3, 4)}
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.txt")), ids=lambda path: path.stem)
+def test_bundled_problem_analyze_outcome(path, capsys):
+    code, payload = run_cli(capsys, [str(path)])
+    assert (payload["verdict"], code) == README_OUTCOMES[path.stem]
+    witnesses = [c["witness"] for c in payload["constraints"] if c["witness"] is not None]
+    if path.stem in README_WITNESSES:
+        assert (witnesses[0]["order"], len(witnesses[0]["atoms"])) == README_WITNESSES[path.stem]
+    else:
+        assert witnesses == []

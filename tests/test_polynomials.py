@@ -7,7 +7,6 @@ from convexcert.polynomials import (
     Polynomial,
     VariableSpace,
     coeff_linf_distance,
-    evaluate_on_grid,
     lift,
     midpoint_substitute,
 )
@@ -109,14 +108,6 @@ def test_evaluate_examples():
 def test_evaluate_arity_mismatch():
     with pytest.raises(ValueError):
         poly(X1, {(1,): 1.0}).evaluate([1.0, 2.0])
-
-
-def test_evaluate_on_grid_matches_pointwise():
-    g = poly(X2, {(2, 0): 1.0, (1, 1): -0.5, (0, 0): 3.0})
-    pts = np.array([[0.5, 1.5], [-1.0, 2.0], [0.0, 0.0]])
-    vals = evaluate_on_grid(g, pts)
-    for row, val in zip(pts, vals):
-        assert val == pytest.approx(g.evaluate(row), abs=1e-14)
 
 
 # -- midpoint substitution -----------------------------------------------------------

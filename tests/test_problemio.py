@@ -174,14 +174,13 @@ def _tiny_report(spec):
         "index": 1,
         "verdict": "certified",
         "certificate": {"kind": "quadratic-module", "residual": 3.0325999489377864e-09},
-        "near_certificates": [],
         "witness": None,
         "relaxations": [],
-        "attempts": [{"kind": "quadratic-module", "degree": 1, "epsilon": 0.0, "status": "optimal"}],
+        "attempts": [{"kind": "quadratic-module", "degree": 1, "status": "optimal"}],
         "notes": [],
         "unproven_signal": False,
     }
-    return make_report("certify", spec, {"d": 1}, [entry])
+    return make_report("certify", spec, {"order": 1}, [entry])
 
 
 def test_report_round_trip():
@@ -203,7 +202,6 @@ def test_report_verdict_invariants():
     spec = parse_problem("vars: x1 x2\ng: 1 - x1^2\ng: 1 - x2^2")
     base = {
         "certificate": None,
-        "near_certificates": [],
         "witness": None,
         "relaxations": [],
         "attempts": [],
@@ -233,7 +231,6 @@ def test_report_contradiction_flagged():
         "index": 1,
         "verdict": "certified",
         "certificate": {"kind": "quadratic-module"},
-        "near_certificates": [],
         "witness": {"atoms": []},
         "relaxations": [],
         "attempts": [],
@@ -251,7 +248,6 @@ def test_empty_inconclusive_report_schema():
         "index": 1,
         "verdict": "inconclusive",
         "certificate": None,
-        "near_certificates": [],
         "witness": None,
         "relaxations": [],
         "attempts": [],
