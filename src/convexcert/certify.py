@@ -101,6 +101,15 @@ class SosProgram:
     bases: list[MonomialBasis] = field(init=False)
 
     def __post_init__(self) -> None:
+        # every reachable monomial needs its own coefficient row, or the
+        # identity would be silently under-constrained
+        reach = max(t.weight.degree + 2 * t.basis_degree for t in self.term_specs)
+        reach = max(reach, self.target.degree)
+        if reach > self.match_degree:
+            raise ValueError(
+                f"the identity reaches degree {reach} but matches only up to {self.match_degree}; "
+                "the degree bound d must be at least max_k ceil(deg g_k / 2)"
+            )
         self.bases = [monomial_basis(self.space, t.basis_degree) for t in self.term_specs]
 
     def to_sdp(self) -> sdp.SdpProblem:
@@ -120,11 +129,6 @@ class SosProgram:
                             mat = np.zeros((size, size))
                             mats[blk] = mat
                         mat[p, q] += ctheta
-        # every reachable product monomial must be matched, or the identity
-        # would be silently under-constrained
-        overflow = [g for g in accum if sum(g) > self.match_degree]
-        assert not overflow, f"support beyond match degree: {overflow[:3]}"
-        assert self.target.degree <= self.match_degree
         equalities = []
         for gamma in monomial_basis(self.space, self.match_degree):
             mats = accum.get(gamma, {})
@@ -301,12 +305,7 @@ def _multiplier_degree(d: int, g: Polynomial) -> int:
 
 
 def _qmodule_program(spec: ProblemSpec, j: int, d: int, epsilon: float) -> SosProgram:
-    idx = _constraint_index(spec, j)
-    gj = spec.constraints[idx]
-    if d < ceil(gj.degree / 2):
-        raise ValueError(
-            f"degree bound d={d} cannot represent the midpoint image of g_{j} (degree {gj.degree})"
-        )
+    gj = spec.constraints[_constraint_index(spec, j)]
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     lifted = spec.space.lift()
@@ -429,8 +428,6 @@ def certify_stengle(
 def _archimedean_program(spec: ProblemSpec, bound: float, d: int) -> SosProgram:
     if bound <= 0:
         raise ValueError("bound M must be positive")
-    if d < 1:
-        raise ValueError("degree bound d must be at least 1")
     space = spec.space
     target = ball_polynomial(space, bound)
     specs = [_TermSpec("sigma_0", Polynomial.constant(space, 1.0), d)]

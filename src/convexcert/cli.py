@@ -15,8 +15,9 @@ drawn from that one solve:
   epsilon for which the degree-k identity holds.
 
 With --stengle the preordering certificate replaces the quadratic-module
-one, solved on its own at each order before the Gram solve. The CLI
-assembles a JSON report and maps outcomes to exit codes:
+one, solved at each order before the Gram solve, which certify mode skips
+as it could conclude nothing. The CLI assembles a JSON report and maps
+outcomes to exit codes:
 
     0   conclusive (convex, or not convex with a validated witness)
     2   inconclusive
@@ -68,7 +69,6 @@ class RunConfig:
     seed: int = 0
     tol_feas: float = 1e-6
     tol_residual: float = 1e-6
-    solver_tol: float = sdp.DEFAULT_TOL
     out: str | None = None
     dump_dir: str | None = None
 
@@ -79,7 +79,7 @@ class RunConfig:
             raise ValueError("order must be at least 1")
         if self.order is not None and self.max_order is not None and self.order > self.max_order:
             raise ValueError("order must not exceed max_order")
-        for name in ("tol_feas", "tol_residual", "solver_tol"):
+        for name in ("tol_feas", "tol_residual"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.stengle_p < 1:
@@ -191,19 +191,21 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
     }
     notes = entry["notes"]
     start, cap = _order_ladder(config, spec)
+    stengle = config.stengle and config.mode != "refute"
     for k in range(start, cap + 1):
-        if config.stengle and config.mode != "refute":
+        if stengle:
             try:
-                outcome = certify.certify_stengle(
-                    spec, j, k, p=config.stengle_p, solver_tol=config.solver_tol
-                )
-            except ValueError as exc:
+                outcome = certify.certify_stengle(spec, j, k, p=config.stengle_p)
+            except ValueError as exc:  # refused for too many constraints, so at every order
                 notes.append(str(exc))
+                stengle = False
             else:
                 if _try_certificate(entry, outcome, spec, k, config):
                     break
+        if config.stengle and config.mode == "certify":
+            continue  # the Gram blocks are no certificate under --stengle
         dump(f"qmodule_g{j}_d{k}", lambda: refute.build_moment_sdp(spec, j, k))
-        result = refute.solve_relaxation(spec, j, k, solver_tol=config.solver_tol)
+        result = refute.solve_relaxation(spec, j, k)
         record = {"order": k, "status": result.status, "rho": result.rho, "solver": result.diagnostics}
         entry["relaxations"].append(record)
         if result.status == "inconclusive-unbounded":
@@ -253,7 +255,7 @@ def _parameters_payload(config: RunConfig, spec: ProblemSpec) -> dict:
         "seed": config.seed,
         "tol_feas": config.tol_feas,
         "tol_residual": config.tol_residual,
-        "solver_tol": config.solver_tol,
+        "solver_tol": sdp.DEFAULT_TOL,
     }
 
 
@@ -261,7 +263,7 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
     if config.archimedean is None or config.mode == "refute":
         return None
     start, _ = _order_ladder(config, spec)
-    outcome = certify.archimedean_check(spec, config.archimedean, start, solver_tol=config.solver_tol)
+    outcome = certify.archimedean_check(spec, config.archimedean, start)
     if isinstance(outcome, certify.CertificationFailure):
         return {
             "bound": config.archimedean,

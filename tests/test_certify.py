@@ -185,6 +185,15 @@ def test_stengle_rejects_bad_power(interval_spec):
         certify_stengle(interval_spec, 1, 2, p=0)
 
 
+def test_degree_below_other_constraint_rejected():
+    # d = 1 fits g1 = x but not g2 = 1 - x^4, whose x^4 row would go unmatched
+    spec = parse_problem("vars: x\ng: x\ng: 1 - x^4\n")
+    with pytest.raises(ValueError, match="degree bound"):
+        certify_sufficient(spec, 1, 1)
+    with pytest.raises(ValueError, match="degree bound"):
+        archimedean_check(spec, 2.0, 1)
+
+
 # -- archimedean route ----------------------------------------------------------------------
 
 

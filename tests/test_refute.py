@@ -1,10 +1,16 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from convexcert import sdp
 from convexcert.certify import build_qmodule_sdp
 from convexcert.moments import MomentSequence, monomial_basis
 from convexcert.polynomials import VariableSpace
+from convexcert.problemio import parse_problem
 from convexcert.refute import (
+    RELAXATION_TOL_CEILING,
     ExtractionError,
     RelaxationResult,
     build_moment_sdp,
@@ -19,6 +25,7 @@ from conftest import brute_force_midpoint_min
 
 LIFTED1 = VariableSpace(1).lift()
 LIFTED2 = VariableSpace(2).lift()
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def synthetic_result(space, order, points, weights, v=1):
@@ -99,8 +106,6 @@ def test_convex_interval_bound_nonnegative(interval_spec):
 
 
 def test_unbounded_relaxation_flagged():
-    from convexcert.problemio import parse_problem
-
     cubic = parse_problem("vars: x1\ng: x1^3\n")
     _v_ks, v = relaxation_orders(cubic)
     assert v == 2
@@ -112,19 +117,60 @@ def test_unbounded_relaxation_flagged():
 def test_empty_set_relaxation_infeasible():
     # -1 - x^2 >= 0 has no member: the Gram form is unbounded, so the moment
     # relaxation is infeasible
-    from convexcert.problemio import parse_problem
-
     empty = parse_problem("vars: x\ng: -1 - x^2\n")
     result = solve_relaxation(empty, 1, 1)
     assert result.status == "infeasible"
     assert result.rho is None and result.z is None
 
 
+def test_stalled_relaxation_solved_once(monkeypatch):
+    # x1^3 >= 0 at order 3 stalls near 5e-3; a looser tolerance replays the
+    # same iterates, so there is nothing to retry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["tol"])
+        return original(*args, **kwargs)
+
+    original = sdp.solve
+    monkeypatch.setattr(sdp, "solve", counted)
+    cubic = parse_problem((PROBLEMS / "cubic_halfline.txt").read_text())
+    result = solve_relaxation(cubic, 1, 3)
+    assert calls == [pytest.approx(1e-9)]
+    assert result.status == "stalled"
+    assert result.diagnostics["solver_tol"] == pytest.approx(1e-9)
+
+
+def _relabelled_stall(monkeypatch, **overrides):
+    original = sdp.solve
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), status="stalled", **overrides)
+
+    monkeypatch.setattr(sdp, "solve", stalled)
+
+
+def test_stall_within_ceiling_accepted(interval_spec, monkeypatch):
+    reference = solve_relaxation(interval_spec, 1, 1)
+    _relabelled_stall(monkeypatch)
+    result = solve_relaxation(interval_spec, 1, 1)
+    assert result.status == "optimal"
+    assert result.rho == reference.rho
+    assert result.diagnostics["solver_status"] == "stalled"
+    assert result.diagnostics["solver_tol"] == pytest.approx(1e-9)
+    assert result.gram is not None
+
+
+def test_stall_above_ceiling_stays_stalled(interval_spec, monkeypatch):
+    _relabelled_stall(monkeypatch, primal_residual=10 * RELAXATION_TOL_CEILING)
+    result = solve_relaxation(interval_spec, 1, 1)
+    assert result.status == "stalled"
+    assert result.rho is None and result.z is None
+
+
 def test_random_interval_unions_match_oracle():
     # K = [-b, -a] U [a, b]: the worst midpoint pair is (t, -t), value -a^2.
     rng = np.random.default_rng(55)
-    from convexcert.problemio import parse_problem
-
     for _ in range(3):
         a = float(rng.uniform(0.5, 1.5))
         b = float(rng.uniform(a + 0.5, a + 2.0))
@@ -177,8 +223,6 @@ def test_flatness_fails_for_many_atoms():
 
 
 def _dummy_spec_1d():
-    from convexcert.problemio import parse_problem
-
     return parse_problem("vars: x1\ng: 1 - x1^2\n")
 
 
@@ -241,8 +285,6 @@ def test_extract_round_trip_batch():
 
 
 def _dummy_spec_2d():
-    from convexcert.problemio import parse_problem
-
     return parse_problem("vars: x1 x2\ng: 1 - x1^2\ng: 1 - x2^2\n")
 
 
@@ -277,8 +319,6 @@ def test_extraction_failure_reported():
 
 
 def test_hyperbola_pipeline_four_atoms():
-    from convexcert.problemio import parse_problem
-
     hyper = parse_problem("vars: x1 x2\ng: x1*x2 - 1\ng: 4 - x1^2\ng: 4 - x2^2\n")
     oracle, _ = brute_force_midpoint_min(hyper, 1, np.linspace(-2, 2, 41))
     assert oracle == pytest.approx(-1.5625, abs=1e-12)
@@ -302,12 +342,7 @@ def test_hyperbola_pipeline_four_atoms():
 def test_hyperbola_order_four_flat_at_default_tol():
     # Dual moments at the caller's 1e-8 leave a fifth singular value near 1e-3,
     # above the rank cutoff; the relaxation solves one decade tighter to be flat.
-    from pathlib import Path
-
-    from convexcert.problemio import parse_problem
-
-    path = Path(__file__).resolve().parent.parent / "problems" / "hyperbola.txt"
-    hyper = parse_problem(path.read_text())
+    hyper = parse_problem((PROBLEMS / "hyperbola.txt").read_text())
     result = solve_relaxation(hyper, 1, 4)
     assert result.status == "optimal"
     assert result.diagnostics["solver_tol"] == pytest.approx(1e-9)
