@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Run every bundled problem through analyze mode and print a verdict table."""
+"""Run every bundled problem through analyze mode and check the verdict table.
+
+Each problem's verdict and exit code are compared with the outcome the README
+documents. The script prints the table, names every problem that differs,
+and exits 1 if any differs or a documented problem is missing, else 0.
+"""
 
 import sys
 import time
@@ -9,6 +14,18 @@ from convexcert.cli import RunConfig, exit_code_for, run_analyze
 from convexcert.problemio import parse_problem
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+
+# (verdict, exit code) per problem, as in the README's bundled-problem table
+README_OUTCOMES = {
+    "interval": ("convex", 0),
+    "disk": ("convex", 0),
+    "halfspace": ("convex", 0),
+    "box": ("convex", 0),
+    "parabola": ("not convex", 0),
+    "hyperbola": ("not convex", 0),
+    "two_interval": ("inconclusive", 3),
+    "cubic_halfline": ("inconclusive", 2),
+}
 
 
 def main() -> int:
@@ -24,7 +41,20 @@ def main() -> int:
     print(f"{'problem':<{width}}  n  m  verdict       exit  seconds")
     for name, n, m, verdict, code, elapsed in rows:
         print(f"{name:<{width}}  {n}  {m}  {verdict:<12}  {code:<4}  {elapsed:7.2f}")
-    return 0
+
+    mismatches = []
+    seen = {name: (verdict, code) for name, _, _, verdict, code, _ in rows}
+    for name, expected in README_OUTCOMES.items():
+        got = seen.get(name)
+        if got is None:
+            mismatches.append(f"{name}: missing from {PROBLEMS_DIR}")
+        elif got != expected:
+            mismatches.append(f"{name}: got {got[0]!r} exit {got[1]}, README says {expected[0]!r} exit {expected[1]}")
+    for name in sorted(set(seen) - set(README_OUTCOMES)):
+        mismatches.append(f"{name}: no documented outcome")
+    for line in mismatches:
+        print(f"MISMATCH {line}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

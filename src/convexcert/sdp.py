@@ -8,6 +8,18 @@ Schur complement (Cholesky with a diagonal perturbation fallback). This gives
 clean status semantics: optimal, infeasible (Farkas certificate attached),
 unbounded (improving ray attached), or stalled.
 
+Blocks are grouped by side length once per solve, and each iteration works
+on one stacked (members, k, k) array per group with numpy's batched
+Cholesky, SVD, eigvalsh and matmul. SOS Gram programs have many blocks of
+one size, and per-call overhead on their small blocks would otherwise
+dominate. A group's scaled rows G^T A_i G are formed a few members at a
+time, so their temporaries stay within those of the largest block. The step
+length is taken in the NT-scaled space, where X and S are both diag(d): it is
+the smallest of 1 / -lambda_min over D^-1/2 G^-1 dX G^-T D^-1/2 and
+D^-1/2 G^T dS G D^-1/2. The denominator that eliminates dtau is the
+difference of two terms that grow like |G|^4 near the boundary; it is
+floored at their rounding error, since below it dtau would be noise.
+
 Rank-deficient equality systems are pre-processed by pivoted-QR row
 elimination; dropped rows are checked for consistency so that linearly
 contradictory inputs are reported as infeasible without touching the cone.
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular, svd
+from scipy.linalg import cho_factor, cho_solve, qr
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -33,6 +45,7 @@ FEASIBILITY_REGULARIZATION = 1e-6
 ROW_ELIMINATION_THRESHOLD = 1e-10
 _SYMMETRY_TOL = 1e-9
 _STEP_SHRINK = 0.99
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -103,37 +116,73 @@ def _svec_meta(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _svec(mat: np.ndarray) -> np.ndarray:
-    k = mat.shape[0]
-    rows, cols, scale = _svec_meta(k)
-    return mat[rows, cols] * scale
+    """svec of a (..., k, k) stack, giving (..., k(k+1)/2)."""
+    rows, cols, scale = _svec_meta(mat.shape[-1])
+    return mat[..., rows, cols] * scale
 
 
 def _smat(vec: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of :func:`_svec` on a (..., k(k+1)/2) stack."""
     rows, cols, scale = _svec_meta(k)
-    out = np.zeros((k, k))
+    out = np.zeros(vec.shape[:-1] + (k, k))
     vals = vec / scale
-    out[rows, cols] = vals
-    out[cols, rows] = vals
+    out[..., rows, cols] = vals
+    out[..., cols, rows] = vals
     return out
 
 
+def _t(mats: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mats, -1, -2)
+
+
+def _sym(mats: np.ndarray) -> np.ndarray:
+    return 0.5 * (mats + _t(mats))
+
+
 class _Layout:
-    """Offsets of each block inside the stacked svec vector."""
+    """Blocks grouped by side length, and their place in the stacked svec vector.
+
+    ``offsets`` and ``sizes`` place each block in the block-order svec
+    vector of the problem data. The solver keeps each group as one
+    (members, k, k) array and its svec vector group by group: ``perm`` maps
+    the grouped order to the block order. Groups follow the order of their
+    first block and members the block order, so when all sizes differ the
+    two orders coincide.
+    """
 
     def __init__(self, dims: Sequence[int]):
         self.dims = [int(k) for k in dims]
         self.sizes = [k * (k + 1) // 2 for k in self.dims]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(int)
         self.total = int(self.offsets[-1])
+        members: dict[int, list[int]] = {}
+        for i, k in enumerate(self.dims):
+            members.setdefault(k, []).append(i)
+        self.groups = list(members.items())
+        self.perm = np.concatenate(
+            [np.arange(self.offsets[i], self.offsets[i + 1]) for _, idx in self.groups for i in idx]
+        )
+        self.starts = [0]
+        for k, idx in self.groups:
+            self.starts.append(self.starts[-1] + len(idx) * k * (k + 1) // 2)
 
-    def stack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([_svec(m) for m in blocks])
-
-    def unstack(self, vec: np.ndarray) -> list[np.ndarray]:
+    def split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Grouped svec vector -> one (members, k, k) array per group."""
         return [
-            _smat(vec[self.offsets[i] : self.offsets[i + 1]], k)
-            for i, k in enumerate(self.dims)
+            _smat(vec[lo:hi].reshape(len(idx), -1), k)
+            for (k, idx), lo, hi in zip(self.groups, self.starts, self.starts[1:])
         ]
+
+    def join(self, groups: Sequence[np.ndarray]) -> np.ndarray:
+        return np.concatenate([_svec(m).ravel() for m in groups])
+
+    def blocks(self, groups: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per-group arrays -> list of blocks in the problem's block order."""
+        out: list[np.ndarray] = [np.zeros(0)] * len(self.dims)
+        for (_, idx), mats in zip(self.groups, groups):
+            for i, m in zip(idx, mats):
+                out[i] = m
+        return out
 
 
 def _stack_problem(problem: SdpProblem, layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,7 +238,7 @@ class _NumericalFailure(Exception):
     pass
 
 
-def _chol_lower(mat: np.ndarray) -> np.ndarray:
+def _chol_jittered(mat: np.ndarray) -> np.ndarray:
     jitter = 0.0
     scale = max(float(np.trace(mat)) / mat.shape[0], 1e-300)
     for _ in range(8):
@@ -200,11 +249,25 @@ def _chol_lower(mat: np.ndarray) -> np.ndarray:
     raise _NumericalFailure("Cholesky failed despite diagonal perturbation")
 
 
-def _max_step_block(chol_lower: np.ndarray, direction: np.ndarray) -> float:
-    k = solve_triangular(chol_lower, direction, lower=True)
-    k = solve_triangular(chol_lower, k.T, lower=True)
-    k = 0.5 * (k + k.T)
-    lam_min = float(np.linalg.eigvalsh(k)[0])
+def _chol_lower(mats: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (members, k, k) stack.
+
+    Only when the stacked factorization fails is each member factored on its
+    own, with a growing diagonal perturbation where it needs one.
+    """
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return np.stack([_chol_jittered(m) for m in mats])
+
+
+def _max_step_scaled(hat: np.ndarray, rsqrt_d: np.ndarray) -> float:
+    """Largest step keeping D + step * hat PSD for every member of the stack.
+
+    ``hat`` is a direction in the NT-scaled space, where the iterate is
+    diag(d); the step limit is 1 / -lambda_min(D^-1/2 hat D^-1/2).
+    """
+    lam_min = float(np.min(np.linalg.eigvalsh(hat * rsqrt_d[:, :, None] * rsqrt_d[:, None, :])[:, 0]))
     if lam_min >= -1e-14:
         return np.inf
     return 1.0 / (-lam_min)
@@ -252,7 +315,9 @@ def solve(
             certificate={"type": "linear-inconsistency", "rows": dropped},
             diagnostics=diagnostics,
         )
-    a = a_full[kept]
+    # From here on the svec vectors list the blocks group by group.
+    a = a_full[kept][:, layout.perm]
+    c = c[layout.perm]
     b = b_full[kept]
     # Row normalization: conditions the Schur complement without moving X;
     # dual multipliers are unscaled before they are returned.
@@ -261,22 +326,24 @@ def solve(
         a = a / row_scale[:, None]
         b = b / row_scale
     p = a.shape[0]
-    dims = layout.dims
-    nu = sum(dims)
+    nu = sum(layout.dims)
     norm_b = 1.0 + float(np.linalg.norm(b))
     norm_c = 1.0 + float(np.linalg.norm(c))
     cert_tol = max(10.0 * tol, 1e-10)
+    # The scaled rows of a group are formed a few members at a time, so their
+    # temporaries stay within p * k^2 of the largest block.
+    row_budget = max(layout.dims) ** 2
 
-    xb = [np.eye(k) for k in dims]
-    sb = [np.eye(k) for k in dims]
+    xg = [np.tile(np.eye(k), (len(idx), 1, 1)) for k, idx in layout.groups]
+    sg = [m.copy() for m in xg]
     y = np.zeros(p)
     tau = 1.0
     kappa = 1.0
-    x = layout.stack(xb)
-    s = layout.stack(sb)
+    x = layout.join(xg)
+    s = layout.join(sg)
     mu0 = (x @ s + tau * kappa) / (nu + 1)
 
-    c_blocks = layout.unstack(c)
+    c_groups = layout.split(c)
 
     def _expand_y(yv: np.ndarray) -> np.ndarray:
         full = np.zeros(len(b_full))
@@ -290,22 +357,22 @@ def solve(
         iterations: int,
         certificate: dict | None = None,
     ) -> SdpSolution:
-        sxb, ssb, sy, stau, skappa = state
+        sxg, ssg, sy, stau, skappa = state
         if stau > 1e-300:
-            xs = [m / stau for m in sxb]
-            ss = [m / stau for m in ssb]
+            xs = [m / stau for m in sxg]
+            ss = [m / stau for m in ssg]
             ys = sy / stau
         else:
-            xs, ss, ys = sxb, ssb, sy
-        obj = float(c @ layout.stack(xs))
-        pres = float(np.linalg.norm(a @ layout.stack(xs) - b)) / norm_b
-        dres = float(np.linalg.norm(a.T @ ys + layout.stack(ss) - c)) / norm_c
+            xs, ss, ys = sxg, ssg, sy
+        obj = float(c @ layout.join(xs))
+        pres = float(np.linalg.norm(a @ layout.join(xs) - b)) / norm_b
+        dres = float(np.linalg.norm(a.T @ ys + layout.join(ss) - c)) / norm_c
         dobj = float(b @ ys)
         gap = abs(obj - dobj) / (1.0 + abs(obj) + abs(dobj))
         return SdpSolution(
             status=status,
-            X=[0.5 * (m + m.T) for m in xs],
-            S=[0.5 * (m + m.T) for m in ss],
+            X=layout.blocks([_sym(m) for m in xs]),
+            S=layout.blocks([_sym(m) for m in ss]),
             y=_expand_y(ys),
             objective_value=obj,
             primal_residual=pres,
@@ -319,7 +386,7 @@ def solve(
         )
 
     def _snapshot() -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float, float]:
-        return ([m.copy() for m in xb], [m.copy() for m in sb], y.copy(), tau, kappa)
+        return ([m.copy() for m in xg], [m.copy() for m in sg], y.copy(), tau, kappa)
 
     best_state = _snapshot()
     best_score = np.inf
@@ -359,7 +426,7 @@ def solve(
                     cert = {
                         "type": "primal-infeasibility",
                         "y": _expand_y(y / by),
-                        "S": [m / by for m in sb],
+                        "S": [m / by for m in layout.blocks(sg)],
                         "residual": res_inf,
                     }
                     return _solution(_snapshot(), "infeasible", iteration - 1, cert)
@@ -368,7 +435,7 @@ def solve(
                 if res_unb <= cert_tol * norm_b:
                     cert = {
                         "type": "unboundedness-ray",
-                        "X": [m / (-cx) for m in xb],
+                        "X": [m / (-cx) for m in layout.blocks(xg)],
                         "residual": res_unb,
                     }
                     return _solution(_snapshot(), "unbounded", iteration - 1, cert)
@@ -376,54 +443,35 @@ def solve(
             if mu < 1e-18 * max(1.0, mu0):
                 return _finish("stalled", iteration - 1)
 
-            # Nesterov-Todd scaling per block: G^{-1} X G^{-T} = G^T S G = diag(d).
+            # Nesterov-Todd scaling per group: G^{-1} X G^{-T} = G^T S G = diag(d).
             gs: list[np.ndarray] = []
             ginvs: list[np.ndarray] = []
             dvals: list[np.ndarray] = []
-            lxs: list[np.ndarray] = []
-            lss: list[np.ndarray] = []
-            for i, k in enumerate(dims):
-                lx = _chol_lower(xb[i])
-                ls = _chol_lower(sb[i])
-                _, sig, vt = svd(ls.T @ lx)
+            for xm, sm in zip(xg, sg):
+                lx = _chol_lower(xm)
+                ls = _chol_lower(sm)
+                _, sig, vt = np.linalg.svd(_t(ls) @ lx)
                 sig = np.maximum(sig, 1e-150)
                 sqrt_sig = np.sqrt(sig)
-                g = (lx @ vt.T) / sqrt_sig
-                linv = solve_triangular(lx, np.eye(k), lower=True)
-                ginv = (vt * sqrt_sig[:, None]) @ linv
-                gs.append(g)
-                ginvs.append(ginv)
+                gs.append((lx @ _t(vt)) / sqrt_sig[:, None, :])
+                ginvs.append((vt * sqrt_sig[:, :, None]) @ np.linalg.inv(lx))
                 dvals.append(sig)
-                lxs.append(lx)
-                lss.append(ls)
+            rsqrt_d = [1.0 / np.sqrt(d) for d in dvals]
 
-            # Scaled constraint rows and Schur complement.
-            util_parts = []
-            ctil_parts = []
-            rd_blocks = layout.unstack(rd)
-            rdtil_parts = []
-            for i, k in enumerate(dims):
-                off, size = layout.offsets[i], layout.sizes[i]
+            # Scaled constraint rows svec(G^T A_i G) and Schur complement.
+            util = np.empty((p, layout.total))
+            for (k, idx), lo, g in zip(layout.groups, layout.starts, gs):
                 rows, cols, scale = _svec_meta(k)
-                sub = a[:, off : off + size]
-                if p:
-                    amats = np.zeros((p, k, k))
-                    vals = sub / scale
-                    amats[:, rows, cols] = vals
-                    amats[:, cols, rows] = vals
-                    tg = amats @ gs[i]
-                    gtg = np.matmul(gs[i].T, tg)
-                    gtg = 0.5 * (gtg + np.transpose(gtg, (0, 2, 1)))
-                    util_parts.append(gtg[:, rows, cols] * scale)
-                else:
-                    util_parts.append(np.zeros((0, size)))
-                ctil = gs[i].T @ c_blocks[i] @ gs[i]
-                ctil_parts.append(_svec(0.5 * (ctil + ctil.T)))
-                rdt = gs[i].T @ rd_blocks[i] @ gs[i]
-                rdtil_parts.append(_svec(0.5 * (rdt + rdt.T)))
-            util = np.hstack(util_parts) if util_parts else np.zeros((p, 0))
-            ctil_vec = np.concatenate(ctil_parts)
-            rdtil_vec = np.concatenate(rdtil_parts)
+                size = len(rows)
+                chunk = max(1, row_budget // (k * k))
+                for first in range(0, len(idx), chunk):
+                    gm = g[first : first + chunk]
+                    span = slice(lo + first * size, lo + (first + len(gm)) * size)
+                    amats = _smat(np.swapaxes(a[:, span].reshape(p, len(gm), size), 0, 1), k)
+                    gtg = _sym(_t(gm)[:, None] @ (amats @ gm[:, None]))
+                    util[:, span] = np.swapaxes(_svec(gtg), 0, 1).reshape(p, len(gm) * size)
+            ctil_vec = layout.join([_sym(_t(g) @ cm @ g) for g, cm in zip(gs, c_groups)])
+            rdtil_vec = layout.join([_sym(_t(g) @ rm @ g) for g, rm in zip(gs, layout.split(rd))])
 
             if p:
                 m_schur = util @ util.T
@@ -454,60 +502,55 @@ def solve(
                 def schur_solve(rhs: np.ndarray) -> np.ndarray:
                     return np.zeros(0)
 
+            # (b - v_wc) @ z2 cancels against |ctil|^2, and both grow like |G|^4 as
+            # the iterates near the boundary. Below the rounding error of their
+            # sum its sign and size are noise that would send dtau anywhere, so
+            # the sum is floored there.
             ctil_sq = float(ctil_vec @ ctil_vec)
+            denom = max(float((b - v_wc) @ z2) + ctil_sq, layout.total * _EPS * ctil_sq) + kappa / tau
 
-            def newton(rc_blocks: list[np.ndarray], rc_tk: float):
-                svec_rc = layout.stack(rc_blocks)
+            def newton(rc_groups: list[np.ndarray], rc_tk: float):
+                """Newton direction, with its X and S parts also in the scaled space."""
+                svec_rc = layout.join(rc_groups)
                 r1 = -rp - a @ svec_rc - util @ rdtil_vec
                 r2 = float(-rg + c @ svec_rc + ctil_vec @ rdtil_vec + rc_tk / tau)
                 z1 = schur_solve(r1) if p else np.zeros(0)
-                denom = float((b - v_wc) @ z2) + ctil_sq + kappa / tau
                 dtau = (r2 - float((b - v_wc) @ z1)) / denom
                 dy = z1 + z2 * dtau
-                ds = -rd - a.T @ dy + c * dtau
-                ds_blocks = layout.unstack(ds)
-                dx_blocks = []
-                for i in range(len(dims)):
-                    wdw = gs[i] @ (gs[i].T @ ds_blocks[i] @ gs[i]) @ gs[i].T
-                    dxm = rc_blocks[i] - wdw
-                    dx_blocks.append(0.5 * (dxm + dxm.T))
+                ds = layout.split(-rd - a.T @ dy + c * dtau)
+                dshat = [_t(g) @ dsm @ g for g, dsm in zip(gs, ds)]
+                dx = [_sym(rc - g @ dh @ _t(g)) for g, rc, dh in zip(gs, rc_groups, dshat)]
+                dxhat = [gi @ dxm @ _t(gi) for gi, dxm in zip(ginvs, dx)]
                 dkappa = (rc_tk - kappa * dtau) / tau
-                return dx_blocks, dy, ds_blocks, dtau, dkappa
+                return dx, dy, ds, dtau, dkappa, dxhat, dshat
 
-            def max_step(dx_blocks, ds_blocks, dtau, dkappa) -> float:
-                step = np.inf
-                for i in range(len(dims)):
-                    step = min(step, _max_step_block(lxs[i], dx_blocks[i]))
-                    step = min(step, _max_step_block(lss[i], ds_blocks[i]))
-                step = min(step, _max_step_scalar(tau, dtau))
-                step = min(step, _max_step_scalar(kappa, dkappa))
+            def max_step(dxhat, dshat, dtau, dkappa) -> float:
+                step = min(_max_step_scalar(tau, dtau), _max_step_scalar(kappa, dkappa))
+                for dxh, dsh, r in zip(dxhat, dshat, rsqrt_d):
+                    step = min(step, _max_step_scaled(dxh, r), _max_step_scaled(dsh, r))
                 return step
 
             # Predictor (affine direction).
-            rc_aff = [-xb[i] for i in range(len(dims))]
-            dxa, dya, dsa, dta, dka = newton(rc_aff, -tau * kappa)
-            alpha_aff = min(1.0, max_step(dxa, dsa, dta, dka))
-            x_aff = x + alpha_aff * layout.stack(dxa)
-            s_aff = s + alpha_aff * layout.stack(dsa)
+            dxa, dya, dsa, dta, dka, dxhat_a, dshat_a = newton([-m for m in xg], -tau * kappa)
+            alpha_aff = min(1.0, max_step(dxhat_a, dshat_a, dta, dka))
+            x_aff = x + alpha_aff * layout.join(dxa)
+            s_aff = s + alpha_aff * layout.join(dsa)
             mu_aff = (
                 x_aff @ s_aff + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
             ) / (nu + 1)
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # Corrector with Mehrotra second-order term in the scaled space.
-            rc_blocks = []
-            for i, k in enumerate(dims):
-                dxhat = ginvs[i] @ dxa[i] @ ginvs[i].T
-                dshat = gs[i].T @ dsa[i] @ gs[i]
-                second = 0.5 * (dxhat @ dshat + dshat @ dxhat)
-                rm = sigma * mu * np.eye(k) - np.diag(dvals[i] ** 2) - second
-                denom = dvals[i][:, None] + dvals[i][None, :]
-                e = 2.0 * rm / denom
-                rc = gs[i] @ e @ gs[i].T
-                rc_blocks.append(0.5 * (rc + rc.T))
+            rc_groups = []
+            for (k, _), g, d, dxh, dsh in zip(layout.groups, gs, dvals, dxhat_a, dshat_a):
+                rm = -0.5 * (dxh @ dsh + dsh @ dxh)
+                diag = np.arange(k)
+                rm[:, diag, diag] += sigma * mu - d**2
+                e = 2.0 * rm / (d[:, :, None] + d[:, None, :])
+                rc_groups.append(_sym(g @ e @ _t(g)))
             rc_tk = sigma * mu - tau * kappa - dta * dka
-            dx_blocks, dy, ds_blocks, dtau, dkappa = newton(rc_blocks, rc_tk)
-            alpha = min(1.0, _STEP_SHRINK * max_step(dx_blocks, ds_blocks, dtau, dkappa))
+            dx, dy, ds, dtau, dkappa, dxhat, dshat = newton(rc_groups, rc_tk)
+            alpha = min(1.0, _STEP_SHRINK * max_step(dxhat, dshat, dtau, dkappa))
             if alpha < 1e-7:
                 slow_steps += 1
                 if slow_steps >= 3:
@@ -515,14 +558,13 @@ def solve(
             else:
                 slow_steps = 0
 
-            for i in range(len(dims)):
-                xb[i] = 0.5 * ((xb[i] + alpha * dx_blocks[i]) + (xb[i] + alpha * dx_blocks[i]).T)
-                sb[i] = 0.5 * ((sb[i] + alpha * ds_blocks[i]) + (sb[i] + alpha * ds_blocks[i]).T)
+            xg = [_sym(m + alpha * dm) for m, dm in zip(xg, dx)]
+            sg = [_sym(m + alpha * dm) for m, dm in zip(sg, ds)]
             y = y + alpha * dy
             tau = float(tau + alpha * dtau)
             kappa = float(kappa + alpha * dkappa)
-            x = layout.stack(xb)
-            s = layout.stack(sb)
+            x = layout.join(xg)
+            s = layout.join(sg)
     except _NumericalFailure as exc:
         diagnostics["failure"] = str(exc)
         return _finish("stalled", iteration)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from convexcert.sdp import SdpProblem, dump_sdp, feasibility, solve
+from convexcert.sdp import SdpProblem, _chol_lower, dump_sdp, feasibility, solve
 
 
 def _sym(rng, k):
@@ -207,6 +207,17 @@ def test_random_strictly_feasible_battery():
             assert np.linalg.eigvalsh(x)[0] >= -10 * 1e-8 * norm
 
 
+def test_tau_denominator_below_rounding_error():
+    # Near the optimum of this instance the dtau denominator falls below the
+    # rounding error of its two cancelling terms; taken at face value it sends
+    # dtau far off and the solve stalls with residuals near 1.6e-8.
+    problem = random_strictly_feasible(np.random.default_rng(290), [8], 20)
+    sol = solve(problem, tol=1e-8)
+    assert sol.status == "optimal"
+    assert max(sol.primal_residual, sol.dual_residual, sol.relative_gap) <= 1e-8
+    assert sol.iterations <= 15
+
+
 def test_random_infeasible_battery():
     rng = np.random.default_rng(99)
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -238,3 +249,48 @@ def test_dump_format():
     assert "a 0 1 0 0 2.0" in lines
     # only upper-triangular entries are emitted
     assert not any(line.startswith("a 0 0 1 0") for line in lines)
+
+
+# -- blocks grouped by size --------------------------------------------------------------
+
+
+def _permute_blocks(problem, order):
+    """The same SDP with block order[i] moved to position i."""
+    new_index = {old: new for new, old in enumerate(order)}
+    return SdpProblem(
+        block_dims=[problem.block_dims[old] for old in order],
+        objective={new_index[b]: m for b, m in problem.objective.items()},
+        equalities=[({new_index[b]: m for b, m in mats.items()}, rhs) for mats, rhs in problem.equalities],
+    )
+
+
+def test_solution_invariant_under_block_order():
+    # repeated sizes and 1x1 blocks, so the solver stacks members of one size
+    rng = np.random.default_rng(7)
+    problem = random_strictly_feasible(rng, [5, 1, 1, 3, 5, 1, 3], 20)
+    order = [1, 4, 3, 6, 0, 2, 5]  # also changes which size comes first
+    sol = solve(problem)
+    perm = solve(_permute_blocks(problem, order))
+    assert sol.status == perm.status == "optimal"
+    assert perm.objective_value == pytest.approx(sol.objective_value, abs=1e-7)
+    assert np.max(np.abs(perm.y - sol.y)) <= 1e-7
+    for new, old in enumerate(order):
+        assert np.max(np.abs(perm.X[new] - sol.X[old])) <= 1e-7
+
+
+def test_stacked_cholesky_falls_back_per_member():
+    rng = np.random.default_rng(3)
+    mats = []
+    for _ in range(4):
+        r = rng.normal(size=(3, 3))
+        mats.append(r @ r.T + 0.1 * np.eye(3))
+    mats[2] = np.diag([1.0, 0.0, 1.0])  # singular: the stacked call raises
+    stack = np.stack(mats)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    factors = _chol_lower(stack)
+    assert factors.shape == stack.shape
+    for i in (0, 1, 3):
+        assert np.array_equal(factors[i], np.linalg.cholesky(mats[i]))
+    assert np.allclose(factors[2] @ factors[2].T, mats[2], atol=1e-12)
+    assert np.array_equal(factors[2], np.tril(factors[2]))
