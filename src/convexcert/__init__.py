@@ -57,7 +57,7 @@ from .refute import (
     solve_relaxation,
     validate_witness,
 )
-from .sdp import SdpProblem, SdpSolution, dump_sdp, feasibility, solve
+from .sdp import SdpProblem, SdpSolution, dump_sdp, solve
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "coeff_linf_distance",
     "dump_sdp",
     "extract_atoms",
-    "feasibility",
     "lift",
     "localizing_matrix",
     "make_report",

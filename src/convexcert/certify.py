@@ -257,11 +257,9 @@ def _certificate_fields(program: SosProgram, x_blocks: list[np.ndarray], diagnos
     }
 
 
-def _solve_certificate(
-    program: SosProgram, solver_tol: float, max_iter: int
-) -> dict | CertificationFailure:
-    """Solve a certificate program for feasibility; certificate fields or the failure."""
-    solution = sdp.feasibility(program.to_sdp(), tol=solver_tol, max_iter=max_iter)
+def _solve_certificate(program: SosProgram) -> dict | CertificationFailure:
+    """Solve a certificate program as stated; certificate fields or the failure."""
+    solution = sdp.solve(program.to_sdp())
     diagnostics = _solution_diagnostics(solution)
     if solution.status != "optimal":
         reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
@@ -328,11 +326,9 @@ def certify_sufficient(
     j: int,
     d: int,
     epsilon: float = 0.0,
-    solver_tol: float = sdp.DEFAULT_TOL,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
 ) -> QuadraticModuleCertificate | CertificationFailure:
     """Attempt a quadratic-module certificate for constraint j at degree bound d."""
-    fields = _solve_certificate(_qmodule_program(spec, j, d, epsilon), solver_tol, max_iter)
+    fields = _solve_certificate(_qmodule_program(spec, j, d, epsilon))
     if isinstance(fields, CertificationFailure):
         return fields
     return QuadraticModuleCertificate(j=j, d=d, epsilon=epsilon, **fields)
@@ -396,22 +392,19 @@ def certify_stengle(
     j: int,
     d: int,
     p: int = 1,
-    m_max: int = STENGLE_M_MAX,
-    solver_tol: float = sdp.DEFAULT_TOL,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
 ) -> PreorderingCertificate | CertificationFailure:
     """Attempt a preordering certificate for constraint j.
 
-    Refused for m > m_max: the doubled constraint list makes the preordering
-    carry 2^(2m+1) SOS weights, which is out of desk-scale reach; use
-    certify_sufficient instead for larger m.
+    Refused for m > STENGLE_M_MAX: the doubled constraint list makes the
+    preordering carry 2^(2m+1) SOS weights, which is out of desk-scale reach;
+    use certify_sufficient instead for larger m.
     """
-    if spec.m > m_max:
+    if spec.m > STENGLE_M_MAX:
         raise ValueError(
-            f"preordering certification refused for m={spec.m} > {m_max}: "
+            f"preordering certification refused for m={spec.m} > {STENGLE_M_MAX}: "
             f"it would require 2^{2 * spec.m + 1} SOS blocks; use certify_sufficient instead"
         )
-    fields = _solve_certificate(_stengle_program(spec, j, d, p), solver_tol, max_iter)
+    fields = _solve_certificate(_stengle_program(spec, j, d, p))
     if isinstance(fields, CertificationFailure):
         return fields
     terms = fields.pop("terms")
@@ -440,15 +433,13 @@ def archimedean_check(
     spec: ProblemSpec,
     bound: float,
     d: int,
-    solver_tol: float = sdp.DEFAULT_TOL,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
 ) -> ArchimedeanCertificate | CertificationFailure:
     """Try to express M - |x|^2 inside the quadratic module of the constraints.
 
     Success shows the module is archimedean (the set is compact), in which
     case eps-relaxed certification is complete for convex inputs.
     """
-    fields = _solve_certificate(_archimedean_program(spec, bound, d), solver_tol, max_iter)
+    fields = _solve_certificate(_archimedean_program(spec, bound, d))
     if isinstance(fields, CertificationFailure):
         return fields
     return ArchimedeanCertificate(bound=bound, d=d, **fields)

@@ -272,12 +272,19 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
             "note": "no bounding identity found at this degree; compactness not established",
         }
     check = certify.verify_certificate(outcome, spec, residual_tol=config.tol_residual)
+    if check.passed:
+        note = ("quadratic module is archimedean; epsilon certificates are complete "
+                "for compact convex sets")
+    else:
+        note = (
+            f"bounding identity found but failed verification (residual {check.residual:.3e}, "
+            f"min eig {check.min_gram_eigenvalue:.3e}); compactness not established"
+        )
     return {
         "bound": config.archimedean,
         "holds": bool(check.passed),
         "residual": check.residual,
-        "note": "quadratic module is archimedean; epsilon certificates are complete "
-        "for compact convex sets",
+        "note": note,
     }
 
 

@@ -68,8 +68,6 @@ class RelaxationResult:
     status: str  # optimal | inconclusive-unbounded | infeasible | stalled
     rho: float | None
     z: MomentSequence | None
-    singular_values_s: np.ndarray | None
-    singular_values_sv: np.ndarray | None
     diagnostics: dict = field(default_factory=dict)
     # solved Gram blocks of the degree-s quadratic-module program, one per
     # SOS multiplier; with rho >= 0 they are a convexity certificate
@@ -157,30 +155,24 @@ def build_moment_sdp(spec: ProblemSpec, j: int, s: int) -> sdp.SdpProblem:
     return sdp.SdpProblem(block_dims=gram.block_dims, objective=constant_row, equalities=rows)
 
 
-def solve_relaxation(
-    spec: ProblemSpec,
-    j: int,
-    s: int,
-    solver_tol: float = sdp.DEFAULT_TOL,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
-) -> RelaxationResult:
+def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
     """Solve the order-s relaxation; rho is a lower bound on the midpoint minimum.
 
     The Gram form from build_moment_sdp is solved once and the moments are
-    read off its dual multipliers. The solve runs one decade tighter than
-    solver_tol: at equal tolerance the dual moments are less clean, enough
-    to fail the flatness rank test at hyperbola order 4. A stalled solve
-    returns its best iterate, which is accepted when its residuals and gap
-    meet RELAXATION_TOL_CEILING; diagnostics["solver_tol"] reads the first
-    decade they meet. Moment accuracy at 1e-7 is still far inside the
-    witness-validation tolerance downstream. Across the duality, an
-    infeasible Gram program means the moment relaxation is unbounded, and
+    read off its dual multipliers. The solve runs one decade below
+    sdp.DEFAULT_TOL: at that tolerance itself the dual moments are less
+    clean, enough to fail the flatness rank test at hyperbola order 4. A
+    stalled solve returns its best iterate, which is accepted when its
+    residuals and gap meet RELAXATION_TOL_CEILING; diagnostics["solver_tol"]
+    reads the first decade they meet. Moment accuracy at 1e-7 is still far
+    inside the witness-validation tolerance downstream. Across the duality,
+    an infeasible Gram program means the moment relaxation is unbounded, and
     an unbounded one means it is infeasible.
     """
     problem = build_moment_sdp(spec, j, s)
     _v_ks, v = relaxation_orders(spec)
-    tol = solver_tol / 10.0
-    solution = sdp.solve(problem, tol=tol, max_iter=max_iter)
+    tol = sdp.DEFAULT_TOL / 10.0
+    solution = sdp.solve(problem, tol=tol)
     status = {"infeasible": "inconclusive-unbounded", "unbounded": "infeasible"}.get(
         solution.status, solution.status
     )
@@ -188,20 +180,11 @@ def solve_relaxation(
     if status == "stalled" and all(r <= RELAXATION_TOL_CEILING for r in accuracy):  # a NaN fails
         status = "optimal"
         tol = min(tol * 10.0 ** ceil(log10(max(*accuracy, tol) / tol)), RELAXATION_TOL_CEILING)
-    diagnostics = {
-        "solver_status": solution.status,
-        "solver_tol": tol,
-        "iterations": solution.iterations,
-        "primal_residual": solution.primal_residual,
-        "dual_residual": solution.dual_residual,
-        "relative_gap": solution.relative_gap,
-    }
+    solved = certify._solution_diagnostics(solution)
+    diagnostics = {"solver_status": solved.pop("status"), "solver_tol": tol, **solved}
     if status != "optimal":
-        return RelaxationResult(
-            j=j, s=s, v=v, status=status,
-            rho=None, z=None, singular_values_s=None, singular_values_sv=None,
-            diagnostics=diagnostics,
-        )
+        return RelaxationResult(j=j, s=s, v=v, status=status, rho=None, z=None,
+                                diagnostics=diagnostics)
     lifted = spec.space.lift()
     monomials = monomial_basis(lifted, 2 * s).elements
     entries = {monomials[0]: 1.0}
@@ -214,8 +197,6 @@ def solve_relaxation(
         status="optimal",
         rho=spec.constraints[j - 1].evaluate(np.zeros(spec.n)) - float(solution.objective_value),
         z=z,
-        singular_values_s=np.linalg.svd(moment_matrix(z, s), compute_uv=False),
-        singular_values_sv=np.linalg.svd(moment_matrix(z, s - v), compute_uv=False),
         diagnostics=diagnostics,
         gram=solution.X,
     )
@@ -247,15 +228,10 @@ def rank_flatness_check(result: RelaxationResult, spec: ProblemSpec) -> Flatness
     if result.z is None:
         raise ValueError("relaxation result carries no moment sequence")
     _v_ks, v = relaxation_orders(spec)
-    sv_s = result.singular_values_s
-    sv_sv = result.singular_values_sv
-    if sv_s is None or sv_sv is None:
-        m_s = moment_matrix(result.z, result.s)
-        m_sv = moment_matrix(result.z, result.s - v)
-        sv_s = np.linalg.svd(m_s, compute_uv=False)
-        sv_sv = np.linalg.svd(m_sv, compute_uv=False)
-    rank_s, amb_s = _numerical_rank(sv_s)
-    rank_sv, amb_sv = _numerical_rank(sv_sv)
+    (rank_s, amb_s), (rank_sv, amb_sv) = (
+        _numerical_rank(np.linalg.svd(moment_matrix(result.z, order), compute_uv=False))
+        for order in (result.s, result.s - v)
+    )
     ambiguous = amb_s or amb_sv
     flat = (not ambiguous) and rank_s == rank_sv
     return FlatnessResult(flat=flat, t=rank_s if flat else 0, ambiguous=ambiguous,

@@ -24,10 +24,13 @@ Rank-deficient equality systems are pre-processed by pivoted-QR row
 elimination; dropped rows are checked for consistency so that linearly
 contradictory inputs are reported as infeasible without touching the cone.
 
-Pure feasibility problems are solved through :func:`feasibility`, which swaps
-in a small trace objective to bound the feasible region; the interior-point
-iterates then converge to the analytic center of the optimal face, which is
-the maximal-rank solution downstream rank tests rely on.
+Pure feasibility problems (zero objective), such as the certificate
+programs, are solved as stated, with no regularizing objective. With c = 0
+every feasible point is optimal, and the embedding's iterates head for a
+maximally complementary one, in the relative interior of the feasible set
+(de Klerk, Roos and Terlaky, 1997): a solution of maximal rank, whose Gram
+matrices sit as far inside the cone as the program allows. For trace X = 1
+on a 2x2 block that is X = I/2.
 """
 
 from __future__ import annotations
@@ -37,11 +40,10 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg import cho_solve, cholesky, qr
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
-FEASIBILITY_REGULARIZATION = 1e-6
 ROW_ELIMINATION_THRESHOLD = 1e-10
 _SYMMETRY_TOL = 1e-9
 _STEP_SHRINK = 0.99
@@ -239,11 +241,14 @@ class _NumericalFailure(Exception):
 
 
 def _chol_jittered(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of mat, with a growing diagonal perturbation where it needs one."""
+    n = mat.shape[0]
+    scale = max(float(np.trace(mat)) / n, 1e-300)
     jitter = 0.0
-    scale = max(float(np.trace(mat)) / mat.shape[0], 1e-300)
     for _ in range(8):
+        shifted = mat + jitter * np.eye(n) if jitter else mat
         try:
-            return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
+            return cholesky(shifted, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14 * scale)
     raise _NumericalFailure("Cholesky failed despite diagonal perturbation")
@@ -475,17 +480,7 @@ def solve(
 
             if p:
                 m_schur = util @ util.T
-                jitter = 0.0
-                m_scale = max(float(np.trace(m_schur)) / p, 1e-300)
-                cho = None
-                for _ in range(8):
-                    try:
-                        cho = cho_factor(m_schur + jitter * np.eye(p), lower=True)
-                        break
-                    except np.linalg.LinAlgError:
-                        jitter = max(jitter * 100.0, 1e-14 * m_scale)
-                if cho is None:
-                    raise _NumericalFailure("Schur complement factorization failed")
+                cho = (_chol_jittered(m_schur), True)
 
                 def schur_solve(rhs: np.ndarray) -> np.ndarray:
                     z = cho_solve(cho, rhs)
@@ -570,29 +565,6 @@ def solve(
         return _finish("stalled", iteration)
 
     return _finish("stalled", max_iter)
-
-
-def feasibility(
-    problem: SdpProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    regularization: float = FEASIBILITY_REGULARIZATION,
-) -> SdpSolution:
-    """Solve a pure feasibility problem (zero objective).
-
-    A small trace objective bounds the otherwise conic solution set, so the
-    iterates converge to the analytic center of the optimal face. The reported
-    objective value is the regularized trace, not a problem quantity.
-    """
-    for blk, mat in problem.objective.items():
-        if np.any(np.abs(np.asarray(mat)) > 0):
-            raise ValueError("feasibility expects a zero objective")
-    regularized = SdpProblem(
-        block_dims=problem.block_dims,
-        objective={i: regularization * np.eye(k) for i, k in enumerate(problem.block_dims)},
-        equalities=problem.equalities,
-    )
-    return solve(regularized, tol=tol, max_iter=max_iter)
 
 
 def dump_sdp(problem: SdpProblem, stream: IO[str]) -> None:

@@ -43,7 +43,7 @@ from convexcert.refute import (
     solve_relaxation,
     validate_witness,
 )
-from convexcert.sdp import SdpProblem, feasibility, solve
+from convexcert.sdp import SdpProblem, solve
 
 from conftest import (
     BOX,
@@ -167,10 +167,7 @@ def test_criterion_06_synthetic_extraction_round_trip():
                 break
         wts = rng.dirichlet(np.ones(t) * 4.0)
         z = MomentSequence.from_atoms(space, 2, pts, wts)
-        result = RelaxationResult(
-            j=1, s=2, v=1, status="optimal", rho=0.0, z=z,
-            singular_values_s=None, singular_values_sv=None,
-        )
+        result = RelaxationResult(j=1, s=2, v=1, status="optimal", rho=0.0, z=z)
         dummy = parse_problem(INTERVAL if space.n == 1 else BOX)
         flatness = rank_flatness_check(result, dummy)
         assert flatness.flat and flatness.t == t, f"trial {trial}"
@@ -225,7 +222,7 @@ def test_criterion_08_solver_battery():
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
     for c in np.linspace(0.51, 0.99, 10):
         problem = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: e12}, float(c))])
-        assert feasibility(problem).status == "infeasible", f"c={c}"
+        assert solve(problem).status == "infeasible", f"c={c}"
     _report(8, "50 strictly feasible SDPs solved to 1e-7 gap; 10 infeasible instances detected")
 
 

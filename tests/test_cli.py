@@ -127,21 +127,20 @@ def test_parabola_analyze(tmp_path, capsys):
 
 
 def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
-    calls = {"solve": 0, "feasibility": 0}
+    calls = 0
+    original = sdp.solve
 
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(sdp, "solve", counted("solve", sdp.solve))
-    monkeypatch.setattr(sdp, "feasibility", counted("feasibility", sdp.feasibility))
+    monkeypatch.setattr(sdp, "solve", counted)
     path = write_problem(tmp_path, PARABOLA)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
     # g1: orders 1 and 2 (witness); g2 and g3: certified from their order-1 solve
-    assert calls == {"solve": 4, "feasibility": 0}
+    assert calls == 4
     assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 4
 
 
@@ -297,3 +296,66 @@ def test_bundled_problem_analyze_outcome(path, capsys):
         assert (witnesses[0]["order"], len(witnesses[0]["atoms"])) == README_WITNESSES[path.stem]
     else:
         assert witnesses == []
+
+
+# analyze verdict of each constraint, with or without --archimedean
+ANALYZE_CONSTRAINT_VERDICTS = {
+    "box": ["certified", "certified"],
+    "cubic_halfline": ["inconclusive"],
+    "disk": ["certified"],
+    "halfspace": ["certified"],
+    "hyperbola": ["refuted", "certified", "certified"],
+    "interval": ["certified"],
+    "parabola": ["refuted", "certified", "certified"],
+    "two_interval": ["inconclusive", "certified"],
+}
+# --mode certify --stengle: (verdict, exit code, verdict of each constraint)
+STENGLE_OUTCOMES = {
+    "box": ("convex", 0, ["certified", "certified"]),
+    "cubic_halfline": ("convex", 0, ["certified"]),
+    "disk": ("convex", 0, ["certified"]),
+    "halfspace": ("convex", 0, ["certified"]),
+    "hyperbola": ("inconclusive", 2, ["inconclusive", "certified", "certified"]),
+    "interval": ("convex", 0, ["certified"]),
+    "parabola": ("inconclusive", 2, ["inconclusive", "certified", "certified"]),
+    "two_interval": ("inconclusive", 2, ["inconclusive", "certified"]),
+}
+# whether 2 - |x|^2 lies in the quadratic module at the first order
+ARCHIMEDEAN_HOLDS = {
+    "box": True,
+    "cubic_halfline": False,
+    "disk": True,
+    "halfspace": False,
+    "hyperbola": False,
+    "interval": True,
+    "parabola": True,
+    "two_interval": False,
+}
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.txt")), ids=lambda path: path.stem)
+def test_bundled_problem_stengle_outcome(path, capsys):
+    code, payload = run_cli(capsys, [str(path), "--mode", "certify", "--stengle"])
+    verdicts = [c["verdict"] for c in payload["constraints"]]
+    assert (payload["verdict"], code, verdicts) == STENGLE_OUTCOMES[path.stem]
+    assert payload["archimedean"] is None
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.txt")), ids=lambda path: path.stem)
+def test_bundled_problem_archimedean_outcome(path, capsys):
+    code, payload = run_cli(capsys, [str(path), "--mode", "analyze", "--archimedean", "2"])
+    assert (payload["verdict"], code) == README_OUTCOMES[path.stem]
+    assert [c["verdict"] for c in payload["constraints"]] == ANALYZE_CONSTRAINT_VERDICTS[path.stem]
+    assert payload["archimedean"]["holds"] is ARCHIMEDEAN_HOLDS[path.stem]
+
+
+def test_archimedean_failed_recheck_is_not_affirmed(capsys):
+    # the bounding identity is found, but its residual misses a 1e-12 recheck
+    path = str(PROBLEMS / "disk.txt")
+    code, payload = run_cli(capsys, [path, "--archimedean", "2", "--tol-residual", "1e-12"])
+    arch = payload["archimedean"]
+    assert arch["holds"] is False
+    assert arch["residual"] > 1e-12
+    assert "archimedean" not in arch["note"]
+    assert "failed verification" in arch["note"]
+    assert f"{arch['residual']:.3e}" in arch["note"]

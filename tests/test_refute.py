@@ -31,10 +31,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 def synthetic_result(space, order, points, weights, v=1):
     """RelaxationResult wrapping exact atomic moments (no solver involved)."""
     z = MomentSequence.from_atoms(space, order, points, weights)
-    return RelaxationResult(
-        j=1, s=order, v=v, status="optimal", rho=0.0, z=z,
-        singular_values_s=None, singular_values_sv=None,
-    )
+    return RelaxationResult(j=1, s=order, v=v, status="optimal", rho=0.0, z=z)
 
 
 # -- construction -----------------------------------------------------------------

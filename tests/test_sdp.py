@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from convexcert.sdp import SdpProblem, _chol_lower, dump_sdp, feasibility, solve
+from convexcert.sdp import SdpProblem, _chol_lower, dump_sdp, solve
 
 
 def _sym(rng, k):
@@ -60,7 +60,7 @@ def test_offdiagonal_determinant_infeasible():
     # trace X = 1 with X12 = 0.6 needs X11*X22 >= 0.36, but X11*X22 <= 0.25.
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
     p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: e12}, 0.6)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "infeasible"
     assert sol.certificate is not None
 
@@ -68,7 +68,7 @@ def test_offdiagonal_determinant_infeasible():
 def test_offdiagonal_below_threshold_feasible():
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
     p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: e12}, 0.4)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "optimal"
     x = sol.X[0]
     assert abs(np.trace(x) - 1.0) <= 1e-6
@@ -78,20 +78,20 @@ def test_offdiagonal_below_threshold_feasible():
 
 def test_negative_scalar_equality_infeasible():
     p = SdpProblem([1], {}, [({0: np.array([[1.0]])}, -1.0)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "infeasible"
 
 
 def test_trace_one_analytic_center():
     p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "optimal"
     assert np.max(np.abs(sol.X[0] - 0.5 * np.eye(2))) <= 1e-4
 
 
 def test_empty_equalities_feasible():
     p = SdpProblem([2], {}, [])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "optimal"
     assert np.linalg.eigvalsh(sol.X[0])[0] >= -1e-12
 
@@ -137,12 +137,6 @@ def test_rejects_bad_tolerance():
         solve(p, tol=0.5)
 
 
-def test_feasibility_rejects_nonzero_objective():
-    p = SdpProblem([1], {0: np.array([[1.0]])}, [])
-    with pytest.raises(ValueError):
-        feasibility(p)
-
-
 # -- redundant and inconsistent rows -----------------------------------------------------
 
 
@@ -157,28 +151,28 @@ def test_max_iter_exhaustion_reports_stalled():
 
 def test_zero_row_with_zero_rhs_dropped():
     p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: np.zeros((2, 2))}, 0.0)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "optimal"
     assert 1 in sol.diagnostics["dropped_rows"]
 
 
 def test_zero_row_with_nonzero_rhs_infeasible():
     p = SdpProblem([2], {}, [({0: np.zeros((2, 2))}, 1.0)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "infeasible"
 
 
 def test_duplicate_rows_are_dropped():
     row = ({0: np.eye(2)}, 1.0)
     p = SdpProblem([2], {}, [row, ({0: np.eye(2)}, 1.0)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "optimal"
     assert sol.diagnostics["dropped_rows"]
 
 
 def test_inconsistent_duplicate_rows_infeasible():
     p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: np.eye(2)}, 2.0)])
-    sol = feasibility(p)
+    sol = solve(p)
     assert sol.status == "infeasible"
     assert sol.certificate["type"] == "linear-inconsistency"
 
@@ -224,7 +218,7 @@ def test_random_infeasible_battery():
     for _ in range(6):
         c = float(rng.uniform(0.55, 0.95))
         p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: e12}, c)])
-        assert feasibility(p).status == "infeasible"
+        assert solve(p).status == "infeasible"
 
 
 # -- dump format -------------------------------------------------------------------------
