@@ -4,6 +4,10 @@
 Each problem's verdict and exit code are compared with the outcome the README
 documents. The script prints the table, names every problem that differs,
 and exits 1 if any differs or a documented problem is missing, else 0.
+Next to each verdict it prints the size of the largest relaxation that was
+solved (its PSD block sizes and equality count p, from the report's
+relaxations[].solver records) and the solver iterations over all
+relaxations, so a change in SDP size shows in the log.
 """
 
 import sys
@@ -36,14 +40,21 @@ def main() -> int:
         start = time.perf_counter()
         report = run_analyze(config, spec)
         elapsed = time.perf_counter() - start
-        rows.append((path.stem, spec.n, spec.m, report.verdict, exit_code_for(report), elapsed))
+        solvers = [r["solver"] for c in report.constraints for r in c["relaxations"]]
+        largest = max(solvers, key=lambda s: s["p"], default=None)
+        size = f"{largest['blocks']} p={largest['p']}" if largest else "-"
+        iterations = sum(s["iterations"] for s in solvers)
+        rows.append((path.stem, spec.n, spec.m, report.verdict, exit_code_for(report), elapsed,
+                     size, iterations))
     width = max(len(r[0]) for r in rows)
-    print(f"{'problem':<{width}}  n  m  verdict       exit  seconds")
-    for name, n, m, verdict, code, elapsed in rows:
-        print(f"{name:<{width}}  {n}  {m}  {verdict:<12}  {code:<4}  {elapsed:7.2f}")
+    size_width = max(len(r[6]) for r in rows)
+    print(f"{'problem':<{width}}  n  m  verdict       exit  seconds  {'largest SDP':<{size_width}}  iterations")
+    for name, n, m, verdict, code, elapsed, size, iterations in rows:
+        print(f"{name:<{width}}  {n}  {m}  {verdict:<12}  {code:<4}  {elapsed:7.2f}  "
+              f"{size:<{size_width}}  {iterations}")
 
     mismatches = []
-    seen = {name: (verdict, code) for name, _, _, verdict, code, _ in rows}
+    seen = {name: (verdict, code) for name, _, _, verdict, code, *_ in rows}
     for name, expected in README_OUTCOMES.items():
         got = seen.get(name)
         if got is None:

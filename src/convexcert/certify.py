@@ -19,6 +19,13 @@ Gram-matrix feasibility SDPs along three routes:
   existence makes the quadratic module archimedean and eps-certificates
   complete for compact convex sets.
 
+The first two identities live on the doubled space, and their data are
+invariant under the swap tau: (x, y) -> (y, x). SosProgram therefore builds
+them over tau-orbits (one row per orbit of monomials, an even and an odd
+block for sigma_0, one block shared by sigma_k and psi_k = sigma_k o tau),
+which halves the rows and the PSD blocks the solver sees, and expands a
+solution back into every term's full Gram matrix.
+
 Every certificate is verified independently of the solver by re-expanding the
 Gram matrices symbolically and measuring the coefficientwise residual of the
 claimed identity.
@@ -28,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil
 
 import numpy as np
 
 from . import sdp
-from .moments import MonomialBasis, monomial_basis
+from .moments import MomentSequence, MonomialBasis, monomial_basis
 from .polynomials import (
     Exponents,
     Polynomial,
@@ -48,6 +56,8 @@ from .problemio import ProblemSpec
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_GRAM_EIG_TOL = 1e-8
 STENGLE_M_MAX = 3
+# relative coefficient tolerance under which a swapped polynomial counts as unchanged
+SWAP_TOL = 1e-12
 
 
 @dataclass
@@ -89,16 +99,67 @@ class _TermSpec:
     basis_degree: int
 
 
+def _swap(exponents: Exponents, n: int) -> Exponents:
+    """The swap tau: (x, y) -> (y, x) on an exponent vector of the lifted space."""
+    return exponents[n:] + exponents[:n]
+
+
+def _is_swap_image(a: Polynomial, b: Polynomial, n: int) -> bool:
+    """Whether b is a with x and y swapped, up to SWAP_TOL relative to a's coefficients."""
+    if len(a.terms) != len(b.terms):
+        return False
+    tol = SWAP_TOL * max([1.0, *(abs(c) for c in a.terms.values())])
+    for exps, coeff in a.terms.items():
+        image = b.terms.get(_swap(exps, n))
+        if image is None or abs(image - coeff) > tol:
+            return False
+    return True
+
+
+@dataclass
+class _Block:
+    """One PSD block X of the solved program and the term Gram matrices it carries.
+
+    Each part (i, T) contributes T X T^T to the Gram matrix of term i, over
+    that term's monomial basis.
+    """
+
+    size: int
+    parts: list[tuple[int, np.ndarray]]
+
+
 @dataclass
 class SosProgram:
     """Target = sum_i weight_i * (unknown SOS of degree <= 2*basis_degree_i),
-    matched coefficientwise over all monomials of degree <= match_degree."""
+    matched coefficientwise over all monomials of degree <= match_degree.
+
+    On the lifted space the program is built over the orbits of the swap
+    tau: (x, y) -> (y, x) whenever the target is tau-invariant and the terms
+    close under tau (term i's weight, swapped, is term tau(i)'s weight).
+    Averaging any solution with its swap then gives a tau-symmetric one, so
+    the symmetric program loses nothing:
+
+    * one equality per monomial orbit, the sum of that orbit's coefficient
+      equations, in the graded order of its first monomial;
+    * a self-paired term (tau(i) = i) has a tau-invariant Gram matrix, split
+      into an even block over the fixed monomials and (m + tau m)/sqrt(2)
+      and an odd block over (m - tau m)/sqrt(2);
+    * a pair of terms shares one Gram block: term tau(i)'s Gram matrix is
+      term i's with the basis permuted by tau.
+
+    Otherwise tau is the identity, every term keeps one block over its own
+    basis and every monomial its own row. recover and moments expand a
+    solution back to every term's Gram matrix and every monomial's moment.
+    """
 
     space: VariableSpace
     target: Polynomial
     term_specs: list[_TermSpec]
     match_degree: int
     bases: list[MonomialBasis] = field(init=False)
+    blocks: list[_Block] = field(init=False)
+    row_of: dict[Exponents, int] = field(init=False)
+    n_rows: int = field(init=False)
 
     def __post_init__(self) -> None:
         # every reachable monomial needs its own coefficient row, or the
@@ -111,43 +172,109 @@ class SosProgram:
                 "the degree bound d must be at least max_k ceil(deg g_k / 2)"
             )
         self.bases = [monomial_basis(self.space, t.basis_degree) for t in self.term_specs]
+        partner = self._swap_partners()
+        if partner is None:  # tau acts as the identity
+            swap, partner = (lambda e: e), list(range(len(self.term_specs)))
+        else:
+            swap = partial(_swap, n=self.space.n)
+        self.row_of = {}
+        self.n_rows = 0
+        for gamma in monomial_basis(self.space, self.match_degree):
+            if gamma not in self.row_of:
+                self.row_of[gamma] = self.row_of[swap(gamma)] = self.n_rows
+                self.n_rows += 1
+        self.blocks = []
+        for i, basis in enumerate(self.bases):
+            k = len(basis)
+            perm = [basis.index(swap(e)) for e in basis]
+            if partner[i] == i:
+                even, odd = [], []
+                for a, b in enumerate(perm):
+                    col = np.zeros(k)
+                    if a == b:
+                        col[a] = 1.0
+                        even.append(col)
+                    elif a < b:
+                        col[a] = col[b] = 1.0 / np.sqrt(2.0)
+                        even.append(col)
+                        flip = col.copy()
+                        flip[b] = -flip[b]
+                        odd.append(flip)
+                for cols in (even, odd):
+                    if cols:
+                        self.blocks.append(_Block(len(cols), [(i, np.column_stack(cols))]))
+            elif partner[i] > i:
+                # term partner[i]'s Gram entry (perm[a], perm[b]) is term i's entry (a, b)
+                moved = np.zeros((k, k))
+                moved[perm, np.arange(k)] = 1.0
+                self.blocks.append(_Block(k, [(i, np.eye(k)), (partner[i], moved)]))
+
+    def _swap_partners(self) -> list[int] | None:
+        """Term tau(i) for each term i, or None when the program is not tau-invariant."""
+        n = self.space.n
+        if not self.space.lifted or not _is_swap_image(self.target, self.target, n):
+            return None
+        specs = self.term_specs
+        partner: list[int | None] = [None] * len(specs)
+        for i, spec in enumerate(specs):
+            if partner[i] is not None:
+                continue
+            # the first match, so a term that is its own image pairs with itself
+            j = next((j for j in range(i, len(specs)) if partner[j] is None
+                      and specs[j].basis_degree == spec.basis_degree
+                      and _is_swap_image(spec.weight, specs[j].weight, n)), None)
+            if j is None:
+                return None
+            partner[i], partner[j] = j, i
+        return partner
 
     def to_sdp(self) -> sdp.SdpProblem:
-        dims = [len(b) for b in self.bases]
-        accum: dict[Exponents, dict[int, np.ndarray]] = {}
-        for blk, (spec, basis) in enumerate(zip(self.term_specs, self.bases)):
-            size = len(basis)
-            for p in range(size):
-                ep = basis[p]
-                for q in range(size):
-                    eq = basis[q]
-                    for etheta, ctheta in spec.weight.terms.items():
-                        gamma = tuple(a + b + c for a, b, c in zip(ep, eq, etheta))
-                        mats = accum.setdefault(gamma, {})
-                        mat = mats.get(blk)
-                        if mat is None:
-                            mat = np.zeros((size, size))
-                            mats[blk] = mat
-                        mat[p, q] += ctheta
-        equalities = []
-        for gamma in monomial_basis(self.space, self.match_degree):
-            mats = accum.get(gamma, {})
-            rhs = self.target.terms.get(gamma, 0.0)
-            equalities.append((mats, rhs))
+        # exponent vectors coded in base match_degree + 1, where a monomial
+        # product is a sum of codes; sorted codes find each product's row
+        radix = (self.match_degree + 1) ** np.arange(self.space.arity)
+        codes = np.array(list(self.row_of), dtype=np.int64) @ radix
+        order = np.argsort(codes)
+        codes = codes[order]
+        code_rows = np.fromiter(self.row_of.values(), dtype=np.int64, count=len(order))[order]
+        rhs = np.zeros(self.n_rows)
+        for gamma, coeff in self.target.terms.items():
+            rhs[self.row_of[gamma]] += coeff
+        equalities: list[tuple[dict[int, np.ndarray], float]] = [({}, float(b)) for b in rhs]
+        for blk, block in enumerate(self.blocks):
+            mats = np.zeros((self.n_rows, block.size, block.size))
+            for i, t in block.parts:
+                spec, basis = self.term_specs[i], self.bases[i]
+                k = len(basis)
+                basis_codes = np.array(basis.elements, dtype=np.int64) @ radix
+                weight_codes = np.array(list(spec.weight.terms), dtype=np.int64) @ radix
+                products = basis_codes[:, None, None] + basis_codes[None, :, None] + weight_codes
+                rows = code_rows[np.searchsorted(codes, products)]
+                cells = (rows * k + np.arange(k)[:, None, None]) * k + np.arange(k)[None, :, None]
+                weights = np.broadcast_to(list(spec.weight.terms.values()), rows.shape)
+                coefficients = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=mats.shape[0] * k * k)
+                mats += t.T @ coefficients.reshape(-1, k, k) @ t
+            used = np.flatnonzero(mats.any(axis=(1, 2)))  # e.g. an even row has no part in the odd block
+            for row, mat in zip(used, mats[used]):
+                equalities[row][0][blk] = mat
+        dims = [block.size for block in self.blocks]
         return sdp.SdpProblem(block_dims=dims, objective={}, equalities=equalities)
 
     def recover(self, x_blocks: list[np.ndarray]) -> list[SosTerm]:
-        terms = []
-        for spec, basis, gram in zip(self.term_specs, self.bases, x_blocks):
-            terms.append(
-                SosTerm(
-                    label=spec.label,
-                    weight=spec.weight,
-                    basis=tuple(basis.elements),
-                    gram=0.5 * (gram + gram.T),
-                )
-            )
-        return terms
+        """Per-term Gram matrices over each term's own basis, from solved blocks."""
+        grams = [np.zeros((len(b), len(b))) for b in self.bases]
+        for block, x in zip(self.blocks, x_blocks):
+            for i, t in block.parts:
+                grams[i] += t @ x @ t.T
+        return [
+            SosTerm(label=spec.label, weight=spec.weight, basis=tuple(basis.elements),
+                    gram=0.5 * (gram + gram.T))
+            for spec, basis, gram in zip(self.term_specs, self.bases, grams)
+        ]
+
+    def moments(self, multipliers: np.ndarray) -> MomentSequence:
+        """Moment sequence z_gamma = z_tau(gamma) = -multipliers[row of gamma's orbit]."""
+        entries = {gamma: -float(multipliers[row]) for gamma, row in self.row_of.items()}
+        return MomentSequence(self.space, self.match_degree // 2, entries)
 
     def reconstruct(self, terms: list[SosTerm]) -> Polynomial:
         total = Polynomial.zero(self.space)
@@ -236,9 +363,11 @@ class CertificationFailure:
     solver_diagnostics: dict = field(default_factory=dict)
 
 
-def _solution_diagnostics(solution: sdp.SdpSolution) -> dict:
+def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution) -> dict:
     return {
         "status": solution.status,
+        "blocks": [int(k) for k in problem.block_dims],
+        "p": len(problem.equalities),
         "iterations": solution.iterations,
         "primal_residual": solution.primal_residual,
         "dual_residual": solution.dual_residual,
@@ -259,8 +388,9 @@ def _certificate_fields(program: SosProgram, x_blocks: list[np.ndarray], diagnos
 
 def _solve_certificate(program: SosProgram) -> dict | CertificationFailure:
     """Solve a certificate program as stated; certificate fields or the failure."""
-    solution = sdp.solve(program.to_sdp())
-    diagnostics = _solution_diagnostics(solution)
+    problem = program.to_sdp()
+    solution = sdp.solve(problem)
+    diagnostics = _solution_diagnostics(problem, solution)
     if solution.status != "optimal":
         reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
         return CertificationFailure(
@@ -317,7 +447,7 @@ def _qmodule_program(spec: ProblemSpec, j: int, d: int, epsilon: float) -> SosPr
 
 
 def build_qmodule_sdp(spec: ProblemSpec, j: int, d: int, epsilon: float = 0.0) -> sdp.SdpProblem:
-    """Gram-matrix feasibility SDP for the quadratic-module midpoint identity."""
+    """Gram-matrix feasibility SDP for the quadratic-module midpoint identity, over swap orbits."""
     return _qmodule_program(spec, j, d, epsilon).to_sdp()
 
 
@@ -335,17 +465,17 @@ def certify_sufficient(
 
 
 def qmodule_certificate(
-    spec: ProblemSpec,
+    program: SosProgram,
     j: int,
     d: int,
     x_blocks: list[np.ndarray],
     solver_diagnostics: dict,
     rho: float,
 ) -> QuadraticModuleCertificate:
-    """The epsilon = 0 certificate carried by solved Gram blocks of the degree-d program.
+    """The epsilon = 0 certificate carried by solved blocks of the degree-d program of g_j.
 
-    Blocks from the relaxation of refute.solve_relaxation satisfy
-    g_j((x+y)/2) - rho = sum of the terms. A positive rho is a constant SOS
+    program and x_blocks are those of refute.solve_relaxation, whose blocks
+    satisfy g_j((x+y)/2) - rho = sum of the terms. A positive rho is a constant SOS
     term: it is added to the constant entry of sigma_0's Gram matrix, which
     stays PSD. A negative rho is left in the constant coefficient, where
     verify_certificate judges it as part of the residual.
@@ -353,8 +483,8 @@ def qmodule_certificate(
     blocks = list(x_blocks)
     if rho > 0:
         blocks[0] = blocks[0].copy()
-        blocks[0][0, 0] += rho  # sigma_0's basis starts with the constant monomial
-    fields = _certificate_fields(_qmodule_program(spec, j, d, 0.0), blocks, solver_diagnostics)
+        blocks[0][0, 0] += rho  # the first block, sigma_0's even one, starts with the constant monomial
+    fields = _certificate_fields(program, blocks, solver_diagnostics)
     return QuadraticModuleCertificate(j=j, d=d, epsilon=0.0, **fields)
 
 

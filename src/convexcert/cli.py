@@ -226,7 +226,7 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
                 break
             if not config.stengle:
                 certificate = certify.qmodule_certificate(
-                    spec, j, k, result.gram, result.diagnostics, rho=result.rho
+                    result.program, j, k, result.gram, result.diagnostics, rho=result.rho
                 )
                 if _try_certificate(entry, certificate, spec, k, config):
                     break

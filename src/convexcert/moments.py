@@ -12,6 +12,7 @@ theta >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Sequence
@@ -63,8 +64,13 @@ class MonomialBasis:
         return tuple(exponents) in self._index
 
 
+@lru_cache(maxsize=64)
 def monomial_basis(space: VariableSpace, order: int) -> MonomialBasis:
-    """Enumerate the full monomial basis of the space up to the given degree."""
+    """Enumerate the full monomial basis of the space up to the given degree.
+
+    Bases are never modified, so one instance per (space, order) is shared:
+    every SDP build asks for the same few bases many times over.
+    """
     return MonomialBasis(space, order)
 
 

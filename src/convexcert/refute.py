@@ -8,7 +8,10 @@ the true minimum of g_j at midpoints of member pairs and climbs toward it as
 the order s grows. The relaxation is solved as its SOS dual, the
 quadratic-module Gram program max lambda s.t. g_j((x+y)/2) - lambda lies in
 the truncated quadratic module (the program certification builds), and z is
-read off that solve's dual multipliers, one per monomial. The solved Gram
+read off that solve's dual multipliers. That program is built over the
+orbits of the swap tau: (x, y) -> (y, x), one row per orbit, so the moments
+come out swap-symmetric, z_gamma = z_tau(gamma); averaging any optimal z
+with its swap gives such a one, so rho is unchanged. The solved Gram
 blocks are kept as well: when rho >= 0 they are the certificate of
 convexity, so one solve per (constraint, order) yields the certificate, the
 bound and the moments together.
@@ -69,8 +72,9 @@ class RelaxationResult:
     rho: float | None
     z: MomentSequence | None
     diagnostics: dict = field(default_factory=dict)
-    # solved Gram blocks of the degree-s quadratic-module program, one per
-    # SOS multiplier; with rho >= 0 they are a convexity certificate
+    # the degree-s quadratic-module program that was solved and its solved
+    # blocks; with rho >= 0 they carry a convexity certificate
+    program: certify.SosProgram | None = None
     gram: list[np.ndarray] | None = None
 
 
@@ -139,20 +143,26 @@ class NonconvexityWitness:
 # -- relaxation construction ---------------------------------------------------
 
 
+def _moment_form(program: certify.SosProgram) -> sdp.SdpProblem:
+    gram = program.to_sdp()
+    # rows follow the graded order of their orbits, so the constant monomial is first
+    (constant_row, _constant), *rows = gram.equalities
+    return sdp.SdpProblem(block_dims=gram.block_dims, objective=constant_row, equalities=rows)
+
+
 def build_moment_sdp(spec: ProblemSpec, j: int, s: int) -> sdp.SdpProblem:
     """Order-s relaxation for constraint j, in the SOS dual (Gram) form that is solved.
 
     This is the quadratic-module program g_j((x+y)/2) - lambda = sigma_0 +
-    sum_k sigma_k g_k(x) + psi_k g_k(y) with the constant-monomial row moved
-    into the objective: minimize <A_0, X> subject to the coefficient rows of
-    every other monomial gamma, in graded order. The bound is
-    rho = lambda = g_j(0) - <A_0, X>, and the multiplier y_gamma of row gamma
-    is -z_gamma for the optimal moment sequence z (z_0 = 1).
+    sum_k sigma_k g_k(x) + psi_k g_k(y), built over the swap orbits of
+    certify.SosProgram, with the constant-monomial row moved into the
+    objective: minimize <A_0, X> subject to the orbit-summed coefficient rows
+    of every other monomial orbit, in graded order. The bound is
+    rho = lambda = g_j(0) - <A_0, X>, and the multiplier y_[gamma] of the row
+    of gamma's orbit is -z_gamma = -z_tau(gamma) for the optimal moment
+    sequence z (z_0 = 1).
     """
-    gram = certify._qmodule_program(spec, j, s, 0.0).to_sdp()  # rejects s < v
-    # rows follow the graded monomial basis, so the constant monomial is first
-    (constant_row, _constant), *rows = gram.equalities
-    return sdp.SdpProblem(block_dims=gram.block_dims, objective=constant_row, equalities=rows)
+    return _moment_form(certify._qmodule_program(spec, j, s, 0.0))  # rejects s < v
 
 
 def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
@@ -169,7 +179,8 @@ def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
     an infeasible Gram program means the moment relaxation is unbounded, and
     an unbounded one means it is infeasible.
     """
-    problem = build_moment_sdp(spec, j, s)
+    program = certify._qmodule_program(spec, j, s, 0.0)  # rejects s < v
+    problem = _moment_form(program)
     _v_ks, v = relaxation_orders(spec)
     tol = sdp.DEFAULT_TOL / 10.0
     solution = sdp.solve(problem, tol=tol)
@@ -180,24 +191,21 @@ def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
     if status == "stalled" and all(r <= RELAXATION_TOL_CEILING for r in accuracy):  # a NaN fails
         status = "optimal"
         tol = min(tol * 10.0 ** ceil(log10(max(*accuracy, tol) / tol)), RELAXATION_TOL_CEILING)
-    solved = certify._solution_diagnostics(solution)
+    solved = certify._solution_diagnostics(problem, solution)
     diagnostics = {"solver_status": solved.pop("status"), "solver_tol": tol, **solved}
     if status != "optimal":
         return RelaxationResult(j=j, s=s, v=v, status=status, rho=None, z=None,
                                 diagnostics=diagnostics)
-    lifted = spec.space.lift()
-    monomials = monomial_basis(lifted, 2 * s).elements
-    entries = {monomials[0]: 1.0}
-    entries.update((gamma, -float(y)) for gamma, y in zip(monomials[1:], solution.y))
-    z = MomentSequence(lifted, s, entries)
     return RelaxationResult(
         j=j,
         s=s,
         v=v,
         status="optimal",
         rho=spec.constraints[j - 1].evaluate(np.zeros(spec.n)) - float(solution.objective_value),
-        z=z,
+        # the constant row, moved into the objective, carries the multiplier -z_0 = -1
+        z=program.moments(np.concatenate([[-1.0], solution.y])),
         diagnostics=diagnostics,
+        program=program,
         gram=solution.X,
     )
 

@@ -16,9 +16,10 @@ dominate. A group's scaled rows G^T A_i G are formed a few members at a
 time, so their temporaries stay within those of the largest block. The step
 length is taken in the NT-scaled space, where X and S are both diag(d): it is
 the smallest of 1 / -lambda_min over D^-1/2 G^-1 dX G^-T D^-1/2 and
-D^-1/2 G^T dS G D^-1/2. The denominator that eliminates dtau is the
-difference of two terms that grow like |G|^4 near the boundary; it is
-floored at their rounding error, since below it dtau would be noise.
+D^-1/2 G^T dS G D^-1/2, both stacked into one batched eigvalsh per group.
+The denominator that eliminates dtau is the difference of two terms that
+grow like |G|^4 near the boundary; it is floored at their rounding error,
+since below it dtau would be noise.
 
 Rank-deficient equality systems are pre-processed by pivoted-QR row
 elimination; dropped rows are checked for consistency so that linearly
@@ -134,7 +135,9 @@ def _smat(vec: np.ndarray, k: int) -> np.ndarray:
 
 
 def _t(mats: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mats, -1, -2)
+    # the method, not np.swapaxes: its dispatch wrapper costs more than the
+    # transpose of a small block, and this runs tens of times per iteration
+    return mats.swapaxes(-1, -2)
 
 
 def _sym(mats: np.ndarray) -> np.ndarray:
@@ -461,7 +464,8 @@ def solve(
                 gs.append((lx @ _t(vt)) / sqrt_sig[:, None, :])
                 ginvs.append((vt * sqrt_sig[:, :, None]) @ np.linalg.inv(lx))
                 dvals.append(sig)
-            rsqrt_d = [1.0 / np.sqrt(d) for d in dvals]
+            # twice over, so one eigvalsh per group covers both dX and dS
+            rsqrt_d2 = [np.concatenate([r, r]) for r in (1.0 / np.sqrt(d) for d in dvals)]
 
             # Scaled constraint rows svec(G^T A_i G) and Schur complement.
             util = np.empty((p, layout.total))
@@ -521,8 +525,8 @@ def solve(
 
             def max_step(dxhat, dshat, dtau, dkappa) -> float:
                 step = min(_max_step_scalar(tau, dtau), _max_step_scalar(kappa, dkappa))
-                for dxh, dsh, r in zip(dxhat, dshat, rsqrt_d):
-                    step = min(step, _max_step_scaled(dxh, r), _max_step_scaled(dsh, r))
+                for dxh, dsh, r in zip(dxhat, dshat, rsqrt_d2):
+                    step = min(step, _max_step_scaled(np.concatenate([dxh, dsh]), r))
                 return step
 
             # Predictor (affine direction).

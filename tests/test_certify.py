@@ -12,6 +12,7 @@ from convexcert.certify import (
     certify_sufficient,
     verify_certificate,
 )
+from convexcert.moments import monomial_basis
 from convexcert.polynomials import (
     Polynomial,
     coeff_linf_distance,
@@ -46,8 +47,10 @@ def test_disk_identity_oracle(disk_spec):
 
 def test_qmodule_sdp_shape(interval_spec):
     problem = build_qmodule_sdp(interval_spec, 1, 1)
-    assert list(problem.block_dims) == [3, 1, 1]
-    assert len(problem.equalities) == 6  # monomials of degree <= 2 in 2 variables
+    # sigma_0 even on (1, (x+y)/sqrt2), odd on (x-y)/sqrt2, and sigma_1 = psi_1 swapped
+    assert list(problem.block_dims) == [2, 1, 1]
+    # one row per swap orbit of the monomials of degree <= 2: 1, {x, y}, {x^2, y^2}, xy
+    assert len(problem.equalities) == 4
 
 
 def test_qmodule_degree_too_small(interval_spec):
@@ -264,3 +267,67 @@ def test_certificate_payload_shape(interval_spec):
     term = payload["terms"][0]
     assert set(term) == {"label", "weight", "basis", "gram"}
     assert len(term["gram"]) == len(term["basis"])
+
+
+# -- programs over the swap orbits ------------------------------------------------------
+
+
+def _loop_reference_rows(program):
+    """Coefficient rows of the program without the swap reduction, one monomial at a time."""
+    accum = {}
+    for blk, (spec, basis) in enumerate(zip(program.term_specs, program.bases)):
+        for p, ep in enumerate(basis):
+            for q, eq in enumerate(basis):
+                for etheta, ctheta in spec.weight.terms.items():
+                    gamma = tuple(a + b + c for a, b, c in zip(ep, eq, etheta))
+                    mat = accum.setdefault(gamma, {}).setdefault(blk, np.zeros((len(basis), len(basis))))
+                    mat[p, q] += ctheta
+    return [(accum.get(gamma, {}), program.target.terms.get(gamma, 0.0))
+            for gamma in monomial_basis(program.space, program.match_degree)]
+
+
+def test_base_space_archimedean_program_keeps_its_shape(disk_spec, box_spec):
+    # no swap acts on the base space: one block per term over its own basis and
+    # one row per monomial, with the coefficients of a term-by-term expansion
+    from convexcert.certify import _archimedean_program
+
+    for spec, dims in ((disk_spec, [3, 1]), (box_spec, [3, 1, 1])):
+        program = _archimedean_program(spec, 2.0, 1)
+        problem = program.to_sdp()
+        assert list(problem.block_dims) == dims
+        assert len(problem.equalities) == 6  # monomials of degree <= 2 in 2 variables
+        for (mats, rhs), (ref_mats, ref_rhs) in zip(problem.equalities, _loop_reference_rows(program)):
+            assert rhs == ref_rhs
+            assert set(mats) == {blk for blk, mat in ref_mats.items() if mat.any()}
+            for blk, mat in mats.items():
+                assert np.array_equal(mat, ref_mats[blk])
+
+
+def test_orbit_rows_sum_the_monomial_rows(parabola_spec, disk_spec):
+    # on any blocks X, each orbit row of the reduced program reads the sum of
+    # the term-by-term rows of its monomials on the Gram matrices recover expands
+    from convexcert.certify import _qmodule_program, _stengle_program
+
+    rng = np.random.default_rng(3)
+    for program in (_qmodule_program(parabola_spec, 1, 2, 0.0), _stengle_program(disk_spec, 1, 1, 1)):
+        problem = program.to_sdp()
+        blocks = [m @ m.T for m in (rng.normal(size=(k, k)) for k in problem.block_dims)]
+        grams = [t.gram for t in program.recover(blocks)]
+        full = [0.0] * len(problem.equalities)
+        monomials = monomial_basis(program.space, program.match_degree)
+        for gamma, (mats, _rhs) in zip(monomials, _loop_reference_rows(program)):
+            full[program.row_of[gamma]] += sum(np.sum(m * grams[i]) for i, m in mats.items())
+        reduced = [sum(np.sum(m * blocks[b]) for b, m in mats.items()) for mats, _rhs in problem.equalities]
+        assert np.allclose(reduced, full, rtol=1e-12, atol=1e-12)
+        assert len(problem.equalities) < len(monomials)
+
+
+def test_stengle_program_shares_blocks_across_the_swap(disk_spec):
+    cert = certify_stengle(disk_spec, 1, 1)
+    assert isinstance(cert, PreorderingCertificate)
+    # sigma_J{} and h_J{} split into even and odd blocks on (1, x1, x2, y1, y2);
+    # sigma_J{1} with sigma_J{2} and h_J{1} with h_J{2} share one constant block each
+    assert cert.solver_diagnostics["blocks"] == [3, 2, 3, 2, 1, 1]
+    assert [t.label for t in cert.sigma_terms] == ["sigma_J{}", "sigma_J{1}", "sigma_J{2}"]
+    assert np.array_equal(cert.sigma_terms[1].gram, cert.sigma_terms[2].gram)
+    assert verify_certificate(cert, disk_spec).passed

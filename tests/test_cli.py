@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convexcert import cli, sdp
@@ -197,7 +198,7 @@ def test_dump_sdp_writes_instances(tmp_path, capsys):
         lines = (dump_dir / solves[0]).read_text().splitlines()
         assert lines[0] == "sdp 1"
         # the Gram form: one row per non-constant monomial, the constant one as objective
-        assert lines[1:3] == ["blocks 3 1 1", "nconstraints 5"]
+        assert lines[1:3] == ["blocks 2 1 1", "nconstraints 3"]
         assert any(line.startswith("c ") for line in lines)
 
 
@@ -258,6 +259,16 @@ def test_attempts_carry_solver_diagnostics(tmp_path, capsys):
     attempt = payload["constraints"][0]["attempts"][0]
     assert attempt["solver"]["iterations"] >= 1
     assert attempt["solver"]["relative_gap"] <= 1e-8
+
+
+def test_relaxations_record_sdp_sizes(tmp_path, capsys):
+    path = write_problem(tmp_path, INTERVAL)
+    code, payload = run_cli(capsys, [path, "--mode", "analyze"])
+    assert code == 0
+    solver = payload["constraints"][0]["relaxations"][0]["solver"]
+    # sigma_0 even and odd, then the block shared by sigma_1 and psi_1; one row
+    # per non-constant swap orbit {x, y}, {x^2, y^2}, xy
+    assert (solver["blocks"], solver["p"]) == ([2, 1, 1], 3)
 
 
 def test_run_config_validation():
@@ -359,3 +370,23 @@ def test_archimedean_failed_recheck_is_not_affirmed(capsys):
     assert "archimedean" not in arch["note"]
     assert "failed verification" in arch["note"]
     assert f"{arch['residual']:.3e}" in arch["note"]
+
+
+@pytest.mark.parametrize("name", [n for n, (verdict, _code) in README_OUTCOMES.items() if verdict == "convex"])
+def test_certificates_are_swap_symmetric(name, capsys):
+    code, payload = run_cli(capsys, [str(PROBLEMS / f"{name}.txt")])
+    assert code == 0
+    n = payload["problem"]["n"]
+    for entry in payload["constraints"]:
+        cert = entry["certificate"]
+        assert cert["verification"]["passed"] and cert["residual"] <= 1e-6
+        terms = {t["label"]: t for t in cert["terms"]}
+        for label, term in terms.items():
+            basis = [tuple(e) for e in term["basis"]]
+            perm = [basis.index(e[n:] + e[:n]) for e in basis]
+            gram = np.array(term["gram"])
+            if label == "sigma_0":
+                assert np.allclose(gram[np.ix_(perm, perm)], gram, rtol=0.0, atol=1e-12)
+            elif label.startswith("sigma_"):
+                psi = np.array(terms["psi_" + label[len("sigma_"):]]["gram"])
+                assert np.array_equal(psi[np.ix_(perm, perm)], gram)

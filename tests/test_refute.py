@@ -48,10 +48,16 @@ def test_orders(interval_spec, parabola_spec):
 
 def test_build_interval_shape(interval_spec):
     problem = build_moment_sdp(interval_spec, 1, 1)
-    # Gram blocks: sigma_0 on (1, x, y), constant sigma_1 and psi_1
-    assert list(problem.block_dims) == [3, 1, 1]
-    # one coefficient row per monomial of degree 1..2 in (x, y)
-    assert len(problem.equalities) == 5
+    # Gram blocks: sigma_0 even on (1, (x+y)/sqrt2) and odd on (x-y)/sqrt2, and
+    # one constant block shared by sigma_1 and psi_1
+    assert list(problem.block_dims) == [2, 1, 1]
+    # one coefficient row per swap orbit of degree 1..2: {x, y}, {x^2, y^2}, xy
+    assert len(problem.equalities) == 3
+    # the row of {x, y} pairs the constant with (x+y)/sqrt2 in sigma_0's even block:
+    # 1 * (x+y)/sqrt2 has coefficient 1/sqrt2 on x and on y, summed over the orbit
+    mats, rhs = problem.equalities[0]
+    assert rhs == 0.0 and set(mats) == {0}
+    assert np.allclose(mats[0], [[0.0, np.sqrt(2.0)], [np.sqrt(2.0), 0.0]], rtol=0.0, atol=1e-15)
 
 
 def test_build_rejects_small_order(interval_spec):
@@ -61,19 +67,52 @@ def test_build_rejects_small_order(interval_spec):
 
 def test_objective_is_midpoint_image(interval_spec):
     problem = build_moment_sdp(interval_spec, 1, 1)
-    # rhs are the coefficients of 1 - ((x+y)/2)^2 off the constant monomial
-    rows = monomial_basis(LIFTED1, 2).elements[1:]
+    # rhs are the coefficients of 1 - ((x+y)/2)^2 off the constant monomial,
+    # summed over each swap orbit and listed at its first monomial
+    rows = [(1, 0), (2, 0), (1, 1)]
     rhs = {gamma: b for gamma, (_mats, b) in zip(rows, problem.equalities)}
-    assert rhs == pytest.approx({(1, 0): 0.0, (0, 1): 0.0, (2, 0): -0.25, (1, 1): -0.5, (0, 2): -0.25})
-    # the objective is the constant row: sigma_0[0, 0] plus the constants of g_1(x), g_1(y)
+    assert rhs == pytest.approx({(1, 0): 0.0, (2, 0): -0.5, (1, 1): -0.5})
+    # the objective is the constant row: sigma_0[0, 0] plus the constants of g_1(x)
+    # and g_1(y), which share the block of the pair; the odd block has no constant
     constant_row, constant = build_qmodule_sdp(interval_spec, 1, 1).equalities[0]
     assert constant == pytest.approx(1.0)
-    assert set(problem.objective) == set(constant_row) == {0, 1, 2}
+    assert set(problem.objective) == set(constant_row) == {0, 2}
     for blk, mat in constant_row.items():
         assert np.array_equal(problem.objective[blk], mat)
-    assert np.array_equal(problem.objective[0], np.diag([1.0, 0.0, 0.0]))
-    assert np.array_equal(problem.objective[1], [[1.0]])
-    assert np.array_equal(problem.objective[2], [[1.0]])
+    assert np.array_equal(problem.objective[0], np.diag([1.0, 0.0]))
+    assert np.array_equal(problem.objective[2], [[2.0]])
+
+
+def test_hyperbola_order3_over_swap_orbits():
+    hyperbola = parse_problem((PROBLEMS / "hyperbola.txt").read_text())
+    problem = build_moment_sdp(hyperbola, 1, 3)
+    # sigma_0 on the 35 monomials of degree <= 3 splits into 19 even and 16 odd
+    # directions; the three (sigma_k, psi_k) pairs share one 15 x 15 block each
+    assert list(problem.block_dims) == [19, 16, 15, 15, 15]
+    # 110 swap orbits of the 210 monomials of degree <= 6, less the constant one
+    assert len(problem.equalities) == 109
+    result = solve_relaxation(hyperbola, 1, 3)
+    assert result.status == "optimal"
+    assert result.rho == pytest.approx(-1.5625, abs=1e-6)
+    assert (result.diagnostics["blocks"], result.diagnostics["p"]) == ([19, 16, 15, 15, 15], 109)
+    flatness = rank_flatness_check(result, hyperbola)
+    assert flatness.flat and flatness.t == 4
+    atoms = extract_atoms(result, flatness.t, seed=0, tol=1e-4)
+    witness = validate_witness(atoms, hyperbola, 1)
+    assert witness is not None and len(witness.atoms) == 4
+
+
+def test_relaxation_moments_are_swap_symmetric(parabola_spec):
+    result = solve_relaxation(parabola_spec, 1, 2)
+    assert result.status == "optimal"
+    z = result.z
+    monomials = monomial_basis(LIFTED2, 4).elements
+    assert set(z.entries) == set(monomials)
+    assert z.value((0, 0, 0, 0)) == 1.0
+    for gamma in monomials:
+        assert z.value(gamma) == z.value(gamma[2:] + gamma[:2])
+    # the moments of the degree-1 monomials are not all equal: the swap is all that ties them
+    assert len({round(z.value(e), 6) for e in monomials[1:5]}) > 1
 
 
 # -- relaxations against grid oracles ------------------------------------------------
