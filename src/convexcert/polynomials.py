@@ -84,7 +84,8 @@ class Polynomial:
             value = normalized.get(key, 0.0) + float(coeff)
             normalized[key] = value
         self.space = space
-        self.terms = {k: v for k, v in normalized.items() if abs(v) > DEDUP_THRESHOLD}
+        # not <=, so that a NaN (inf - inf) stays visible instead of passing for zero
+        self.terms = {k: v for k, v in normalized.items() if not abs(v) <= DEDUP_THRESHOLD}
 
     # -- constructors ------------------------------------------------------
 

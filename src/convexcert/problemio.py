@@ -15,6 +15,7 @@ on every payload field.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -246,10 +247,13 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ParseError("no g: constraint lines", max(1, text.count("\n") + 1), 1)
     space = VariableSpace(len(names))
     constraints = []
-    for body, lineno, _column in pending:
+    for body, lineno, column in pending:
         poly = parse_polynomial(body, space, names, line_offset=lineno)
         if poly.is_zero():
             raise ParseError("constraint is the zero polynomial", lineno, 1)
+        if not all(math.isfinite(coeff) for coeff in poly.terms.values()):
+            # an overflowing literal or product; the solver cannot take it
+            raise ParseError("constraint expands to a non-finite coefficient", lineno, column)
         constraints.append(poly)
     return ProblemSpec(n=len(names), constraints=tuple(constraints), names=tuple(names))
 

@@ -8,14 +8,31 @@ Schur complement (Cholesky with a diagonal perturbation fallback). This gives
 clean status semantics: optimal, infeasible (Farkas certificate attached),
 unbounded (improving ray attached), or stalled.
 
-Blocks are grouped by side length once per solve, and each iteration works
-on one stacked (members, k, k) array per group with numpy's batched
-Cholesky, SVD, eigvalsh and matmul. SOS Gram programs have many blocks of
-one size, and per-call overhead on their small blocks would otherwise
-dominate. A group's scaled rows G^T A_i G are formed a few members at a
-time, so their temporaries stay within those of the largest block. The step
-length is taken in the NT-scaled space, where X and S are both diag(d): it is
-the smallest of 1 / -lambda_min over D^-1/2 G^-1 dX G^-T D^-1/2 and
+Blocks are grouped by side length once per solve. Every iterate (X, S, the
+dual residual, the corrector and the Newton directions) is one flat buffer of
+full k x k matrices laid out group by group, so a group's (members, k, k)
+stack is a reshape of the buffer, and each iteration works on those stacks
+with numpy's batched Cholesky, SVD, eigvalsh and matmul. SOS Gram programs
+have many blocks of one size, and per-call overhead on their small blocks
+would otherwise dominate. Since every data matrix is symmetric,
+<A, X> = vec(A) . vec(X): the constraint map, its adjoint and the inner
+products are single mat-vecs and dot products on the flat buffers, with no
+svec packing of the iterates.
+
+The constraint matrices are stacked in that full layout once per solve,
+after row elimination and scaling. The scaled rows svec(G^T A_i G) of the
+Schur complement keep the half-size svec form, which halves the width of
+their product. They are formed a few members at a time, so their
+temporaries stay within those of the largest block. Each congruence
+G^T M G (rows, objective and dual residual alike) is symmetrized before its
+svec is taken. svec reads one triangle, and the rounding asymmetry of a
+congruence grows like |G|^2 near the boundary: left in, it makes the Newton
+system inconsistent and the iteration stalls. The Schur complement is
+factored and solved by LAPACK's dpotrf and dpotrs called directly; scipy's
+checking wrappers cost about ten times a small solve. The NT scaling takes
+G^-1 from the same SVD as G, with no matrix inverse. The step length is
+taken in the NT-scaled space, where X and S are both diag(d): it is the
+smallest of 1 / -lambda_min over D^-1/2 G^-1 dX G^-T D^-1/2 and
 D^-1/2 G^T dS G D^-1/2, both stacked into one batched eigvalsh per group.
 The denominator that eliminates dtau is the difference of two terms that
 grow like |G|^4 near the boundary; it is floored at their rounding error,
@@ -41,7 +58,8 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, qr
+from scipy.linalg import qr
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -67,23 +85,53 @@ class SdpProblem:
     equalities: list[tuple[dict[int, np.ndarray], float]]
 
     def validate(self) -> None:
-        if len(self.block_dims) == 0:
+        """Raise ValueError naming the first malformed matrix or right-hand side.
+
+        Matrices are taken in order, the objective's and then each
+        equality's, each in its dict order, and the first that fails a check
+        is reported. The checks are block index in range, shape, finite
+        entries and symmetry. The last two run as one stacked pass per block.
+        A non-finite right-hand side is reported only when every matrix
+        passes.
+        """
+        dims = [int(k) for k in self.block_dims]
+        if not dims:
             raise ValueError("at least one PSD block is required")
-        for k in self.block_dims:
-            if int(k) < 1:
+        for k in dims:
+            if k < 1:
                 raise ValueError(f"block dimension must be positive, got {k}")
-        for label, mats in [("objective", self.objective)] + [
-            (f"equality {i}", eq[0]) for i, eq in enumerate(self.equalities)
-        ]:
-            for b, mat in mats.items():
-                if not 0 <= b < len(self.block_dims):
-                    raise ValueError(f"{label}: block index {b} out of range")
-                k = self.block_dims[b]
-                arr = np.asarray(mat, dtype=float)
-                if arr.shape != (k, k):
-                    raise ValueError(f"{label}: block {b} matrix has shape {arr.shape}, expected {(k, k)}")
-                if arr.size and np.max(np.abs(arr - arr.T)) > _SYMMETRY_TOL * (1.0 + np.max(np.abs(arr))):
-                    raise ValueError(f"{label}: block {b} matrix is not symmetric")
+        owners = [self.objective] + [mats for mats, _ in self.equalities]
+        entries = [(owner, b, mat) for owner, mats in enumerate(owners) for b, mat in mats.items()]
+        # (entry, check, message) of each failure; the least is reported
+        failures: list[tuple[int, int, str]] = []
+        by_block: dict[int, list[int]] = {}
+        for e, (_, b, mat) in enumerate(entries):
+            if not 0 <= b < len(dims):
+                failures.append((e, 0, f"block index {b} out of range"))
+                break
+            shape, k = np.shape(mat), dims[b]
+            if shape != (k, k):
+                failures.append((e, 1, f"block {b} matrix has shape {shape}, expected {(k, k)}"))
+                break
+            by_block.setdefault(b, []).append(e)
+        for b, members in by_block.items():
+            stack = np.asarray([entries[e][2] for e in members], dtype=float)
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            with np.errstate(invalid="ignore"):  # inf - inf, in a matrix already reported
+                asym = np.abs(stack - _t(stack)).max(axis=(1, 2))
+            skew = finite & (asym > _SYMMETRY_TOL * (1.0 + np.abs(stack).max(axis=(1, 2))))
+            for check, mask, what in ((2, ~finite, "has a non-finite entry"), (3, skew, "is not symmetric")):
+                hits = np.flatnonzero(mask)
+                if hits.size:
+                    failures.append((members[hits[0]], check, f"block {b} matrix {what}"))
+        if failures:
+            e, _, message = min(failures)
+            owner = entries[e][0]
+            raise ValueError(f"{'objective' if owner == 0 else f'equality {owner - 1}'}: {message}")
+        rhs = np.array([rhs for _, rhs in self.equalities], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(rhs))
+        if bad.size:
+            raise ValueError(f"equality {bad[0]}: rhs is not finite")
 
 
 @dataclass
@@ -103,7 +151,7 @@ class SdpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-# -- svec / smat machinery ----------------------------------------------------
+# -- svec machinery and the flat layout ---------------------------------------------
 
 _SVEC_META: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -124,14 +172,15 @@ def _svec(mat: np.ndarray) -> np.ndarray:
     return mat[..., rows, cols] * scale
 
 
-def _smat(vec: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`_svec` on a (..., k(k+1)/2) stack."""
-    rows, cols, scale = _svec_meta(k)
-    out = np.zeros(vec.shape[:-1] + (k, k))
-    vals = vec / scale
-    out[..., rows, cols] = vals
-    out[..., cols, rows] = vals
-    return out
+def _svec_sym(mat: np.ndarray) -> np.ndarray:
+    """svec of the symmetric part of a (..., k, k) stack.
+
+    svec reads one triangle; a congruence G^T M G computed in floating point
+    is not exactly symmetric, and near the boundary the asymmetry, which grows
+    like |G|^2, is no longer small against the symmetric part.
+    """
+    rows, cols, scale = _svec_meta(mat.shape[-1])
+    return (mat[..., rows, cols] + mat[..., cols, rows]) * (0.5 * scale)
 
 
 def _t(mats: np.ndarray) -> np.ndarray:
@@ -144,15 +193,23 @@ def _sym(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + _t(mats))
 
 
-class _Layout:
-    """Blocks grouped by side length, and their place in the stacked svec vector.
+def _sym_into(mats: np.ndarray, out: np.ndarray) -> None:
+    np.add(mats, _t(mats), out=out)
+    out *= 0.5
 
-    ``offsets`` and ``sizes`` place each block in the block-order svec
-    vector of the problem data. The solver keeps each group as one
-    (members, k, k) array and its svec vector group by group: ``perm`` maps
-    the grouped order to the block order. Groups follow the order of their
-    first block and members the block order, so when all sizes differ the
-    two orders coincide.
+
+class _Layout:
+    """Blocks grouped by side length, and their place in the solver's vectors.
+
+    The problem data are first stacked as svec rows in block order:
+    ``offsets`` and ``sizes`` place each block there, and row elimination
+    works on those rows. The solver keeps every iterate as one flat buffer of
+    full k x k matrices, laid out group by group, with groups in the order of
+    their first block and members in block order. ``spans`` holds each
+    group's slice of that buffer, whose reshape to (members, k, k) is the
+    group's stack, and ``places`` the start of each block. The scaled rows of
+    the Schur complement stay in svec form, group by group from
+    ``svec_starts``.
     """
 
     def __init__(self, dims: Sequence[int]):
@@ -164,45 +221,59 @@ class _Layout:
         for i, k in enumerate(self.dims):
             members.setdefault(k, []).append(i)
         self.groups = list(members.items())
-        self.perm = np.concatenate(
-            [np.arange(self.offsets[i], self.offsets[i + 1]) for _, idx in self.groups for i in idx]
-        )
-        self.starts = [0]
+        self.places = [0] * len(self.dims)
+        self.spans: list[tuple[int, int]] = []
+        self.svec_starts: list[int] = []
+        flat = svec = 0
         for k, idx in self.groups:
-            self.starts.append(self.starts[-1] + len(idx) * k * (k + 1) // 2)
+            for j, i in enumerate(idx):
+                self.places[i] = flat + j * k * k
+            self.spans.append((flat, flat + len(idx) * k * k))
+            self.svec_starts.append(svec)
+            flat += len(idx) * k * k
+            svec += len(idx) * k * (k + 1) // 2
+        self.flat = flat
 
-    def split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Grouped svec vector -> one (members, k, k) array per group."""
+    def stacks(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Flat vectors (..., flat) -> one (..., members, k, k) view per group."""
+        lead = vec.shape[:-1]
         return [
-            _smat(vec[lo:hi].reshape(len(idx), -1), k)
-            for (k, idx), lo, hi in zip(self.groups, self.starts, self.starts[1:])
+            vec[..., lo:hi].reshape(lead + (len(idx), k, k))
+            for (k, idx), (lo, hi) in zip(self.groups, self.spans)
         ]
 
-    def join(self, groups: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([_svec(m).ravel() for m in groups])
+    def blocks(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Flat vector -> a view of each block, in the problem's block order."""
+        return [vec[at : at + k * k].reshape(k, k) for at, k in zip(self.places, self.dims)]
 
-    def blocks(self, groups: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per-group arrays -> list of blocks in the problem's block order."""
-        out: list[np.ndarray] = [np.zeros(0)] * len(self.dims)
-        for (_, idx), mats in zip(self.groups, groups):
-            for i, m in zip(idx, mats):
-                out[i] = m
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """svec rows in block order (..., total) -> full-matrix rows in the flat layout."""
+        out = np.empty(rows.shape[:-1] + (self.flat,))
+        for k, lo, size, at in zip(self.dims, self.offsets, self.sizes, self.places):
+            r, c, scale = _svec_meta(k)
+            vals = rows[..., lo : lo + size] / scale
+            out[..., at + r * k + c] = vals
+            out[..., at + c * k + r] = vals
         return out
 
 
 def _stack_problem(problem: SdpProblem, layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = len(problem.equalities)
-    a = np.zeros((p, layout.total))
-    b = np.zeros(p)
-    for i, (mats, rhs) in enumerate(problem.equalities):
-        b[i] = rhs
-        for blk, mat in mats.items():
-            off = layout.offsets[blk]
-            a[i, off : off + layout.sizes[blk]] = _svec(np.asarray(mat, dtype=float))
+    """svec rows of the equalities, their right-hand sides and the objective, in block order."""
+    rows: dict[int, list[int]] = {}
+    mats: dict[int, list[np.ndarray]] = {}
+    for i, (eq, _) in enumerate(problem.equalities):
+        for blk, mat in eq.items():
+            rows.setdefault(blk, []).append(i)
+            mats.setdefault(blk, []).append(mat)
+    a = np.zeros((len(problem.equalities), layout.total))
+    for blk, idx in rows.items():
+        lo = layout.offsets[blk]
+        a[idx, lo : lo + layout.sizes[blk]] = _svec(np.asarray(mats[blk], dtype=float))
+    b = np.array([rhs for _, rhs in problem.equalities], dtype=float)
     c = np.zeros(layout.total)
     for blk, mat in problem.objective.items():
-        off = layout.offsets[blk]
-        c[off : off + layout.sizes[blk]] = _svec(np.asarray(mat, dtype=float))
+        lo = layout.offsets[blk]
+        c[lo : lo + layout.sizes[blk]] = _svec(np.asarray(mat, dtype=float))
     return a, b, c
 
 
@@ -250,10 +321,11 @@ def _chol_jittered(mat: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(8):
         shifted = mat + jitter * np.eye(n) if jitter else mat
-        try:
-            return cholesky(shifted, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
+        # clean=1 zeroes the strict upper triangle, which dpotrf leaves as it was
+        factor, info = dpotrf(shifted, lower=1, clean=1)
+        if info == 0:
+            return factor
+        jitter = max(jitter * 100.0, 1e-14 * scale)
     raise _NumericalFailure("Cholesky failed despite diagonal perturbation")
 
 
@@ -303,8 +375,8 @@ def solve(
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
     problem.validate()
     layout = _Layout(problem.block_dims)
-    a_full, b_full, c = _stack_problem(problem, layout)
-    kept, dropped, inconsistent = _independent_rows(a_full, b_full)
+    a_svec, b_full, c_svec = _stack_problem(problem, layout)
+    kept, dropped, inconsistent = _independent_rows(a_svec, b_full)
     diagnostics: dict = {"dropped_rows": dropped, "n_equalities": len(b_full)}
     if inconsistent:
         dims = layout.dims
@@ -323,16 +395,16 @@ def solve(
             certificate={"type": "linear-inconsistency", "rows": dropped},
             diagnostics=diagnostics,
         )
-    # From here on the svec vectors list the blocks group by group.
-    a = a_full[kept][:, layout.perm]
-    c = c[layout.perm]
-    b = b_full[kept]
     # Row normalization: conditions the Schur complement without moving X;
-    # dual multipliers are unscaled before they are returned.
-    row_scale = np.maximum(np.linalg.norm(a, axis=1), 1e-300) if a.shape[0] else np.zeros(0)
-    if a.shape[0]:
-        a = a / row_scale[:, None]
-        b = b / row_scale
+    # dual multipliers are unscaled before they are returned. From here on the
+    # rows and the objective are full matrices in the flat layout.
+    a_svec = a_svec[kept]
+    row_scale = np.maximum(np.linalg.norm(a_svec, axis=1), 1e-300)
+    a = layout.unpack(a_svec)
+    del a_svec  # else it would stay alive, beside a, through the whole solve
+    a /= row_scale[:, None]
+    b = b_full[kept] / row_scale
+    c = layout.unpack(c_svec)
     p = a.shape[0]
     nu = sum(layout.dims)
     norm_b = 1.0 + float(np.linalg.norm(b))
@@ -341,17 +413,20 @@ def solve(
     # The scaled rows of a group are formed a few members at a time, so their
     # temporaries stay within p * k^2 of the largest block.
     row_budget = max(layout.dims) ** 2
+    a_stacks = layout.stacks(a)
+    c_stacks = layout.stacks(c)
+    util = np.empty((p, layout.total))
 
-    xg = [np.tile(np.eye(k), (len(idx), 1, 1)) for k, idx in layout.groups]
-    sg = [m.copy() for m in xg]
+    x = np.zeros(layout.flat)
+    for block in layout.blocks(x):
+        np.fill_diagonal(block, 1.0)
+    s = x.copy()
+    x_stacks = layout.stacks(x)
+    s_stacks = layout.stacks(s)
     y = np.zeros(p)
     tau = 1.0
     kappa = 1.0
-    x = layout.join(xg)
-    s = layout.join(sg)
     mu0 = (x @ s + tau * kappa) / (nu + 1)
-
-    c_groups = layout.split(c)
 
     def _expand_y(yv: np.ndarray) -> np.ndarray:
         full = np.zeros(len(b_full))
@@ -360,27 +435,23 @@ def solve(
         return full
 
     def _solution(
-        state: tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float, float],
+        state: tuple[np.ndarray, np.ndarray, np.ndarray, float, float],
         status: str,
         iterations: int,
         certificate: dict | None = None,
     ) -> SdpSolution:
-        sxg, ssg, sy, stau, skappa = state
+        xs, ss, ys, stau, skappa = state
         if stau > 1e-300:
-            xs = [m / stau for m in sxg]
-            ss = [m / stau for m in ssg]
-            ys = sy / stau
-        else:
-            xs, ss, ys = sxg, ssg, sy
-        obj = float(c @ layout.join(xs))
-        pres = float(np.linalg.norm(a @ layout.join(xs) - b)) / norm_b
-        dres = float(np.linalg.norm(a.T @ ys + layout.join(ss) - c)) / norm_c
+            xs, ss, ys = xs / stau, ss / stau, ys / stau
+        obj = float(c @ xs)
+        pres = float(np.linalg.norm(a @ xs - b)) / norm_b
+        dres = float(np.linalg.norm(a.T @ ys + ss - c)) / norm_c
         dobj = float(b @ ys)
         gap = abs(obj - dobj) / (1.0 + abs(obj) + abs(dobj))
         return SdpSolution(
             status=status,
-            X=layout.blocks([_sym(m) for m in xs]),
-            S=layout.blocks([_sym(m) for m in ss]),
+            X=[_sym(m) for m in layout.blocks(xs)],
+            S=[_sym(m) for m in layout.blocks(ss)],
             y=_expand_y(ys),
             objective_value=obj,
             primal_residual=pres,
@@ -393,8 +464,8 @@ def solve(
             diagnostics=diagnostics,
         )
 
-    def _snapshot() -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float, float]:
-        return ([m.copy() for m in xg], [m.copy() for m in sg], y.copy(), tau, kappa)
+    def _snapshot() -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        return (x.copy(), s.copy(), y.copy(), tau, kappa)
 
     best_state = _snapshot()
     best_score = np.inf
@@ -409,41 +480,45 @@ def solve(
     iteration = 0
     try:
         for iteration in range(1, max_iter + 1):
-            rp = a @ x - b * tau
-            rd = a.T @ y + s - c * tau
-            rg = b @ y - c @ x - kappa
+            ax = a @ x
+            aty = a.T @ y
+            rp = ax - b * tau
+            rd = aty + s - c * tau
+            by = float(b @ y)
+            cx = float(c @ x)
+            rg = by - cx - kappa
             mu = (x @ s + tau * kappa) / (nu + 1)
 
-            err_p = float(np.linalg.norm(a @ x / tau - b)) / norm_b
-            err_d = float(np.linalg.norm(a.T @ y / tau + s / tau - c)) / norm_c
-            pobj = float(c @ x / tau)
-            dobj = float(b @ y / tau)
+            err_p = float(np.linalg.norm(rp)) / tau / norm_b
+            err_d = float(np.linalg.norm(rd)) / tau / norm_c
+            pobj = cx / tau
+            dobj = by / tau
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             score = max(err_p, err_d, gap)
+            if not math.isfinite(score + mu):  # overflow in finite but huge data
+                raise _NumericalFailure("non-finite iterate")
             if score < best_score:
                 best_score = score
                 best_state = _snapshot()
             if err_p <= tol and err_d <= tol and gap <= tol:
                 return _solution(_snapshot(), "optimal", iteration - 1)
 
-            by = float(b @ y)
-            cx = float(c @ x)
             if kappa > tau and by > 0.0:
-                res_inf = float(np.linalg.norm(a.T @ y + s)) / by
+                res_inf = float(np.linalg.norm(aty + s)) / by
                 if res_inf <= cert_tol * norm_c:
                     cert = {
                         "type": "primal-infeasibility",
                         "y": _expand_y(y / by),
-                        "S": [m / by for m in layout.blocks(sg)],
+                        "S": [m / by for m in layout.blocks(s)],
                         "residual": res_inf,
                     }
                     return _solution(_snapshot(), "infeasible", iteration - 1, cert)
             if kappa > tau and cx < 0.0:
-                res_unb = float(np.linalg.norm(a @ x)) / (-cx)
+                res_unb = float(np.linalg.norm(ax)) / (-cx)
                 if res_unb <= cert_tol * norm_b:
                     cert = {
                         "type": "unboundedness-ray",
-                        "X": [m / (-cx) for m in layout.blocks(xg)],
+                        "X": [m / (-cx) for m in layout.blocks(x)],
                         "residual": res_unb,
                     }
                     return _solution(_snapshot(), "unbounded", iteration - 1, cert)
@@ -452,47 +527,47 @@ def solve(
                 return _finish("stalled", iteration - 1)
 
             # Nesterov-Todd scaling per group: G^{-1} X G^{-T} = G^T S G = diag(d).
+            # With Ls^T Lx = U diag(d) V^T: G = Lx V D^-1/2, G^-1 = D^-1/2 U^T Ls^T.
             gs: list[np.ndarray] = []
             ginvs: list[np.ndarray] = []
             dvals: list[np.ndarray] = []
-            for xm, sm in zip(xg, sg):
+            for xm, sm in zip(x_stacks, s_stacks):
                 lx = _chol_lower(xm)
                 ls = _chol_lower(sm)
-                _, sig, vt = np.linalg.svd(_t(ls) @ lx)
+                u, sig, vt = np.linalg.svd(_t(ls) @ lx)
                 sig = np.maximum(sig, 1e-150)
                 sqrt_sig = np.sqrt(sig)
                 gs.append((lx @ _t(vt)) / sqrt_sig[:, None, :])
-                ginvs.append((vt * sqrt_sig[:, :, None]) @ np.linalg.inv(lx))
+                ginvs.append((_t(u) / sqrt_sig[:, :, None]) @ _t(ls))
                 dvals.append(sig)
             # twice over, so one eigvalsh per group covers both dX and dS
             rsqrt_d2 = [np.concatenate([r, r]) for r in (1.0 / np.sqrt(d) for d in dvals)]
 
             # Scaled constraint rows svec(G^T A_i G) and Schur complement.
-            util = np.empty((p, layout.total))
-            for (k, idx), lo, g in zip(layout.groups, layout.starts, gs):
-                rows, cols, scale = _svec_meta(k)
-                size = len(rows)
+            for (k, idx), start, am, g in zip(layout.groups, layout.svec_starts, a_stacks, gs):
+                size = k * (k + 1) // 2
                 chunk = max(1, row_budget // (k * k))
                 for first in range(0, len(idx), chunk):
                     gm = g[first : first + chunk]
-                    span = slice(lo + first * size, lo + (first + len(gm)) * size)
-                    amats = _smat(np.swapaxes(a[:, span].reshape(p, len(gm), size), 0, 1), k)
-                    gtg = _sym(_t(gm)[:, None] @ (amats @ gm[:, None]))
-                    util[:, span] = np.swapaxes(_svec(gtg), 0, 1).reshape(p, len(gm) * size)
-            ctil_vec = layout.join([_sym(_t(g) @ cm @ g) for g, cm in zip(gs, c_groups)])
-            rdtil_vec = layout.join([_sym(_t(g) @ rm @ g) for g, rm in zip(gs, layout.split(rd))])
+                    lo, width = start + first * size, len(gm) * size
+                    gag = _t(gm) @ am[:, first : first + chunk] @ gm
+                    util[:, lo : lo + width] = _svec_sym(gag).reshape(p, width)
+            ctil = np.concatenate([_svec_sym(_t(g) @ cm @ g).ravel() for g, cm in zip(gs, c_stacks)])
+            rdtil = np.concatenate(
+                [_svec_sym(_t(g) @ rm @ g).ravel() for g, rm in zip(gs, layout.stacks(rd))]
+            )
 
             if p:
                 m_schur = util @ util.T
-                cho = (_chol_jittered(m_schur), True)
+                factor = _chol_jittered(m_schur)
 
                 def schur_solve(rhs: np.ndarray) -> np.ndarray:
-                    z = cho_solve(cho, rhs)
+                    z = dpotrs(factor, rhs, lower=1)[0]
                     # one refinement step recovers digits lost to conditioning
-                    z = z + cho_solve(cho, rhs - m_schur @ z)
+                    z = z + dpotrs(factor, rhs - m_schur @ z, lower=1)[0]
                     return z
 
-                v_wc = util @ ctil_vec
+                v_wc = util @ ctil
                 z2 = schur_solve(v_wc + b)
             else:
                 v_wc = np.zeros(0)
@@ -505,21 +580,24 @@ def solve(
             # the iterates near the boundary. Below the rounding error of their
             # sum its sign and size are noise that would send dtau anywhere, so
             # the sum is floored there.
-            ctil_sq = float(ctil_vec @ ctil_vec)
+            ctil_sq = float(ctil @ ctil)
             denom = max(float((b - v_wc) @ z2) + ctil_sq, layout.total * _EPS * ctil_sq) + kappa / tau
 
-            def newton(rc_groups: list[np.ndarray], rc_tk: float):
+            def newton(rc: np.ndarray, rc_tk: float):
                 """Newton direction, with its X and S parts also in the scaled space."""
-                svec_rc = layout.join(rc_groups)
-                r1 = -rp - a @ svec_rc - util @ rdtil_vec
-                r2 = float(-rg + c @ svec_rc + ctil_vec @ rdtil_vec + rc_tk / tau)
-                z1 = schur_solve(r1) if p else np.zeros(0)
+                r1 = -rp - a @ rc - util @ rdtil
+                r2 = float(-rg + c @ rc + ctil @ rdtil + rc_tk / tau)
+                z1 = schur_solve(r1)
                 dtau = (r2 - float((b - v_wc) @ z1)) / denom
                 dy = z1 + z2 * dtau
-                ds = layout.split(-rd - a.T @ dy + c * dtau)
-                dshat = [_t(g) @ dsm @ g for g, dsm in zip(gs, ds)]
-                dx = [_sym(rc - g @ dh @ _t(g)) for g, rc, dh in zip(gs, rc_groups, dshat)]
-                dxhat = [gi @ dxm @ _t(gi) for gi, dxm in zip(ginvs, dx)]
+                ds = -rd - a.T @ dy + c * dtau
+                dx = np.empty(layout.flat)
+                dxhat, dshat = [], []
+                for g, gi, rcm, dsm, dxm in zip(gs, ginvs, layout.stacks(rc), layout.stacks(ds), layout.stacks(dx)):
+                    dsh = _t(g) @ dsm @ g
+                    _sym_into(rcm - g @ dsh @ _t(g), dxm)
+                    dxhat.append(gi @ dxm @ _t(gi))
+                    dshat.append(dsh)
                 dkappa = (rc_tk - kappa * dtau) / tau
                 return dx, dy, ds, dtau, dkappa, dxhat, dshat
 
@@ -530,25 +608,23 @@ def solve(
                 return step
 
             # Predictor (affine direction).
-            dxa, dya, dsa, dta, dka, dxhat_a, dshat_a = newton([-m for m in xg], -tau * kappa)
+            dxa, dya, dsa, dta, dka, dxhat_a, dshat_a = newton(-x, -tau * kappa)
             alpha_aff = min(1.0, max_step(dxhat_a, dshat_a, dta, dka))
-            x_aff = x + alpha_aff * layout.join(dxa)
-            s_aff = s + alpha_aff * layout.join(dsa)
             mu_aff = (
-                x_aff @ s_aff + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
+                (x + alpha_aff * dxa) @ (s + alpha_aff * dsa) + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
             ) / (nu + 1)
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # Corrector with Mehrotra second-order term in the scaled space.
-            rc_groups = []
-            for (k, _), g, d, dxh, dsh in zip(layout.groups, gs, dvals, dxhat_a, dshat_a):
+            rc = np.empty(layout.flat)
+            for (k, _), g, d, dxh, dsh, rcm in zip(layout.groups, gs, dvals, dxhat_a, dshat_a, layout.stacks(rc)):
                 rm = -0.5 * (dxh @ dsh + dsh @ dxh)
                 diag = np.arange(k)
                 rm[:, diag, diag] += sigma * mu - d**2
                 e = 2.0 * rm / (d[:, :, None] + d[:, None, :])
-                rc_groups.append(_sym(g @ e @ _t(g)))
+                _sym_into(g @ e @ _t(g), rcm)
             rc_tk = sigma * mu - tau * kappa - dta * dka
-            dx, dy, ds, dtau, dkappa, dxhat, dshat = newton(rc_groups, rc_tk)
+            dx, dy, ds, dtau, dkappa, dxhat, dshat = newton(rc, rc_tk)
             alpha = min(1.0, _STEP_SHRINK * max_step(dxhat, dshat, dtau, dkappa))
             if alpha < 1e-7:
                 slow_steps += 1
@@ -557,13 +633,12 @@ def solve(
             else:
                 slow_steps = 0
 
-            xg = [_sym(m + alpha * dm) for m, dm in zip(xg, dx)]
-            sg = [_sym(m + alpha * dm) for m, dm in zip(sg, ds)]
-            y = y + alpha * dy
+            # in place, so the group stacks keep viewing the iterates
+            x += alpha * dx
+            s += alpha * ds
+            y += alpha * dy
             tau = float(tau + alpha * dtau)
             kappa = float(kappa + alpha * dkappa)
-            x = layout.join(xg)
-            s = layout.join(sg)
     except _NumericalFailure as exc:
         diagnostics["failure"] = str(exc)
         return _finish("stalled", iteration)

@@ -107,6 +107,22 @@ def test_malformed_file_exits_64(tmp_path, capsys):
     assert "line" in err
 
 
+def test_non_finite_coefficient_exits_64(tmp_path, capsys):
+    path = write_problem(tmp_path, "vars: x\ng: (1e200*x)^2 - 1\n")
+    code = cli.main([path])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "non-finite coefficient (line 2, column 3)" in err
+
+
+def test_overflowing_coefficient_is_inconclusive(tmp_path, capsys):
+    path = write_problem(tmp_path, "vars: x\ng: 1e300 - x^2\n")
+    with np.errstate(all="ignore"):
+        code, payload = run_cli(capsys, [path])
+    assert code == 2
+    assert payload["verdict"] == "inconclusive"
+
+
 def test_missing_file_exits_64(tmp_path, capsys):
     code = cli.main([str(tmp_path / "missing.txt")])
     assert code == 64

@@ -166,6 +166,14 @@ def test_parse_problem_error_carries_position():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("body", ["1e400 - x^2", "(1e200*x)^2 - 1", "1e400 - 1e400 + x"])
+def test_parse_problem_rejects_non_finite_coefficients(body):
+    # an overflowing literal or product must stop at the parser, not in the solver
+    with pytest.raises(ParseError, match="non-finite coefficient") as err:
+        parse_problem(f"vars: x\ng: 1 - x^2\n  g: {body}\n")
+    assert (err.value.line, err.value.column) == (3, 5)
+
+
 # -- reports ----------------------------------------------------------------------------
 
 

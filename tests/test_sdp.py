@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from convexcert.sdp import SdpProblem, _chol_lower, dump_sdp, solve
+from convexcert.sdp import SdpProblem, _chol_lower, _Layout, _stack_problem, _svec, dump_sdp, solve
 
 
 def _sym(rng, k):
@@ -121,14 +121,60 @@ def test_multi_block():
 def test_rejects_nonsymmetric():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     p = SdpProblem([2], {0: bad}, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^objective: block 0 matrix is not symmetric$"):
+        solve(p)
+    p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: bad}, 1.0)])
+    with pytest.raises(ValueError, match="^equality 1: block 0 matrix is not symmetric$"):
         solve(p)
 
 
 def test_rejects_dimension_mismatch():
     p = SdpProblem([2], {0: np.eye(3)}, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^objective: block 0 matrix has shape \(3, 3\), expected \(2, 2\)$"):
         solve(p)
+
+
+def test_rejects_block_index_out_of_range():
+    p = SdpProblem([2, 1], {}, [({0: np.eye(2)}, 1.0), ({3: np.eye(1)}, 1.0)])
+    with pytest.raises(ValueError, match="^equality 1: block index 3 out of range$"):
+        solve(p)
+
+
+def test_reports_first_failing_matrix():
+    # Matrices are taken in order: the objective, then each equality, each in
+    # its dict order. Equality 1's block 1 comes before equality 2's block 0,
+    # though block 0 is stacked first.
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    eqs = [({0: np.eye(2)}, 1.0), ({0: np.eye(2), 1: skew}, 0.0), ({0: skew, 1: np.eye(3)}, 0.0)]
+    p = SdpProblem([2, 2], {}, eqs)
+    with pytest.raises(ValueError, match="^equality 1: block 1 matrix is not symmetric$"):
+        solve(p)
+    # a shape failure after a symmetry failure does not hide it
+    eqs[1] = ({1: np.eye(2), 0: skew}, 0.0)
+    with pytest.raises(ValueError, match="^equality 1: block 0 matrix is not symmetric$"):
+        solve(SdpProblem([2, 2], {}, eqs))
+
+
+def test_rejects_non_finite_data():
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: nan}, 1.0)])
+    with pytest.raises(ValueError, match="^equality 1: block 0 matrix has a non-finite entry$"):
+        solve(p)
+    p = SdpProblem([2], {0: np.diag([np.inf, 1.0])}, [])
+    with pytest.raises(ValueError, match="^objective: block 0 matrix has a non-finite entry$"):
+        solve(p)
+    eqs = [({0: np.eye(2)}, 1.0)] * 3 + [({0: np.eye(2)}, float("inf"))]
+    with pytest.raises(ValueError, match="^equality 3: rhs is not finite$"):
+        solve(SdpProblem([2], {}, eqs))
+
+
+def test_overflowing_data_reports_stalled():
+    # finite data whose products overflow: a stalled status, not a LAPACK error
+    p = SdpProblem([2], {0: 1e300 * np.eye(2)}, [({0: np.eye(2)}, 1.0)])
+    with np.errstate(all="ignore"):
+        sol = solve(p)
+    assert sol.status == "stalled"
+    assert sol.diagnostics["failure"] == "non-finite iterate"
 
 
 def test_rejects_bad_tolerance():
@@ -288,3 +334,32 @@ def test_stacked_cholesky_falls_back_per_member():
         assert np.array_equal(factors[i], np.linalg.cholesky(mats[i]))
     assert np.allclose(factors[2] @ factors[2].T, mats[2], atol=1e-12)
     assert np.array_equal(factors[2], np.tril(factors[2]))
+
+
+def test_stacked_rows_match_a_matrix_by_matrix_reference():
+    # rows missing some blocks, and repeated sizes, so blocks and groups differ in order
+    rng = np.random.default_rng(11)
+    dims = [3, 1, 3, 2, 1]
+    problem = random_strictly_feasible(rng, dims, 6)
+    for i, (mats, _) in enumerate(problem.equalities):
+        del mats[i % len(dims)]
+    layout = _Layout(dims)
+    a, b, c = _stack_problem(problem, layout)
+    for i, (mats, rhs) in enumerate(problem.equalities):
+        row = np.zeros(layout.total)
+        for blk, mat in mats.items():
+            row[layout.offsets[blk] : layout.offsets[blk] + layout.sizes[blk]] = _svec(mat)
+        assert np.array_equal(a[i], row)
+        assert b[i] == rhs
+    # in the flat full-matrix layout, <A_i, X> is one dot product
+    xs = [_sym(rng, k) for k in dims]
+    flat = np.zeros(layout.flat)
+    for block, x in zip(layout.blocks(flat), xs):
+        block[...] = x
+    rows = layout.unpack(a)
+    for i, (mats, _) in enumerate(problem.equalities):
+        expected = sum(np.tensordot(mat, xs[blk]) for blk, mat in mats.items())
+        assert rows[i] @ flat == pytest.approx(expected, abs=1e-12)
+    expected = sum(np.tensordot(mat, xs[blk]) for blk, mat in problem.objective.items())
+    assert layout.unpack(c) @ flat == pytest.approx(expected, abs=1e-12)
+
