@@ -2,12 +2,14 @@
 """Write a BENCH file: benchmark medians, the traced layer split and the hyperbola ladder.
 
     python3 scripts/bench.py --out BENCH.json
-    python3 scripts/bench.py --root ../other-checkout --out other.json --runs 10
+    python3 scripts/bench.py --root ../other-checkout --out other.json
 
 The benchmark itself is perfbench/run.py of the checkout named by --root
-(default: this one), run unchanged as a subprocess. The file records:
+(default: this one), run unchanged as a subprocess, with the seed below and
+the checkout's BENCHMARK.json ``run_seconds`` as ``--seconds``. The file
+records:
 
-- per workload, the median of each end-to-end metric over --runs runs of
+- per workload, the median of each end-to-end metric over 5 runs of
   ``--trace 0``, next to every run's values;
 - the per-layer metrics of one ``--trace 1`` run on refute-nonconvex, seed 7;
 - the hyperbola relaxation ladder s=2..4 (constraint 1) through
@@ -29,6 +31,8 @@ import time
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RUNS = 5
+SEED = 1
 LAYER_WORKLOAD = "refute-nonconvex"
 LAYER_SEED = 7
 LADDER_ORDERS = (2, 3, 4)
@@ -79,24 +83,23 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="path of the BENCH file to write")
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
                         help="checkout whose perfbench/run.py and src/ are measured")
-    parser.add_argument("--runs", type=int, default=5, help="--trace 0 runs per workload")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0, help="--seconds of each run.py run")
     args = parser.parse_args(argv)
     for var in BLAS_THREAD_VARS:  # before numpy loads, here and in every child
         os.environ[var] = "1"
     root = Path(args.root).resolve()
-    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    seconds = float(declared["run_seconds"])
 
     workloads = {}
     for name in names:
-        runs = [_run(root, name, args.seed, args.seconds, 0) for _ in range(args.runs)]
+        runs = [_run(root, name, SEED, seconds, 0) for _ in range(RUNS)]
         medians = {metric: statistics.median(run["metrics"][metric] for run in runs) for metric in runs[0]["metrics"]}
         workloads[name] = {"correct": all(run["correct"] for run in runs),
                            "failed": sum(run["failed"] for run in runs), "median": medians,
                            "runs": [run["metrics"] for run in runs]}
         print(f"{name:<17} " + " ".join(f"{m}={v:.4g}" for m, v in medians.items()), flush=True)
-    layers = _run(root, LAYER_WORKLOAD, LAYER_SEED, args.seconds, 1)
+    layers = _run(root, LAYER_WORKLOAD, LAYER_SEED, seconds, 1)
     ladder = _ladder(root)
     for row in ladder:
         print(f"hyperbola s={row['s']} blocks={row['blocks']} p={row['p']} "
@@ -110,7 +113,7 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "blas_threads": 1,
         "nproc": os.cpu_count(),
-        "settings": {"seed": args.seed, "seconds": args.seconds, "runs": args.runs},
+        "settings": {"seed": SEED, "seconds": seconds, "runs": RUNS},
         "workloads": workloads,
         "layers": {"workload": LAYER_WORKLOAD, "seed": LAYER_SEED, **layers},
         "hyperbola_ladder": ladder,

@@ -88,46 +88,41 @@ class SdpProblem:
         """Raise ValueError naming the first malformed matrix or right-hand side.
 
         Matrices are taken in order, the objective's and then each
-        equality's, each in its dict order, and the first that fails a check
-        is reported. The checks are block index in range, shape, finite
-        entries and symmetry. The last two run as one stacked pass per block.
-        A non-finite right-hand side is reported only when every matrix
-        passes.
+        equality's, and each is checked for block index, shape, finite
+        entries and symmetry, in that order. The last two checks run as one
+        stacked pass per block.
         """
-        dims = [int(k) for k in self.block_dims]
-        if not dims:
+        if len(self.block_dims) == 0:
             raise ValueError("at least one PSD block is required")
-        for k in dims:
-            if k < 1:
+        for k in self.block_dims:
+            if int(k) < 1:
                 raise ValueError(f"block dimension must be positive, got {k}")
-        owners = [self.objective] + [mats for mats, _ in self.equalities]
-        entries = [(owner, b, mat) for owner, mats in enumerate(owners) for b, mat in mats.items()]
-        # (entry, check, message) of each failure; the least is reported
-        failures: list[tuple[int, int, str]] = []
+        labelled = [("objective", self.objective)] + [
+            (f"equality {i}", eq[0]) for i, eq in enumerate(self.equalities)
+        ]
+        entries = [(label, b, mat) for label, mats in labelled for b, mat in mats.items()]
+        faults: list[str | None] = [None] * len(entries)
         by_block: dict[int, list[int]] = {}
         for e, (_, b, mat) in enumerate(entries):
-            if not 0 <= b < len(dims):
-                failures.append((e, 0, f"block index {b} out of range"))
-                break
-            shape, k = np.shape(mat), dims[b]
-            if shape != (k, k):
-                failures.append((e, 1, f"block {b} matrix has shape {shape}, expected {(k, k)}"))
+            if not 0 <= b < len(self.block_dims):
+                faults[e] = f"block index {b} out of range"
+                break  # no later matrix can be the first fault
+            k = self.block_dims[b]
+            if np.shape(mat) != (k, k):
+                faults[e] = f"block {b} matrix has shape {np.shape(mat)}, expected {(k, k)}"
                 break
             by_block.setdefault(b, []).append(e)
         for b, members in by_block.items():
             stack = np.asarray([entries[e][2] for e in members], dtype=float)
             finite = np.isfinite(stack).all(axis=(1, 2))
-            with np.errstate(invalid="ignore"):  # inf - inf, in a matrix already reported
+            with np.errstate(invalid="ignore"):  # inf - inf, in a matrix already flagged
                 asym = np.abs(stack - _t(stack)).max(axis=(1, 2))
-            skew = finite & (asym > _SYMMETRY_TOL * (1.0 + np.abs(stack).max(axis=(1, 2))))
-            for check, mask, what in ((2, ~finite, "has a non-finite entry"), (3, skew, "is not symmetric")):
-                hits = np.flatnonzero(mask)
-                if hits.size:
-                    failures.append((members[hits[0]], check, f"block {b} matrix {what}"))
-        if failures:
-            e, _, message = min(failures)
-            owner = entries[e][0]
-            raise ValueError(f"{'objective' if owner == 0 else f'equality {owner - 1}'}: {message}")
+            skew = asym > _SYMMETRY_TOL * (1.0 + np.abs(stack).max(axis=(1, 2)))
+            for i in np.flatnonzero(~finite | skew):
+                faults[members[i]] = f"block {b} matrix " + ("is not symmetric" if finite[i] else "has a non-finite entry")
+        for (label, _, _), fault in zip(entries, faults):
+            if fault is not None:
+                raise ValueError(f"{label}: {fault}")
         rhs = np.array([rhs for _, rhs in self.equalities], dtype=float)
         bad = np.flatnonzero(~np.isfinite(rhs))
         if bad.size:
