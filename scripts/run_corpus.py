@@ -36,7 +36,7 @@ def main() -> int:
     rows = []
     for path in sorted(PROBLEMS_DIR.glob("*.txt")):
         spec = parse_problem(path.read_text())
-        config = RunConfig(mode="analyze", max_order=3)
+        config = RunConfig(mode="analyze")
         start = time.perf_counter()
         report = run_analyze(config, spec)
         elapsed = time.perf_counter() - start

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -77,11 +78,14 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.order is not None and self.order < 1:
             raise ValueError("order must be at least 1")
+        if self.max_order is not None and self.max_order < 1:
+            raise ValueError("max_order must be at least 1")
         if self.order is not None and self.max_order is not None and self.order > self.max_order:
             raise ValueError("order must not exceed max_order")
-        for name in ("tol_feas", "tol_residual"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("ball", "archimedean", "tol_feas", "tol_residual"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.stengle_p < 1:
             raise ValueError("stengle power must be a positive integer")
 

@@ -20,12 +20,17 @@ If rho < 0 and the moment matrix satisfies the flat-extension rank condition
 rank M_s(z) = rank M_{s-v}(z) =: t, then z is the moment sequence of a
 t-atomic measure supported on the doubled set; its atoms split into pairs
 (x_i, y_i) of members whose midpoint violates g_j, which refutes convexity
-outright. Extraction follows the standard multiplication-operator procedure:
-factor the moment matrix, column-echelon a rank factor to pick a monomial
-basis, form the shift operators, and read atom coordinates off a random
-combination's Schur form. Witness validation re-evaluates every polynomial
-inequality directly, so an accepted witness stands on its own without
-trusting the solver.
+outright. Extraction reads the atoms off the symmetric moment pencil: the
+top-t eigenpairs (U, Lambda) of M_{s-1}(z) compress the order-(s-1)
+localizing matrix H_i of each coordinate x_i to
+N_i = Lambda^(-1/2) U^T H_i U Lambda^(-1/2). For a
+t-atomic z each N_i equals R D_i R^T with one orthogonal R and D_i the
+atoms' i-th coordinates, so the N_i commute and the eigenvectors of one
+random convex combination diagonalize them all. A repeated eigenvalue of
+that combination mixes atoms, which is why extraction retries with a fresh
+combination when the atoms fail to reproduce z. Witness validation
+re-evaluates every polynomial inequality directly, so an accepted witness
+stands on its own without trusting the solver.
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ from dataclasses import dataclass, field
 from math import ceil, log10
 
 import numpy as np
-from scipy.linalg import schur
 
 from . import certify, sdp
-from .moments import MomentSequence, monomial_basis, moment_matrix
-from .polynomials import Polynomial, lift
+from .moments import MomentSequence, localizing_matrix, monomial_basis, moment_matrix
+from .polynomials import Polynomial
 from .problemio import ProblemSpec
 
 RANK_SINGULAR_THRESHOLD = 1e-6
@@ -49,17 +53,16 @@ EXTRACTION_MAX_ATTEMPTS = 5
 
 
 class ExtractionError(RuntimeError):
-    """Atom extraction failed after the configured number of retries."""
-
-
-def doubled_constraints(spec: ProblemSpec) -> list[Polynomial]:
-    """The 2m defining polynomials of the doubled set: g_k(x) then g_k(y)."""
-    return [lift(g, "x") for g in spec.constraints] + [lift(g, "y") for g in spec.constraints]
+    """Atom extraction failed: too few atoms in the moments, or no retry matched them."""
 
 
 def relaxation_orders(spec: ProblemSpec) -> tuple[list[int], int]:
-    """Per-constraint localizing orders v_k = ceil(deg/2) and v = max_k v_k."""
-    v_ks = [ceil(g.degree / 2) for g in doubled_constraints(spec)]
+    """Localizing orders v_k = ceil(deg/2) of the 2m doubled constraints, and v = max_k v_k.
+
+    Lifting g_k to g_k(x) and g_k(y) keeps its degree, so the orders are read
+    off spec.constraints, the x copies first.
+    """
+    v_ks = [ceil(g.degree / 2) for g in spec.constraints] * 2
     return v_ks, max(v_ks)
 
 
@@ -236,9 +239,12 @@ def rank_flatness_check(result: RelaxationResult, spec: ProblemSpec) -> Flatness
     if result.z is None:
         raise ValueError("relaxation result carries no moment sequence")
     _v_ks, v = relaxation_orders(spec)
+    m_s = moment_matrix(result.z, result.s)
+    # the order-(s - v) basis is a prefix of the order-s one, so M_{s-v} is a leading block
+    size = len(monomial_basis(result.z.space, result.s - v))
     (rank_s, amb_s), (rank_sv, amb_sv) = (
-        _numerical_rank(np.linalg.svd(moment_matrix(result.z, order), compute_uv=False))
-        for order in (result.s, result.s - v)
+        _numerical_rank(np.linalg.svd(block, compute_uv=False))
+        for block in (m_s, m_s[:size, :size])
     )
     ambiguous = amb_s or amb_sv
     flat = (not ambiguous) and rank_s == rank_sv
@@ -255,17 +261,23 @@ def extract_atoms(
 ) -> list[tuple[np.ndarray, float]]:
     """Recover the t atoms and weights of a flat moment sequence.
 
-    Procedure: truncated eigendecomposition of the moment matrix gives a rank
-    factor; column echelon reduction picks t pivot monomials (lowest degree
-    first, so every variable shift stays inside the basis); the shift of each
-    pivot monomial by each variable yields t x t multiplication operators; the
-    Schur form of a random convex combination simultaneously triangularizes
-    them and each atom's coordinates appear as conjugated diagonal values.
-    Weights come from a least-squares moment match against z.
+    Let H_0 = M_{s-1}(z) and H_i the order-(s-1) localizing matrix of the
+    coordinate x_i. For t atoms with weights W and i-th coordinates D_i,
+    H_0 = V W V^T and H_i = V W D_i V^T, where V evaluates the order-(s-1)
+    basis at the atoms and has rank t by flatness. The top-t eigenpairs
+    (U, Lambda) of H_0 then give V W^(1/2) = U Lambda^(1/2) R for one
+    orthogonal t x t matrix R, so the pencil
+    N_i = Lambda^(-1/2) U^T H_i U Lambda^(-1/2) = R D_i R^T: the N_i are
+    symmetric, commute, and share the eigenvectors R. The eigenvectors r_k of
+    a random convex combination of the N_i are the columns of R, and atom k's
+    i-th coordinate is r_k^T N_i r_k. Weights come from a least-squares moment
+    match against z.
 
-    Retries with a fresh random combination when the Schur form shows complex
-    blocks or the moment match fails; raises ExtractionError after
-    max_attempts.
+    A repeated eigenvalue of the combination mixes the eigenvectors of the
+    atoms that share it, so when the moment match fails or a weight is not
+    positive a fresh combination is tried; raises ExtractionError after
+    max_attempts, or at once when fewer than t eigenvalues of H_0 clear the
+    rank threshold.
     """
     if result.z is None:
         raise ValueError("relaxation result carries no moment sequence")
@@ -273,83 +285,40 @@ def extract_atoms(
         raise ValueError("need at least one atom")
     z = result.z
     space = z.space
-    arity = space.arity
-    mbasis = monomial_basis(space, result.s)
-    m_s = moment_matrix(z, result.s)
-    eigvals, eigvecs = np.linalg.eigh(m_s)
-    top = np.argsort(eigvals)[-t:]
-    lam = np.maximum(eigvals[top], 0.0)
-    factor = eigvecs[:, top] * np.sqrt(lam)  # (N, t), M ~= factor factor^T
-
-    # Column-echelon over rows in graded order: pivots end up at the lowest
-    # degree monomials, so shifted pivots stay inside the order-s basis.
-    reduced = factor.T.copy()  # (t, N)
-    pivot_cols: list[int] = []
-    row = 0
-    col_scale = max(1.0, float(np.max(np.abs(reduced))))
-    for col in range(reduced.shape[1]):
-        if row == t:
-            break
-        pivot_row = row + int(np.argmax(np.abs(reduced[row:, col])))
-        if abs(reduced[pivot_row, col]) < 1e-9 * col_scale:
-            continue
-        reduced[[row, pivot_row]] = reduced[[pivot_row, row]]
-        reduced[row] = reduced[row] / reduced[row, col]
-        for other in range(t):
-            if other != row:
-                reduced[other] -= reduced[other, col] * reduced[row]
-        pivot_cols.append(col)
-        row += 1
-    if row < t:
-        raise ExtractionError("extraction-failed: rank factor echelon collapsed")
-
-    # reduced[:, pivot_cols] = identity; column c expresses monomial c in the
-    # pivot monomial basis on the support of the measure.
-    shift_ops = []
-    for var in range(arity):
-        op = np.empty((t, t))
-        for i, col in enumerate(pivot_cols):
-            exps = list(mbasis[col])
-            exps[var] += 1
-            shifted = tuple(exps)
-            if not mbasis.contains(shifted):
-                raise ExtractionError(
-                    "extraction-failed: pivot monomial shift leaves the basis"
-                )
-            op[i, :] = reduced[:, mbasis.index(shifted)]
-        shift_ops.append(op)
+    order = result.s - 1
+    eigvals, eigvecs = np.linalg.eigh(moment_matrix(z, order))  # ascending
+    rank, _ambiguous = _numerical_rank(eigvals[::-1])
+    if rank < t:
+        raise ExtractionError(
+            f"extraction-failed: order-{order} moment matrix has rank {rank} < {t}"
+        )
+    whiten = eigvecs[:, -t:] / np.sqrt(eigvals[-t:])  # U Lambda^(-1/2)
+    pencil = np.array([
+        whiten.T @ localizing_matrix(z, Polynomial.variable(space, i), order) @ whiten
+        for i in range(space.arity)
+    ])  # (arity, t, t)
 
     full_basis = monomial_basis(space, 2 * result.s)
+    exponents = np.array(full_basis.elements)  # (N, arity)
     z_vec = np.array([z.value(e) for e in full_basis])
+    scale = tol * max(1.0, float(np.max(np.abs(z_vec))))
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"
     for _attempt in range(max_attempts):
-        coeffs = rng.random(arity)
+        coeffs = rng.random(space.arity)
         coeffs /= coeffs.sum()
-        combined = sum(c * op for c, op in zip(coeffs, shift_ops))
-        tmat, qmat = schur(combined, output="real")
-        subdiag = np.abs(np.diag(tmat, -1)) if t > 1 else np.array([])
-        if subdiag.size and np.max(subdiag) > 1e-7 * max(1.0, np.max(np.abs(tmat))):
-            last_error = "complex eigenvalue block in Schur form"
-            continue
-        points = np.empty((t, arity))
-        for i in range(t):
-            qi = qmat[:, i]
-            for var in range(arity):
-                points[i, var] = qi @ shift_ops[var] @ qi
-        vander = np.empty((len(full_basis), t))
-        for r, exps in enumerate(full_basis):
-            vander[r] = np.prod(points ** np.asarray(exps, dtype=float), axis=1)
+        _, rotation = np.linalg.eigh(np.tensordot(coeffs, pencil, axes=1))
+        points = np.einsum("jk,ijl,lk->ki", rotation, pencil, rotation)  # (t, arity)
+        vander = np.prod(points[None, :, :] ** exponents[:, None, :], axis=2)  # (N, t)
         weights, *_ = np.linalg.lstsq(vander, z_vec, rcond=None)
         reproduction = float(np.max(np.abs(vander @ weights - z_vec)))
-        scale = tol * max(1.0, float(np.max(np.abs(z_vec))))
         if reproduction > scale:
             last_error = f"moment match residual {reproduction:.3e} above {scale:.3e}"
             continue
         if np.any(weights <= 0):
             last_error = "nonpositive weight in moment match"
             continue
-        return [(points[i].copy(), float(weights[i])) for i in range(t)]
+        return [(points[k].copy(), float(weights[k])) for k in range(t)]
     raise ExtractionError(f"extraction-failed: {last_error}")
 
 

@@ -297,6 +297,27 @@ def test_run_config_validation():
         cli.RunConfig(order=0)
     with pytest.raises(ValueError):
         cli.RunConfig(tol_feas=0.0)
+    with pytest.raises(ValueError):
+        cli.RunConfig(max_order=0)
+    for name in ("ball", "archimedean", "tol_feas", "tol_residual"):
+        for value in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                cli.RunConfig(**{name: value})
+    cli.RunConfig(ball=2.0, archimedean=4.0, max_order=1)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--archimedean", "-1"), ("--archimedean", "0"), ("--archimedean", "inf"),
+    ("--archimedean", "nan"), ("--ball", "inf"), ("--ball", "nan"), ("--ball", "-2"),
+    ("--tol-feas", "nan"), ("--tol-residual", "-1"), ("--max-order", "0"),
+])
+def test_malformed_run_parameter_exits_64(tmp_path, capsys, flag, value):
+    path = write_problem(tmp_path, DISK)
+    code = cli.main([path, flag, value])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("convexcert: ")
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

@@ -50,6 +50,19 @@ def test_basis_index_lookup():
         basis.index((5, 5))
 
 
+def test_lower_order_moment_matrix_is_leading_block():
+    # rank_flatness_check slices M_{s-v}(z) out of M_s(z); the graded order makes
+    # every lower-order basis a prefix of the higher-order one
+    rng = np.random.default_rng(11)
+    for space in (LIFTED1, LIFTED2):
+        pts = rng.uniform(-1, 1, size=(3, space.arity))
+        z = MomentSequence.from_atoms(space, 3, pts, rng.dirichlet(np.ones(3)))
+        full = moment_matrix(z, 3)
+        for order in range(3):
+            size = len(monomial_basis(space, order))
+            assert np.array_equal(moment_matrix(z, order), full[:size, :size])
+
+
 # -- Riesz functional ---------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from convexcert import sdp
 from convexcert.certify import build_qmodule_sdp
-from convexcert.moments import MomentSequence, monomial_basis
+from convexcert.moments import MomentSequence, moment_matrix, monomial_basis
 from convexcert.polynomials import VariableSpace
 from convexcert.problemio import parse_problem
 from convexcert.refute import (
@@ -318,6 +318,49 @@ def test_extract_round_trip_batch():
         assert len(atoms) == t
         matched = _match_atoms(atoms, pts, wts)
         assert matched <= 1e-6, f"trial {trial}: atom mismatch {matched}"
+
+
+def _swap_paired_measure(rng, n):
+    """Atoms (x, y) paired with (y, x) at equal weight, plus at most one atom x = y.
+
+    Resampled until the t-th eigenvalue of the order-1 moment matrix is at
+    least 1e-3: below that, moment noise of 1e-9 moves the atoms by more than
+    1e-5 whatever the extraction method, as the inverse problem itself is ill
+    conditioned there.
+    """
+    space = VariableSpace(n).lift()
+    pairs, on_diagonal = int(rng.integers(1, n + 1)), int(rng.integers(0, 2))
+    while True:
+        half = rng.uniform(-1, 1, size=(pairs, 2 * n))
+        diagonal = rng.uniform(-1, 1, size=(on_diagonal, n))
+        pts = np.vstack([half, np.roll(half, n, axis=1), np.hstack([diagonal, diagonal])])
+        mass = rng.dirichlet(np.ones(pairs + on_diagonal) * 5.0)
+        wts = np.concatenate([mass[:pairs] / 2, mass[:pairs] / 2, mass[pairs:]])
+        order_one = moment_matrix(MomentSequence.from_atoms(space, 1, pts, wts), 1)
+        if np.linalg.eigvalsh(order_one)[-len(pts)] >= 1e-3:
+            return space, pts, wts
+
+
+def test_extract_swap_symmetric_perturbed_moments():
+    # Relaxation moments are swap-symmetric (z_gamma = z_tau(gamma)) and carry
+    # solver error: perturb every moment by up to 1e-9, equally on each orbit.
+    # At most 2n + 1 atoms, so the order-1 moment matrix can carry them at s = 2.
+    rng = np.random.default_rng(123)
+    for trial in range(60):
+        n = 1 if trial % 2 == 0 else 2
+        space, pts, wts = _swap_paired_measure(rng, n)
+        z = MomentSequence.from_atoms(space, 2, pts, wts)
+        noise: dict = {}
+        for exps in z.entries:
+            orbit = min(exps, exps[n:] + exps[:n])
+            z.entries[exps] += noise.setdefault(orbit, rng.uniform(-1e-9, 1e-9))
+        res = RelaxationResult(j=1, s=2, v=1, status="optimal", rho=0.0, z=z)
+        flat = rank_flatness_check(res, _dummy_spec_1d() if n == 1 else _dummy_spec_2d())
+        assert flat.flat and flat.t == len(pts), f"trial {trial}"
+        atoms = extract_atoms(res, flat.t, seed=trial, tol=1e-4)  # the CLI's tolerance
+        assert len(atoms) == len(pts)
+        matched = _match_atoms(atoms, pts, wts)
+        assert matched <= 1e-5, f"trial {trial}: atom mismatch {matched}"
 
 
 def _dummy_spec_2d():
