@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write a BENCH file: benchmark medians, the traced layer split and the hyperbola ladder.
+"""Write a BENCH file: benchmark medians, the traced layer split and two relaxation ladders.
 
     python3 scripts/bench.py --out BENCH.json
     python3 scripts/bench.py --root ../other-checkout --out other.json
@@ -12,9 +12,12 @@ records:
 - per workload, the median of each end-to-end metric over 5 runs of
   ``--trace 0``, next to every run's values;
 - the per-layer metrics of one ``--trace 1`` run on refute-nonconvex, seed 7;
-- the hyperbola relaxation ladder s=2..4 (constraint 1) through
-  refute.solve_relaxation: blocks, p, iterations, status and the median
-  seconds of 3 solves per order.
+- the relaxation ladders s=2..4 (constraint 1) of hyperbola, the largest
+  bundled solves, and of cubic_halfline, whose Gram programs the solver's
+  presolve proves infeasible, through refute.solve_relaxation: blocks, the
+  blocks left by the presolve's facial reduction (null where the solver does
+  not report them), p, iterations, status and the median seconds of 3 solves
+  per order.
 
 BLAS is pinned to one thread, as perfbench/run.py pins it.
 """
@@ -35,7 +38,7 @@ RUNS = 5
 SEED = 1
 LAYER_WORKLOAD = "refute-nonconvex"
 LAYER_SEED = 7
-LADDER_ORDERS = (2, 3, 4)
+LADDERS = {"hyperbola": (2, 3, 4), "cubic_halfline": (2, 3, 4)}
 LADDER_REPEATS = 3
 
 
@@ -50,23 +53,24 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> di
             "metrics": {name: entry["value"] for name, entry in result["metrics"].items()}}
 
 
-def _ladder(root: Path) -> list[dict]:
+def _ladder(root: Path, problem: str, orders: tuple[int, ...]) -> list[dict]:
     """Each order's relaxation, solved in this process from the checkout's src/."""
     sys.path.insert(0, str(root / "src"))
     from convexcert import refute
     from convexcert.problemio import parse_problem
 
-    spec = parse_problem((root / "problems" / "hyperbola.txt").read_text())
+    spec = parse_problem((root / "problems" / f"{problem}.txt").read_text())
     rows = []
-    for s in LADDER_ORDERS:
+    for s in orders:
         seconds = []
         for _ in range(LADDER_REPEATS):
             start = time.perf_counter()
             result = refute.solve_relaxation(spec, 1, s)
             seconds.append(time.perf_counter() - start)
         diag = result.diagnostics
-        rows.append({"s": s, "blocks": diag["blocks"], "p": diag["p"], "iterations": diag["iterations"],
-                     "status": result.status, "seconds": statistics.median(seconds), "seconds_runs": seconds})
+        rows.append({"s": s, "blocks": diag["blocks"], "reduced_blocks": diag.get("reduced_blocks"), "p": diag["p"],
+                     "iterations": diag["iterations"], "status": result.status,
+                     "seconds": statistics.median(seconds), "seconds_runs": seconds})
     return rows
 
 
@@ -100,10 +104,11 @@ def main(argv=None) -> int:
                            "runs": [run["metrics"] for run in runs]}
         print(f"{name:<17} " + " ".join(f"{m}={v:.4g}" for m, v in medians.items()), flush=True)
     layers = _run(root, LAYER_WORKLOAD, LAYER_SEED, seconds, 1)
-    ladder = _ladder(root)
-    for row in ladder:
-        print(f"hyperbola s={row['s']} blocks={row['blocks']} p={row['p']} "
-              f"iterations={row['iterations']} {row['seconds']:.3f}s")
+    ladders = {problem: _ladder(root, problem, orders) for problem, orders in LADDERS.items()}
+    for problem, ladder in ladders.items():
+        for row in ladder:
+            print(f"{problem} s={row['s']} blocks={row['blocks']} reduced={row['reduced_blocks']} p={row['p']} "
+                  f"iterations={row['iterations']} {row['status']} {row['seconds']:.3f}s")
 
     import numpy
 
@@ -116,7 +121,7 @@ def main(argv=None) -> int:
         "settings": {"seed": SEED, "seconds": seconds, "runs": RUNS},
         "workloads": workloads,
         "layers": {"workload": LAYER_WORKLOAD, "seed": LAYER_SEED, **layers},
-        "hyperbola_ladder": ladder,
+        **{f"{problem}_ladder": ladder for problem, ladder in ladders.items()},
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
     ok = all(w["correct"] for w in workloads.values()) and layers["correct"]

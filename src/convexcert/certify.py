@@ -367,6 +367,7 @@ def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution) ->
     return {
         "status": solution.status,
         "blocks": [int(k) for k in problem.block_dims],
+        "reduced_blocks": solution.diagnostics["reduced_blocks"],
         "p": len(problem.equalities),
         "iterations": solution.iterations,
         "primal_residual": solution.primal_residual,

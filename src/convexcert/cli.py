@@ -161,7 +161,7 @@ def _try_witness(entry: dict, record: dict, result: refute.RelaxationResult,
         )
         return False
     try:
-        atoms = refute.extract_atoms(result, flatness.t, seed=config.seed, tol=1e-4)
+        atoms = refute.extract_atoms(result, flatness.t, seed=config.seed)
     except refute.ExtractionError as exc:
         entry["unproven_signal"] = True
         notes.append(f"flat at order {k} but atom extraction failed: {exc}")

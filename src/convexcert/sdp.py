@@ -38,9 +38,36 @@ The denominator that eliminates dtau is the difference of two terms that
 grow like |G|^4 near the boundary; it is floored at their rounding error,
 since below it dtau would be noise.
 
-Rank-deficient equality systems are pre-processed by pivoted-QR row
-elimination; dropped rows are checked for consistency so that linearly
-contradictory inputs are reported as infeasible without touching the cone.
+The presolve runs in this order: validate the data, stack the svec rows
+once, reduce to the diagonal face, eliminate dependent rows. The diagonal
+facial reduction (Loefberg 2009, "Pre- and post-processing sum-of-squares
+programs in practice"; Permenter and Parrilo 2018, "Partial facial
+reduction") reads a face of the cone off the rows' sparsity pattern. A row
+whose live entries are all diagonal and of one sign reads
+sum_i a_i X_ii = b_i with every X_ii >= 0: with b_i = 0 it forces those
+X_ii, and with them their rows and columns of X, to zero, and forcing
+repeats until no row forces an index. Such a row with b_i of the other sign,
+or a row with no live entry left and b_i != 0, has no PSD solution. Every
+test compares an entry or a right-hand side with zero exactly. The program
+is taken as stated, so an exact zero or sign is a fact about it, not an
+estimate: the reduction removes no direction that a feasible X can use, and
+its infeasibility is a proof. Dependent rows are then found by pivoted-QR
+row elimination and checked for consistency. Either proof of infeasibility
+returns before the first iteration, with a "facial-reduction" certificate
+naming the forcing and contradicting rows or a "linear-inconsistency" one
+naming the dependent rows.
+
+Otherwise the blocks that keep an index are solved on the face, with the
+emptied ones dropped, and the solution is lifted back: X gets zero rows and
+columns at the removed indices, y is 0 on the rows left with no live entry
+(row elimination drops them), and S is the solver's slack on the face and
+C - A^T y at every entry in a removed row or column. Off the face the dual
+constraint is void, since the dual cone of a face is larger than the PSD
+cone, so S need not be PSD there. A Farkas certificate's S is lifted the
+same way, with -A^T y off the face, and an improving ray like X. Rows are
+scaled by their full norms and the objective's norm is the full one, so the
+residuals and gap measured on the face are those of the full problem. When
+no row forces an index, the solve runs on the stacked data as they are.
 
 Pure feasibility problems (zero objective), such as the certificate
 programs, are solved as stated, with no regularizing objective. With c = 0
@@ -55,6 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -204,7 +232,9 @@ class _Layout:
     group's slice of that buffer, whose reshape to (members, k, k) is the
     group's stack, and ``places`` the start of each block. The scaled rows of
     the Schur complement stay in svec form, group by group from
-    ``svec_starts``.
+    ``svec_starts``. The indices of all blocks are numbered in one run:
+    ``diagonal`` holds the svec position of each one's diagonal entry, and
+    ``entries`` the two indices of every svec entry.
     """
 
     def __init__(self, dims: Sequence[int]):
@@ -228,6 +258,18 @@ class _Layout:
             flat += len(idx) * k * k
             svec += len(idx) * k * (k + 1) // 2
         self.flat = flat
+        # (r, r) sits at r k - r (r - 1) / 2 in a block's row-major upper triangle
+        self.diagonal = np.array(
+            [lo + r * k - r * (r - 1) // 2 for lo, k in zip(self.offsets.tolist(), self.dims) for r in range(k)],
+            dtype=int,
+        )
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = np.cumsum([0] + self.dims)
+        return tuple(
+            np.concatenate([start + _svec_meta(k)[part] for start, k in zip(starts, self.dims)]) for part in (0, 1)
+        )
 
     def stacks(self, vec: np.ndarray) -> list[np.ndarray]:
         """Flat vectors (..., flat) -> one (..., members, k, k) view per group."""
@@ -270,6 +312,81 @@ def _stack_problem(problem: SdpProblem, layout: _Layout) -> tuple[np.ndarray, np
         lo = layout.offsets[blk]
         c[lo : lo + layout.sizes[blk]] = _svec(np.asarray(mat, dtype=float))
     return a, b, c
+
+
+def _diagonal_face(a: np.ndarray, b: np.ndarray, layout: _Layout) -> tuple[np.ndarray, list[int], list[int]]:
+    """Diagonal facial reduction of the svec rows: (alive, forcing rows, contradicting rows).
+
+    ``alive`` flags each block index, numbered as in ``layout.diagonal``, that
+    no row forces out. A row whose live entries are all diagonal and of one
+    sign reads sum_i a_i X_ii = b with every X_ii >= 0. With b = 0 it forces
+    those X_ii to zero, and with them their rows and columns, since X is
+    PSD; this repeats until no row forces a live index. With b of the other
+    sign, or with no live entry left and b != 0, the row has no PSD solution,
+    and the rows found so far are returned as they stand.
+    """
+    alive = np.ones(len(layout.diagonal), dtype=bool)
+    sub, diag = a, layout.diagonal  # the live columns, and the diagonal ones among them
+    forcing: list[int] = []
+    while True:
+        on_diag = sub[:, diag]
+        n_live = np.count_nonzero(sub, axis=1)
+        # every live entry diagonal and positive, or negative; an empty row is both
+        only_pos = n_live == np.count_nonzero(on_diag > 0, axis=1)
+        only_neg = n_live == np.count_nonzero(on_diag < 0, axis=1)
+        contradicting = (only_pos & (b < 0)) | (only_neg & (b > 0))
+        if contradicting.any():
+            return alive, forcing, np.flatnonzero(contradicting).tolist()
+        force = (only_pos | only_neg) & (n_live > 0) & (b == 0)
+        if not force.any():
+            return alive, forcing, []
+        forcing += np.flatnonzero(force).tolist()
+        alive[np.flatnonzero(alive)[(on_diag[force] != 0).any(axis=0)]] = False
+        rows, cols = layout.entries
+        live = alive[rows] & alive[cols]
+        sub, diag = a[:, live], np.flatnonzero((rows == cols)[live])
+
+
+class _Face:
+    """The face the diagonal reduction leaves, and the lift of its blocks back to the full ones.
+
+    ``sizes`` holds the number of surviving indices of each block. When an
+    index is gone, ``kept`` lists the survivors of each block and ``live``
+    flags the svec entries between two of them; the blocks that keep an
+    index, in block order, make up the reduced problem, whose svec rows are
+    the ``live`` columns of the full ones.
+    """
+
+    def __init__(self, layout: _Layout, alive: np.ndarray, a: np.ndarray, c: np.ndarray):
+        self.layout = layout
+        self.whole = bool(alive.all())
+        self.sizes = layout.dims
+        if not self.whole:
+            starts = np.cumsum([0] + layout.dims)
+            self.kept = [np.flatnonzero(alive[at : at + k]) for at, k in zip(starts, layout.dims)]
+            self.sizes = [len(idx) for idx in self.kept]
+            rows, cols = layout.entries
+            self.live = alive[rows] & alive[cols]
+            # off the face, S = C - A^T y is all the lift needs of the data
+            self.a_dead, self.c_dead = a[:, ~self.live], c[~self.live]
+
+    def lift(self, blocks: list[np.ndarray], y: np.ndarray | None = None, objective: bool = True) -> list[np.ndarray]:
+        """Reduced blocks -> full blocks.
+
+        Off the face the full blocks hold 0, or with y the slack C - A^T y
+        (-A^T y without the objective, for a Farkas certificate).
+        """
+        if self.whole:
+            return blocks
+        vec = np.zeros(self.layout.total)
+        if y is not None:
+            vec[~self.live] = (self.c_dead if objective else 0.0) - self.a_dead.T @ y
+        full = self.layout.blocks(self.layout.unpack(vec))
+        reduced = iter(blocks)
+        for mat, idx in zip(full, self.kept):
+            if idx.size:
+                mat[np.ix_(idx, idx)] = next(reduced)
+        return full
 
 
 def _independent_rows(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], bool]:
@@ -371,39 +488,61 @@ def solve(
     problem.validate()
     layout = _Layout(problem.block_dims)
     a_svec, b_full, c_svec = _stack_problem(problem, layout)
-    kept, dropped, inconsistent = _independent_rows(a_svec, b_full)
-    diagnostics: dict = {"dropped_rows": dropped, "n_equalities": len(b_full)}
-    if inconsistent:
-        dims = layout.dims
+    alive, forcing, contradicting = _diagonal_face(a_svec, b_full, layout)
+    face = _Face(layout, alive, a_svec, c_svec)
+    diagnostics: dict = {
+        "dropped_rows": [],
+        "n_equalities": len(b_full),
+        "reduced_blocks": list(face.sizes),
+    }
+    certificate = None
+    if contradicting:
+        certificate = {"type": "facial-reduction", "forcing_rows": forcing, "rows": contradicting}
+    elif alive.any():
+        kept, dropped, inconsistent = _independent_rows(a_svec if face.whole else a_svec[:, face.live], b_full)
+        diagnostics["dropped_rows"] = dropped
+        if inconsistent:
+            certificate = {"type": "linear-inconsistency", "forcing_rows": forcing, "rows": dropped}
+    if certificate is not None or not alive.any():
+        # Settled before the first iteration: infeasible, or, with every index
+        # forced out and every row 0 = 0, X = 0 as the only feasible point.
+        feasible = certificate is None
         return SdpSolution(
-            status="infeasible",
-            X=[np.zeros((k, k)) for k in dims],
-            S=[np.zeros((k, k)) for k in dims],
+            status="optimal" if feasible else "infeasible",
+            X=[np.zeros((k, k)) for k in layout.dims],
+            S=layout.blocks(layout.unpack(c_svec)) if feasible else [np.zeros((k, k)) for k in layout.dims],
             y=np.zeros(len(b_full)),
-            objective_value=float("nan"),
-            primal_residual=float("inf"),
-            dual_residual=float("inf"),
-            relative_gap=float("inf"),
+            objective_value=0.0 if feasible else float("nan"),
+            primal_residual=0.0 if feasible else float("inf"),
+            dual_residual=0.0 if feasible else float("inf"),
+            relative_gap=0.0 if feasible else float("inf"),
             iterations=0,
-            tau=0.0,
-            kappa=1.0,
-            certificate={"type": "linear-inconsistency", "rows": dropped},
+            tau=1.0 if feasible else 0.0,
+            kappa=0.0 if feasible else 1.0,
+            certificate=certificate,
             diagnostics=diagnostics,
         )
     # Row normalization: conditions the Schur complement without moving X;
-    # dual multipliers are unscaled before they are returned. From here on the
-    # rows and the objective are full matrices in the flat layout.
+    # dual multipliers are unscaled before they are returned. Rows are scaled
+    # by their full norms and norm_c is that of the full objective, so the
+    # residuals measured on the face are those of the full problem. From here
+    # on the rows and the objective are full matrices in the flat layout of
+    # the face.
     a_svec = a_svec[kept]
     row_scale = np.maximum(np.linalg.norm(a_svec, axis=1), 1e-300)
+    c = layout.unpack(c_svec)
+    norm_c = 1.0 + float(np.linalg.norm(c))
+    if not face.whole:
+        a_svec = a_svec[:, face.live]
+        layout = _Layout([k for k in face.sizes if k])
+        c = layout.unpack(c_svec[face.live])
     a = layout.unpack(a_svec)
     del a_svec  # else it would stay alive, beside a, through the whole solve
     a /= row_scale[:, None]
     b = b_full[kept] / row_scale
-    c = layout.unpack(c_svec)
     p = a.shape[0]
     nu = sum(layout.dims)
     norm_b = 1.0 + float(np.linalg.norm(b))
-    norm_c = 1.0 + float(np.linalg.norm(c))
     cert_tol = max(10.0 * tol, 1e-10)
     # The scaled rows of a group are formed a few members at a time, so their
     # temporaries stay within p * k^2 of the largest block.
@@ -443,11 +582,12 @@ def solve(
         dres = float(np.linalg.norm(a.T @ ys + ss - c)) / norm_c
         dobj = float(b @ ys)
         gap = abs(obj - dobj) / (1.0 + abs(obj) + abs(dobj))
+        y_full = _expand_y(ys)
         return SdpSolution(
             status=status,
-            X=[_sym(m) for m in layout.blocks(xs)],
-            S=[_sym(m) for m in layout.blocks(ss)],
-            y=_expand_y(ys),
+            X=face.lift([_sym(m) for m in layout.blocks(xs)]),
+            S=face.lift([_sym(m) for m in layout.blocks(ss)], y_full),
+            y=y_full,
             objective_value=obj,
             primal_residual=pres,
             dual_residual=dres,
@@ -501,10 +641,11 @@ def solve(
             if kappa > tau and by > 0.0:
                 res_inf = float(np.linalg.norm(aty + s)) / by
                 if res_inf <= cert_tol * norm_c:
+                    y_cert = _expand_y(y / by)
                     cert = {
                         "type": "primal-infeasibility",
-                        "y": _expand_y(y / by),
-                        "S": [m / by for m in layout.blocks(s)],
+                        "y": y_cert,
+                        "S": face.lift([m / by for m in layout.blocks(s)], y_cert, objective=False),
                         "residual": res_inf,
                     }
                     return _solution(_snapshot(), "infeasible", iteration - 1, cert)
@@ -513,7 +654,7 @@ def solve(
                 if res_unb <= cert_tol * norm_b:
                     cert = {
                         "type": "unboundedness-ray",
-                        "X": [m / (-cx) for m in layout.blocks(x)],
+                        "X": face.lift([m / (-cx) for m in layout.blocks(x)]),
                         "residual": res_unb,
                     }
                     return _solution(_snapshot(), "unbounded", iteration - 1, cert)

@@ -286,6 +286,7 @@ def test_relaxations_record_sdp_sizes(tmp_path, capsys):
     # sigma_0 even and odd, then the block shared by sigma_1 and psi_1; one row
     # per non-constant swap orbit {x, y}, {x^2, y^2}, xy
     assert (solver["blocks"], solver["p"]) == ([2, 1, 1], 3)
+    assert solver["reduced_blocks"] == [2, 1, 1]
 
 
 def test_run_config_validation():

@@ -142,12 +142,30 @@ def test_convex_interval_bound_nonnegative(interval_spec):
 
 
 def test_unbounded_relaxation_flagged():
-    cubic = parse_problem("vars: x1\ng: x1^3\n")
+    cubic = parse_problem((PROBLEMS / "cubic_halfline.txt").read_text())
     _v_ks, v = relaxation_orders(cubic)
     assert v == 2
-    result = solve_relaxation(cubic, 1, v)
-    assert result.status == "inconclusive-unbounded"
-    assert result.rho is None and result.z is None
+    for s in (v, v + 1, v + 2):
+        result = solve_relaxation(cubic, 1, s)
+        assert result.status == "inconclusive-unbounded"
+        assert result.rho is None and result.z is None
+        # proven by the solver's presolve: sigma_0's odd block and all but one
+        # index of the others are forced out, and a row is left reading 0 = 0.75
+        diagnostics = result.diagnostics
+        assert (diagnostics["solver_status"], diagnostics["iterations"]) == ("infeasible", 0)
+        assert diagnostics["reduced_blocks"] == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "name, blocks, iterations",
+    [("hyperbola", [9, 6, 5, 5, 5], 11), ("parabola", [9, 6, 5, 5, 5], 9), ("two_interval", [4, 2, 3, 3], 10)],
+)
+def test_presolve_leaves_feasible_relaxations_whole(name, blocks, iterations):
+    # their rows force nothing out, so the order-2 solves run as before
+    spec = parse_problem((PROBLEMS / f"{name}.txt").read_text())
+    diagnostics = solve_relaxation(spec, 1, 2).diagnostics
+    assert diagnostics["blocks"] == diagnostics["reduced_blocks"] == blocks
+    assert (diagnostics["solver_status"], diagnostics["iterations"]) == ("optimal", iterations)
 
 
 def test_empty_set_relaxation_infeasible():
@@ -160,8 +178,8 @@ def test_empty_set_relaxation_infeasible():
 
 
 def test_stalled_relaxation_solved_once(monkeypatch):
-    # x1^3 >= 0 at order 3 stalls near 5e-3; a looser tolerance replays the
-    # same iterates, so there is nothing to retry
+    # x1^3 >= 0 at order 3 used to stall near 5e-3; its Gram program is now
+    # proven infeasible by the solver's presolve, still in one call
     calls = []
 
     def counted(*args, **kwargs):
@@ -173,7 +191,8 @@ def test_stalled_relaxation_solved_once(monkeypatch):
     cubic = parse_problem((PROBLEMS / "cubic_halfline.txt").read_text())
     result = solve_relaxation(cubic, 1, 3)
     assert calls == [pytest.approx(1e-9)]
-    assert result.status == "stalled"
+    assert result.status == "inconclusive-unbounded"
+    assert result.diagnostics["iterations"] == 0
     assert result.diagnostics["solver_tol"] == pytest.approx(1e-9)
 
 

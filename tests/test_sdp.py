@@ -57,12 +57,25 @@ def test_minimize_one_diagonal_entry():
 
 
 def test_offdiagonal_determinant_infeasible():
-    # trace X = 1 with X12 = 0.6 needs X11*X22 >= 0.36, but X11*X22 <= 0.25.
+    # trace X = 1 with X12 = 0.6 needs X11*X22 >= 0.36, but X11*X22 <= 0.25;
+    # the second instance embeds it in a 3x3 block whose first index X00 = 0
+    # forces out, so its Farkas certificate is lifted back from the face
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
-    p = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: e12}, 0.6)])
-    sol = solve(p)
-    assert sol.status == "infeasible"
-    assert sol.certificate is not None
+    embed = np.zeros((3, 3))
+    embed[1:, 1:] = e12
+    for rows in (
+        [(np.eye(2), 1.0), (e12, 0.6)],
+        [(np.diag([1.0, 0.0, 0.0]), 0.0), (np.diag([0.0, 1.0, 1.0]), 1.0), (embed, 0.6)],
+    ):
+        k = len(rows[0][0])
+        sol = solve(SdpProblem([k], {}, [({0: m}, rhs) for m, rhs in rows]))
+        assert sol.status == "infeasible"
+        cert = sol.certificate
+        assert cert["type"] == "primal-infeasibility"
+        # A^T y + S = 0 with b^T y = 1, over the full block
+        assert cert["S"][0].shape == (k, k)
+        assert np.max(np.abs(sum(y * m for y, (m, _) in zip(cert["y"], rows)) + cert["S"][0])) <= 1e-6
+        assert sum(y * rhs for y, (_, rhs) in zip(cert["y"], rows)) == pytest.approx(1.0)
 
 
 def test_offdiagonal_below_threshold_feasible():
@@ -77,9 +90,13 @@ def test_offdiagonal_below_threshold_feasible():
 
 
 def test_negative_scalar_equality_infeasible():
-    p = SdpProblem([1], {}, [({0: np.array([[1.0]])}, -1.0)])
-    sol = solve(p)
-    assert sol.status == "infeasible"
+    # one-signed diagonal weights against a right-hand side of the other sign
+    for diagonal, rhs in (([1.0], -1.0), ([1.0, 2.0], -1.0), ([-1.0, 0.0, -3.0], 2.0)):
+        p = SdpProblem([len(diagonal)], {}, [({0: np.diag(diagonal)}, rhs)])
+        sol = solve(p)
+        assert sol.status == "infeasible"
+        assert sol.iterations == 0
+        assert sol.certificate == {"type": "facial-reduction", "forcing_rows": [], "rows": [0]}
 
 
 def test_trace_one_analytic_center():
@@ -206,6 +223,8 @@ def test_zero_row_with_nonzero_rhs_infeasible():
     p = SdpProblem([2], {}, [({0: np.zeros((2, 2))}, 1.0)])
     sol = solve(p)
     assert sol.status == "infeasible"
+    assert sol.iterations == 0
+    assert sol.certificate["type"] == "facial-reduction"
 
 
 def test_duplicate_rows_are_dropped():
@@ -235,6 +254,7 @@ def test_random_strictly_feasible_battery():
         problem = random_strictly_feasible(rng, dims, p)
         sol = solve(problem, tol=1e-8, max_iter=100)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
+        assert sol.diagnostics["reduced_blocks"] == dims  # dense rows force nothing
         assert sol.relative_gap <= 1e-7
         # objective value must match <C, X> recomputed from the returned blocks
         recomputed = sum(
@@ -363,3 +383,66 @@ def test_stacked_rows_match_a_matrix_by_matrix_reference():
     expected = sum(np.tensordot(mat, xs[blk]) for blk, mat in problem.objective.items())
     assert layout.unpack(c) @ flat == pytest.approx(expected, abs=1e-12)
 
+
+
+# -- diagonal facial reduction ---------------------------------------------------------
+
+
+def test_zero_diagonal_row_forces_indices_out():
+    # X00 + X11 = 0 forces indices 0 and 1 out of the 3x3 block; the second
+    # row and the objective also reach into the removed rows and columns
+    a1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+    c = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 1.0]])
+    rows = [np.diag([1.0, 1.0, 0.0]), a1]
+    rhs = np.array([0.0, 2.0])
+    sol = solve(SdpProblem([3], {0: c}, [({0: rows[0]}, 0.0), ({0: a1}, 2.0)]))
+    assert sol.status == "optimal"
+    assert sol.diagnostics["reduced_blocks"] == [1]
+    assert 0 in sol.diagnostics["dropped_rows"] and sol.y[0] == 0.0
+    x, s = sol.X[0], sol.S[0]
+    assert np.all(x[:2, :] == 0.0) and np.all(x[:, :2] == 0.0)
+    assert x[2, 2] == pytest.approx(1.0, abs=1e-8)
+    assert sol.objective_value == pytest.approx(1.0, abs=1e-8)
+    # S is C - A^T y off the face; the residuals are the full problem's, each
+    # row scaled by its full norm
+    slack = c - sol.y[0] * rows[0] - sol.y[1] * a1
+    assert np.allclose(s[:2, :], slack[:2, :], atol=1e-12) and np.allclose(s[:, :2], slack[:, :2], atol=1e-12)
+    norms = np.array([np.linalg.norm(m) for m in rows])
+    primal = np.array([np.tensordot(m, x) for m in rows]) - rhs
+    assert sol.primal_residual == pytest.approx(
+        np.linalg.norm(primal / norms) / (1.0 + np.linalg.norm(rhs / norms)), rel=1e-3, abs=1e-15
+    )
+    assert sol.dual_residual == pytest.approx(
+        np.linalg.norm(s - slack) / (1.0 + np.linalg.norm(c)), rel=1e-3, abs=1e-15
+    )
+    dual_obj = float(rhs @ sol.y)
+    assert sol.relative_gap == pytest.approx(
+        abs(sol.objective_value - dual_obj) / (1.0 + abs(sol.objective_value) + abs(dual_obj)), rel=1e-3, abs=1e-15
+    )
+    assert max(sol.primal_residual, sol.dual_residual, sol.relative_gap) <= 1e-8
+
+
+def test_forcing_chain_ends_in_inconsistent_row():
+    # round 1: X00 = 0; round 2: then 2 X01 + X11 = 0 reads X11 = 0; and
+    # then 2 X12 = 1 has no live entry left
+    rows = [
+        (np.diag([1.0, 0.0, 0.0]), 0.0),
+        (np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]), 0.0),
+        (np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), 1.0),
+        (np.diag([0.0, 0.0, 1.0]), 1.0),
+    ]
+    sol = solve(SdpProblem([3], {}, [({0: m}, rhs) for m, rhs in rows]))
+    assert sol.status == "infeasible"
+    assert sol.iterations == 0
+    assert sol.certificate == {"type": "facial-reduction", "forcing_rows": [0, 1], "rows": [2]}
+    assert sol.diagnostics["reduced_blocks"] == [1]
+
+
+def test_every_index_forced_out_leaves_zero():
+    c = np.array([[1.0, -2.0], [-2.0, 1.0]])
+    sol = solve(SdpProblem([2, 1], {0: c}, [({0: np.eye(2), 1: np.eye(1)}, 0.0)]))
+    assert sol.status == "optimal"
+    assert sol.iterations == 0
+    assert sol.diagnostics["reduced_blocks"] == [0, 0]
+    assert all(np.all(x == 0.0) for x in sol.X)
+    assert np.array_equal(sol.S[0], c) and sol.objective_value == 0.0
