@@ -27,7 +27,7 @@ README_OUTCOMES = {
     "box": ("convex", 0),
     "parabola": ("not convex", 0),
     "hyperbola": ("not convex", 0),
-    "two_interval": ("inconclusive", 3),
+    "two_interval": ("not convex", 0),
     "cubic_halfline": ("inconclusive", 2),
 }
 

@@ -18,7 +18,6 @@ from .certify import (
     certify_sufficient,
     verify_certificate,
 )
-from .cli import RunConfig, run_analyze, run_certify, run_refute
 from .moments import (
     MomentSequence,
     MonomialBasis,
@@ -54,12 +53,27 @@ from .refute import (
     extract_atoms,
     rank_flatness_check,
     relaxation_orders,
+    sample_witness,
     solve_relaxation,
     validate_witness,
 )
 from .sdp import SdpProblem, SdpSolution, dump_sdp, solve
 
 __version__ = "0.1.0"
+
+# The CLI's names load on first use (PEP 562): importing the cli module here
+# would put it in sys.modules before `python -m convexcert.cli` runs it, and
+# runpy warns about that on every run.
+_CLI_NAMES = ("RunConfig", "run_analyze", "run_certify", "run_refute")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArchimedeanCertificate",
@@ -104,6 +118,7 @@ __all__ = [
     "run_analyze",
     "run_certify",
     "run_refute",
+    "sample_witness",
     "serialize_report",
     "solve",
     "solve_relaxation",

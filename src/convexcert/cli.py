@@ -10,9 +10,17 @@ drawn from that one solve:
   SOS term; a negative one stays in the constant coefficient, where the
   residual test judges it); refute stops, as no midpoint violation is left
   to find;
-* rho < -tol_feas: refute and analyze run the flatness test, atom
-  extraction and witness validation; certify notes that -rho is the least
-  epsilon for which the degree-k identity holds.
+* rho < -tol_feas: certify notes that -rho is the least epsilon for which
+  the degree-k identity holds. Refute and analyze draw, at the first such
+  order, one seeded sample of member pairs (refute.sample_witness) and keep
+  its best polished pair. rho is a lower bound on g_j at the midpoint of
+  any two members, so a pair whose violation comes within
+  refute.SAMPLE_ATTAIN_RTOL * |rho| of rho is, up to that margin, as strong
+  a witness as any deeper order could give: the ladder stops there. Below
+  that, the order runs the flatness test, atom extraction and witness
+  validation, and later orders compare the same pair with their own rho.
+  A pair that attains no bound refutes the constraint only if the ladder
+  ends with no other witness.
 
 With --stengle the preordering certificate replaces the quadratic-module
 one, solved at each order before the Gram solve, which certify mode skips
@@ -88,6 +96,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.stengle_p < 1:
             raise ValueError("stengle power must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _order_ladder(config: RunConfig, spec: ProblemSpec) -> tuple[int, int]:
@@ -144,9 +154,9 @@ def _try_certificate(entry: dict, outcome, spec: ProblemSpec, k: int, config: Ru
     return True
 
 
-def _try_witness(entry: dict, record: dict, result: refute.RelaxationResult,
-                 spec: ProblemSpec, config: RunConfig) -> bool:
-    """Flatness, extraction and validation; True when a witness refuted the constraint."""
+def _moment_witness(entry: dict, record: dict, result: refute.RelaxationResult,
+                    spec: ProblemSpec, config: RunConfig) -> refute.NonconvexityWitness | None:
+    """Flatness, extraction and validation; the witness, or None with a note saying why."""
     k, notes = result.s, entry["notes"]
     flatness = refute.rank_flatness_check(result, spec)
     record["flatness"] = flatness.to_payload()
@@ -159,13 +169,13 @@ def _try_witness(entry: dict, record: dict, result: refute.RelaxationResult,
             f"relaxation suggests non-convexity at order {k} (rho={result.rho:.3e}) "
             f"but the flatness gate failed: {reason}"
         )
-        return False
+        return None
     try:
         atoms = refute.extract_atoms(result, flatness.t, seed=config.seed)
     except refute.ExtractionError as exc:
         entry["unproven_signal"] = True
         notes.append(f"flat at order {k} but atom extraction failed: {exc}")
-        return False
+        return None
     witness = refute.validate_witness(atoms, spec, result.j, tol_feas=config.tol_feas)
     if witness is None:
         entry["unproven_signal"] = True
@@ -173,12 +183,15 @@ def _try_witness(entry: dict, record: dict, result: refute.RelaxationResult,
             f"extracted atoms at order {k} failed direct re-evaluation; "
             "no violation can be claimed"
         )
-        return False
+    return witness
+
+
+def _accept_witness(entry: dict, witness: refute.NonconvexityWitness, source: str,
+                    order: int, rho: float) -> None:
+    """Refute the constraint; order and rho name the relaxation the witness answers."""
     payload = witness.to_payload()
-    payload["order"] = k
-    payload["rho"] = result.rho
-    entry.update(verdict="refuted", witness=payload)
-    return True
+    payload.update(source=source, order=order, rho=rho)
+    entry.update(verdict="refuted", witness=payload, unproven_signal=False)
 
 
 def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
@@ -196,6 +209,8 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
     notes = entry["notes"]
     start, cap = _order_ladder(config, spec)
     stengle = config.stengle and config.mode != "refute"
+    sampled: refute.NonconvexityWitness | None = None  # the kept member pair, if any
+    last_negative: tuple[int, float] | None = None  # (order, rho) of the last rho < -tol_feas
     for k in range(start, cap + 1):
         if stengle:
             try:
@@ -241,8 +256,30 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
                 "is the least epsilon for which the degree-k identity holds"
             )
             continue
-        if _try_witness(entry, record, result, spec, config):
+        if last_negative is None:  # one draw per constraint, from the first negative bound's moments
+            sampled = refute.sample_witness(result, spec, seed=config.seed, tol_feas=config.tol_feas)
+        violation = sampled.atoms[0].violation if sampled is not None else None
+        record["sampled_violation"] = violation
+        last_negative = (k, result.rho)
+        if sampled is not None and refute.attains_bound(violation, result.rho):
+            notes.append(
+                f"sampled member pair attains rho={result.rho:.3e} at order {k} "
+                f"within {refute.SAMPLE_ATTAIN_RTOL:g} (midpoint violation {violation:.3e})"
+            )
+            _accept_witness(entry, sampled, "sampled", k, result.rho)
             break
+        witness = _moment_witness(entry, record, result, spec, config)
+        if witness is not None:
+            _accept_witness(entry, witness, "moments", k, result.rho)
+            break
+    if sampled is not None and entry["verdict"] == "inconclusive":
+        order, rho = last_negative
+        notes.append(
+            f"no flat witness up to order {order}; the sampled member pair "
+            f"(midpoint violation {sampled.atoms[0].violation:.3e}, rho={rho:.3e}) "
+            "refutes the constraint"
+        )
+        _accept_witness(entry, sampled, "sampled", order, rho)
     return entry
 
 
@@ -349,7 +386,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stengle-p", type=int, default=1, help="power p in the preordering identity")
     parser.add_argument("--archimedean", type=float, default=None, metavar="M",
                         help="also test whether M - |x|^2 lies in the quadratic module")
-    parser.add_argument("--seed", type=int, default=0, help="seed for extraction randomness")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="non-negative seed for the sampled member pairs and for extraction")
     parser.add_argument("--tol-feas", type=float, default=1e-6)
     parser.add_argument("--tol-residual", type=float, default=1e-6)
     parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")

@@ -15,6 +15,7 @@ zero polynomial always has an empty term map and degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
@@ -305,6 +306,92 @@ def coeff_linf_distance(a: Polynomial, b: Polynomial) -> float:
         if diff > worst:
             worst = diff
     return worst
+
+
+def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """prod_i points[:, i] ** exponents[:, i] for every point: shape (N, T).
+
+    The powers come from a table built by repeated multiplication, which is
+    several times faster than a power per entry and within a few ulps of it.
+    """
+    powers = np.empty((int(exponents.max(initial=0)) + 1,) + points.shape)
+    powers[0] = 1.0
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * points
+    return powers[exponents, :, np.arange(points.shape[1])].prod(axis=1).T
+
+
+class PolynomialSystem:
+    """Polynomials over one space, compiled for evaluation at many points at once.
+
+    The union of their supports becomes one exponent matrix E (T x d) and
+    their coefficients one matrix C (P x T), so the values at N points are
+    one product of the (N, T) monomial values with C^T. Derivatives take the
+    same form: d/dw_i of w^e is e_i w^(e - e_i), so every gradient and
+    Hessian entry is a fixed combination of monomials, and values, gradients
+    and Hessians together are one monomial table times one coefficient
+    matrix, set up on first use.
+    """
+
+    def __init__(self, polynomials: Sequence[Polynomial]):
+        if not polynomials:
+            raise ValueError("need at least one polynomial")
+        space = polynomials[0].space
+        for p in polynomials:
+            if p.space != space:
+                raise ValueError(f"operand spaces differ: {space} vs {p.space}")
+        d = space.arity
+        support = sorted(set().union(*(p.terms for p in polynomials)), key=grlex_key)
+        exps = np.array(support, dtype=np.int64).reshape(len(support), d)
+        coeffs = np.array([[p.terms.get(e, 0.0) for e in support] for p in polynomials])
+        coeffs = coeffs.reshape(len(polynomials), len(support))
+        self.space = space
+        self.exponents = exps
+        self.coefficients = coeffs
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents (U, d) and coefficients (U, (1 + d + d^2) P) of values and derivatives."""
+        exps, coeffs = self.exponents, self.coefficients
+        d = self.space.arity
+        # slot b of (value, d/dw_i, d^2/dw_i dw_l): shifted exponents (b, T, d) and
+        # factors (b, T); d/dw_i has factor e_i, d^2/dw_i dw_l has e_i (e_l - [i == l]),
+        # and a shift that would go negative comes with a zero factor
+        eye = np.eye(d, dtype=np.int64)
+        shifts = np.concatenate([np.zeros((1, d), dtype=np.int64), eye,
+                                 (eye[:, None, :] + eye[None, :, :]).reshape(d * d, d)])
+        factors = np.concatenate([
+            np.ones((1, len(exps)), dtype=np.int64),
+            exps.T,
+            (exps.T[:, None, :] * (exps.T[None, :, :] - eye[:, :, None])).reshape(d * d, -1),
+        ])
+        shifted = np.maximum(exps[None] - shifts[:, None, :], 0)
+        table_exps, inverse = np.unique(shifted.reshape(-1, d), axis=0, return_inverse=True)
+        slots = len(shifts)
+        table = np.zeros((len(table_exps), slots, len(coeffs)))
+        np.add.at(table, (inverse.reshape(slots, -1), np.arange(slots)[:, None]),
+                  factors[:, :, None] * coeffs.T[None])
+        return table_exps, table.reshape(len(table_exps), slots * len(coeffs))
+
+    def _points(self, points) -> np.ndarray:
+        array = np.asarray(points, dtype=float)
+        if array.ndim != 2 or array.shape[1] != self.space.arity:
+            raise ValueError(f"points have shape {array.shape}, expected (N, {self.space.arity})")
+        return array
+
+    def __call__(self, points) -> np.ndarray:
+        """Values at each of N points: shape (N, P)."""
+        return _monomials(self._points(points), self.exponents) @ self.coefficients.T
+
+    def derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values (N, P), gradients (N, P, d) and Hessians (N, P, d, d) at N points."""
+        array = self._points(points)
+        n, d, count = len(array), self.space.arity, len(self.coefficients)
+        table_exps, table_coeffs = self._table
+        table = (_monomials(array, table_exps) @ table_coeffs).reshape(n, -1, count)
+        grads = table[:, 1:d + 1].transpose(0, 2, 1)
+        hessians = table[:, d + 1:].reshape(n, d, d, count).transpose(0, 3, 1, 2)
+        return table[:, 0], grads, hessians
 
 
 def ball_polynomial(space: VariableSpace, bound: float) -> Polynomial:

@@ -31,6 +31,18 @@ that combination mixes atoms, which is why extraction retries with a fresh
 combination when the atoms fail to reproduce z. Witness validation
 re-evaluates every polynomial inequality directly, so an accepted witness
 stands on its own without trusting the solver.
+
+A witness needs no flatness when a pair of members can be found directly.
+sample_witness draws seeded uniform points in a box sized from the order-1
+moments, keeps those strictly inside the set, scores g_j at every pairwise
+midpoint in one vectorised pass, and polishes the best pairs by log-barrier
+Newton steps, whose iterates stay strictly inside. The stopping rule is
+sound because rho is a lower bound on g_j((x+y)/2) over all member pairs:
+a pair whose violation reaches rho within SAMPLE_ATTAIN_RTOL * |rho|
+(attains_bound) is, up to that margin, the strongest witness any order can
+give, so climbing further gains nothing. The sampler needs numpy only; a
+set with empty interior leaves it without members, and then only flatness
+can help.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ import numpy as np
 
 from . import certify, sdp
 from .moments import MomentSequence, localizing_matrix, monomial_basis, moment_matrix
-from .polynomials import Polynomial
+from .polynomials import Polynomial, PolynomialSystem, lift, midpoint_substitute
 from .problemio import ProblemSpec
 
 RANK_SINGULAR_THRESHOLD = 1e-6
@@ -55,6 +67,21 @@ EXTRACTION_MAX_ATTEMPTS = 5
 # 1e-6 now and then even when the atoms are right to 1e-6. A loose match costs
 # no soundness: validate_witness re-evaluates every atom directly.
 EXTRACTION_MATCH_TOL = 1e-4
+# Sampled witnesses (sample_witness). A sampled pair whose violation is within
+# SAMPLE_ATTAIN_RTOL * |rho| of the order's bound rho attains that bound: rho
+# is a lower bound on g_j at every member midpoint, so no deeper order can
+# give a witness stronger by more than that margin.
+SAMPLE_ATTAIN_RTOL = 1e-2
+SAMPLE_POINTS = 400
+SAMPLE_POLISHED = 4
+SAMPLE_CHUNK = 8192  # midpoints scored per vectorised pass, to keep temporaries small
+POLISH_STAGES = 2
+POLISH_SHRINK = 1e-2  # mu per stage, relative to |rho| per constraint: 1e-2, then 1e-4
+POLISH_NEWTON_STEPS = 6
+POLISH_LINE_SEARCH = 20
+POLISH_ARMIJO = 1e-4
+POLISH_DECREMENT = 1.0  # a stage ends once every squared Newton decrement is <= this * mu
+POLISH_EIG_FLOOR = 1e-12
 
 
 class ExtractionError(RuntimeError):
@@ -362,7 +389,7 @@ def validate_witness(
         )
         midpoint = 0.5 * (x_part + y_part)
         violation = gj.evaluate(midpoint)
-        if margin < -tol_feas or violation > -tol_strict:
+        if not (margin >= -tol_feas and violation <= -tol_strict):  # a NaN fails too
             continue
         survivors.append(
             WitnessAtom(
@@ -380,3 +407,124 @@ def validate_witness(
     for atom in survivors:
         atom.weight = atom.weight / total
     return NonconvexityWitness(j=j, atoms=survivors, tol_feas=tol_feas, tol_strict=tol_strict)
+
+
+# -- witnesses from sampled member pairs ----------------------------------------
+
+
+def attains_bound(violation: float, rho: float) -> bool:
+    """Whether a midpoint violation reaches the bound rho within SAMPLE_ATTAIN_RTOL."""
+    return violation <= rho + SAMPLE_ATTAIN_RTOL * abs(rho)
+
+
+def _polish(system: PolynomialSystem, pairs: np.ndarray, scale: float) -> np.ndarray:
+    """Log-barrier Newton steps from strictly feasible pairs toward a local minimiser.
+
+    system's first polynomial is the objective g_j((x+y)/2), the others the
+    constraints g_k(x) and g_k(y), all positive at the pairs. Each stage
+    minimises objective - mu * sum log(constraint) for one mu, the stages
+    shrinking mu by POLISH_SHRINK from scale * POLISH_SHRINK per constraint,
+    which bounds the barrier's own gap by about scale * POLISH_SHRINK^stages
+    at a local minimiser. A step is Newton's with the Hessian's eigenvalues
+    taken in absolute value (floored), so it descends where the barrier
+    function is not convex. Its length is the longest of 1, 1/2, 1/4, ...
+    that stays strictly feasible and meets the Armijo test; all lengths of
+    all pairs are evaluated in one pass. Iterates stay strictly inside the
+    set and approach a minimiser on its boundary, or at a corner of it, to
+    about mu.
+    """
+    count = system.coefficients.shape[0] - 1
+    lengths = 0.5 ** np.arange(POLISH_LINE_SEARCH)
+    rows = np.arange(len(pairs))
+    w = pairs.copy()
+    for mu in scale / count * POLISH_SHRINK ** np.arange(1, POLISH_STAGES + 1):
+        for _step in range(POLISH_NEWTON_STEPS):
+            values, grads, hessians = system.derivatives(w)
+            inverse = 1.0 / values[:, 1:]
+            scaled = grads[:, 1:] * inverse[:, :, None]  # grad g_k / g_k
+            gradient = grads[:, 0] - mu * scaled.sum(axis=1)
+            hessian = hessians[:, 0] - mu * (
+                np.einsum("kp,kpil->kil", inverse, hessians[:, 1:])
+                - np.einsum("kpi,kpl->kil", scaled, scaled)
+            )
+            eigvals, eigvecs = np.linalg.eigh(hessian)
+            magnitude = np.abs(eigvals)
+            floor = POLISH_EIG_FLOOR * (1.0 + magnitude.max(axis=1, keepdims=True))
+            along = np.einsum("kji,kj->ki", eigvecs, gradient) / np.maximum(magnitude, floor)
+            direction = -np.einsum("kij,kj->ki", eigvecs, along)
+            slope = np.einsum("ki,ki->k", gradient, direction)
+            barrier = values[:, 0] - mu * np.log(values[:, 1:]).sum(axis=1)
+            trials = w[:, None, :] + lengths[None, :, None] * direction[:, None, :]
+            tried = system(trials.reshape(-1, w.shape[1])).reshape(len(w), len(lengths), -1)
+            inside = np.all(tried[..., 1:] > 0, axis=-1)
+            logs = np.log(np.where(inside[..., None], tried[..., 1:], 1.0)).sum(axis=-1)
+            accepted = inside & (tried[..., 0] - mu * logs
+                                 <= barrier[:, None] + POLISH_ARMIJO * lengths * slope[:, None])
+            moved = accepted.any(axis=1)
+            first = np.argmax(accepted, axis=1)
+            w = np.where(moved[:, None], trials[rows, first], w)
+            if np.all(-slope <= POLISH_DECREMENT * mu):
+                break
+    return w
+
+
+def sample_witness(
+    result: RelaxationResult,
+    spec: ProblemSpec,
+    seed: int = 0,
+    tol_feas: float = DEFAULT_FEASIBILITY_TOL,
+) -> NonconvexityWitness | None:
+    """The best member pair of a seeded sample, polished, as a one-atom witness.
+
+    SAMPLE_POINTS points are drawn uniformly from the box of radius
+    2 * sqrt(max_i E[w_i^2]) about the origin, the second moments read off
+    the diagonal of the order-1 moment matrix of result; the generator is
+    seeded with (seed, j). The points where every g_k is positive, evaluated
+    at the point itself with no tolerance, are the members. g_j is scored at
+    the midpoints of all member pairs in one vectorised pass (in chunks of
+    SAMPLE_CHUNK midpoints), and the SAMPLE_POLISHED best pairs are polished
+    by _polish with the scale |rho|. The best polished pair goes to
+    validate_witness only when it violates g_j by the strict tolerance and
+    stays inside the set, so a sampled witness has feasibility_margin >= 0.
+
+    Returns None when the sample holds fewer than two members (a thin set:
+    no polish is run) or no pair qualifies. Needs numpy only.
+    """
+    if result.z is None or result.rho is None:
+        raise ValueError("relaxation result carries no moment sequence")
+    n, j = spec.n, result.j
+    peak = float(np.max(np.diag(moment_matrix(result.z, 1))[1:]))  # largest E[w_i^2]
+    if not (np.isfinite(peak) and peak > 0.0):
+        return None
+    radius = 2.0 * np.sqrt(peak)
+    rng = np.random.default_rng([seed, j])
+    points = rng.uniform(-radius, radius, size=(SAMPLE_POINTS, n))
+    constraints = PolynomialSystem(spec.constraints)
+    members = points[np.all(constraints(points) > 0.0, axis=1)]
+    count = len(members)
+    if count < 2:
+        return None
+    objective = PolynomialSystem([spec.constraints[j - 1]])
+    scores = np.empty((count, count))
+    rows_per_chunk = max(1, SAMPLE_CHUNK // count)
+    for start in range(0, count, rows_per_chunk):
+        block = members[start:start + rows_per_chunk]
+        midpoints = 0.5 * (block[:, None, :] + members[None, :, :])
+        scores[start:start + len(block)] = objective(midpoints.reshape(-1, n)).reshape(len(block), count)
+    scores[np.tri(count, dtype=bool)] = np.inf  # each unordered pair once, no pair with itself
+    polished_count = min(SAMPLE_POLISHED, count * (count - 1) // 2)
+    best = np.argpartition(scores, polished_count - 1, axis=None)[:polished_count]
+    rows, cols = np.unravel_index(best, scores.shape)
+    pairs = np.hstack([members[rows], members[cols]])
+    lifted = [midpoint_substitute(spec.constraints[j - 1])]
+    lifted += [lift(g, side) for side in ("x", "y") for g in spec.constraints]
+    system = PolynomialSystem(lifted)
+    polished = _polish(system, pairs, abs(result.rho))
+    values = system(polished)
+    pick = int(np.argmin(values[:, 0]))
+    if not values[pick, 0] <= -10.0 * tol_feas:  # a NaN fails too
+        return None
+    witness = validate_witness([(polished[pick], 1.0)], spec, j, tol_feas=tol_feas)
+    if witness is None or witness.atoms[0].feasibility_margin < 0.0:
+        return None
+    return witness

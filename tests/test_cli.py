@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convexcert import cli, sdp
+import convexcert
+from convexcert import cli, refute, sdp
 from convexcert.problemio import validate_report_payload
 
 from conftest import (
@@ -79,13 +83,108 @@ def test_interval_refute_finds_nothing(tmp_path, capsys):
 
 
 def test_two_interval_refute_unproven_signal(tmp_path, capsys):
+    # rho = -1 at order 1 is exact, and a sampled member pair attains it, so the
+    # negative bound is proven and no signal is left unproven
     path = write_problem(tmp_path, TWO_INTERVAL)
+    code, payload = run_cli(capsys, [path, "--mode", "refute"])
+    assert code == 0
+    assert payload["verdict"] == "not convex"
+    assert "unproven-nonconvexity-signal" not in payload["flags"]
+    g1 = payload["constraints"][0]
+    assert g1["unproven_signal"] is False
+    (record,) = g1["relaxations"]
+    assert record["order"] == 1 and record["rho"] <= -0.95
+    witness = g1["witness"]
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
+    (atom,) = witness["atoms"]
+    assert atom["violation"] <= -0.9
+    assert atom["violation"] == record["sampled_violation"]
+    assert refute.attains_bound(atom["violation"], record["rho"])
+    assert atom["feasibility_margin"] >= 0.0
+    assert validate_report_payload(payload) == []
+
+
+THIN = "vars: x1 x2\ng: x1^2 - 1\ng: 1 - x1^2\ng: 1 - x2^2\n"  # two segments x1 = +-1
+
+
+def test_thin_set_keeps_unproven_signal(tmp_path, capsys):
+    # a uniform sample holds no member of a set with empty interior, so the
+    # negative bound stays unproven when the moments are not flat either
+    path = write_problem(tmp_path, THIN)
     code, payload = run_cli(capsys, [path, "--mode", "refute"])
     assert code == 3
     assert payload["verdict"] == "inconclusive"
     assert "unproven-nonconvexity-signal" in payload["flags"]
     g1 = payload["constraints"][0]
-    assert any(r["rho"] is not None and r["rho"] <= -0.95 for r in g1["relaxations"])
+    assert g1["unproven_signal"] is True and g1["witness"] is None
+    negative = [r for r in g1["relaxations"] if r["rho"] is not None and r["rho"] < -1e-6]
+    assert negative and all(r["sampled_violation"] is None for r in negative)
+
+
+def test_unattained_sampled_pair_is_the_fallback_witness(tmp_path, capsys, monkeypatch):
+    # with the stop disabled, two_interval is flat at no order, so the kept pair
+    # refutes the constraint at the end of the ladder, named by the last order
+    monkeypatch.setattr(refute, "attains_bound", lambda violation, rho: False)
+    path = write_problem(tmp_path, TWO_INTERVAL)
+    code, payload = run_cli(capsys, [path, "--mode", "refute"])
+    assert code == 0
+    assert payload["verdict"] == "not convex"
+    assert payload["flags"] == []
+    g1 = payload["constraints"][0]
+    assert g1["unproven_signal"] is False
+    assert [r["order"] for r in g1["relaxations"]] == [1, 2, 3]
+    assert len({r["sampled_violation"] for r in g1["relaxations"]}) == 1  # one draw
+    last = g1["relaxations"][-1]
+    witness = g1["witness"]
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 3, last["rho"])
+    assert witness["atoms"][0]["violation"] == last["sampled_violation"] <= -0.9
+
+
+def test_moment_witness_clears_earlier_unproven_signal(capsys, monkeypatch):
+    # without sampling, hyperbola fails the flatness gate at orders 1 and 2 and
+    # is refuted by extracted atoms at order 3; the earlier signal is then proven
+    monkeypatch.setattr(refute, "sample_witness", lambda *args, **kwargs: None)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt")])
+    assert (payload["verdict"], code) == ("not convex", 0)
+    assert "unproven-nonconvexity-signal" not in payload["flags"]
+    g1 = payload["constraints"][0]
+    assert g1["unproven_signal"] is False
+    assert [r["flatness"]["flat"] for r in g1["relaxations"]] == [False, False, True]
+    witness = g1["witness"]
+    assert (witness["source"], witness["order"], len(witness["atoms"])) == ("moments", 3, 4)
+
+
+def test_hyperbola_report_has_no_stale_unproven_signal(capsys):
+    # order 1 fails the flatness gate, order 2 is attained by the sampled pair
+    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt")])
+    assert (payload["verdict"], code) == ("not convex", 0)
+    assert payload["flags"] == []
+    g1 = payload["constraints"][0]
+    assert g1["unproven_signal"] is False
+    first, second = g1["relaxations"]
+    assert first["flatness"]["flat"] is False and "flatness" not in second
+    assert first["sampled_violation"] == second["sampled_violation"]
+    assert not refute.attains_bound(first["sampled_violation"], first["rho"])
+    assert (g1["witness"]["source"], g1["witness"]["order"]) == ("sampled", 2)
+
+
+def test_negative_seed_exits_64(tmp_path, capsys):
+    # numpy's generators take non-negative seeds only
+    with pytest.raises(ValueError, match="seed"):
+        cli.RunConfig(seed=-1)
+    code = cli.main([write_problem(tmp_path, TWO_INTERVAL), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == "" and captured.err.startswith("convexcert: ")
+
+
+def test_sampled_report_deterministic_under_rerun(tmp_path, capsys):
+    path = str(PROBLEMS / "hyperbola.txt")
+    args = [path, "--mode", "analyze", "--seed", "3"]
+    _, first = run_cli(capsys, args)
+    _, second = run_cli(capsys, args)
+    assert json.dumps(_strip_timings(first)) == json.dumps(_strip_timings(second))
+    assert first["constraints"][0]["witness"]["source"] == "sampled"
 
 
 def test_redundant_constraint_certified(tmp_path, capsys):
@@ -157,9 +256,17 @@ def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, PARABOLA)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
-    # g1: orders 1 and 2 (witness); g2 and g3: certified from their order-1 solve
-    assert calls == 4
-    assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 4
+    # g1: order 1, where a sampled member pair attains rho; g2 and g3: certified
+    # from their order-1 solve
+    assert calls == 3
+    assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 3
+    g1 = payload["constraints"][0]
+    (record,) = g1["relaxations"]
+    witness = g1["witness"]
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
+    (atom,) = witness["atoms"]
+    assert refute.attains_bound(atom["violation"], record["rho"])
+    assert atom["violation"] <= -0.99 and math.dist(atom["midpoint"], (0.0, 1.0)) <= 1e-2
 
 
 def test_interval_analyze(tmp_path, capsys):
@@ -330,11 +437,17 @@ README_OUTCOMES = {
     "box": ("convex", 0),
     "parabola": ("not convex", 0),
     "hyperbola": ("not convex", 0),
-    "two_interval": ("inconclusive", 3),
+    "two_interval": ("not convex", 0),
     "cubic_halfline": ("inconclusive", 2),
 }
-# (order, atom count) of the first witness, as the README table states it
-README_WITNESSES = {"parabola": (2, 2), "hyperbola": (3, 4)}
+# (source, order, atom count) of the first witness, as the README table states it
+README_WITNESSES = {
+    "parabola": ("sampled", 1, 1),
+    "hyperbola": ("sampled", 2, 1),
+    "two_interval": ("sampled", 1, 1),
+}
+# least value of g1 at the midpoint of two members (hyperbola: (2, 1/2) and (-1/2, -2))
+MIDPOINT_MINIMA = {"parabola": -1.0, "hyperbola": -1.5625, "two_interval": -1.0}
 
 
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.txt")), ids=lambda path: path.stem)
@@ -342,10 +455,20 @@ def test_bundled_problem_analyze_outcome(path, capsys):
     code, payload = run_cli(capsys, [str(path)])
     assert (payload["verdict"], code) == README_OUTCOMES[path.stem]
     witnesses = [c["witness"] for c in payload["constraints"] if c["witness"] is not None]
-    if path.stem in README_WITNESSES:
-        assert (witnesses[0]["order"], len(witnesses[0]["atoms"])) == README_WITNESSES[path.stem]
-    else:
+    if path.stem not in README_WITNESSES:
         assert witnesses == []
+        return
+    witness = witnesses[0]
+    assert (witness["source"], witness["order"], len(witness["atoms"])) == README_WITNESSES[path.stem]
+    (record,) = [r for r in payload["constraints"][0]["relaxations"] if r["order"] == witness["order"]]
+    assert witness["rho"] == record["rho"]
+    # the pair attains its order's bound, which lies below the true minimum
+    atom = witness["atoms"][0]
+    assert refute.attains_bound(atom["violation"], witness["rho"])
+    assert witness["rho"] <= MIDPOINT_MINIMA[path.stem] + 1e-6
+    assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * (1.0 - refute.SAMPLE_ATTAIN_RTOL)
+    assert atom["feasibility_margin"] >= 0.0
+    assert "unproven-nonconvexity-signal" not in payload["flags"]
 
 
 # analyze verdict of each constraint, with or without --archimedean
@@ -357,7 +480,7 @@ ANALYZE_CONSTRAINT_VERDICTS = {
     "hyperbola": ["refuted", "certified", "certified"],
     "interval": ["certified"],
     "parabola": ["refuted", "certified", "certified"],
-    "two_interval": ["inconclusive", "certified"],
+    "two_interval": ["refuted", "certified"],
 }
 # --mode certify --stengle: (verdict, exit code, verdict of each constraint)
 STENGLE_OUTCOMES = {
@@ -397,6 +520,10 @@ def test_bundled_problem_archimedean_outcome(path, capsys):
     assert (payload["verdict"], code) == README_OUTCOMES[path.stem]
     assert [c["verdict"] for c in payload["constraints"]] == ANALYZE_CONSTRAINT_VERDICTS[path.stem]
     assert payload["archimedean"]["holds"] is ARCHIMEDEAN_HOLDS[path.stem]
+    witness = payload["constraints"][0]["witness"]
+    if witness is not None:
+        for atom in witness["atoms"]:
+            assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * (1.0 - refute.SAMPLE_ATTAIN_RTOL)
 
 
 def test_archimedean_failed_recheck_is_not_affirmed(capsys):
@@ -429,3 +556,25 @@ def test_certificates_are_swap_symmetric(name, capsys):
             elif label.startswith("sigma_"):
                 psi = np.array(terms["psi_" + label[len("sigma_"):]]["gram"])
                 assert np.array_equal(psi[np.ix_(perm, perm)], gram)
+
+
+def test_cli_names_load_lazily():
+    from convexcert import RunConfig, run_refute
+
+    assert (RunConfig, run_refute, convexcert.run_analyze) == (cli.RunConfig, cli.run_refute,
+                                                               cli.run_analyze)
+    assert {"RunConfig", "run_certify"} <= set(convexcert.__all__)
+    with pytest.raises(AttributeError):
+        convexcert.no_such_name
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package must not import cli itself, or runpy warns on `python -m convexcert.cli`
+    src = str(Path(convexcert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "convexcert.cli", str(PROBLEMS / "two_interval.txt")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["verdict"] == "not convex"

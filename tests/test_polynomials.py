@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from convexcert.polynomials import (
     Polynomial,
+    PolynomialSystem,
     VariableSpace,
     coeff_linf_distance,
     lift,
@@ -108,6 +109,51 @@ def test_evaluate_examples():
 def test_evaluate_arity_mismatch():
     with pytest.raises(ValueError):
         poly(X1, {(1,): 1.0}).evaluate([1.0, 2.0])
+
+
+def partial(p, i):
+    """d p / d w_i, term by term."""
+    terms = {}
+    for exps, coeff in p.terms.items():
+        if exps[i]:
+            shifted = list(exps)
+            shifted[i] -= 1
+            terms[tuple(shifted)] = terms.get(tuple(shifted), 0.0) + coeff * exps[i]
+    return Polynomial(p.space, terms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(polynomials(X2.lift(), max_degree=3), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_polynomial_system_matches_evaluate(polys, seed):
+    points = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(6, 4))
+    system = PolynomialSystem(polys)
+    plain = system(points)
+    values, grads, hessians = system.derivatives(points)
+    for k, point in enumerate(points):
+        for p_index, p in enumerate(polys):
+            checks = [(plain[k, p_index], p), (values[k, p_index], p)]
+            checks += [(grads[k, p_index, i], partial(p, i)) for i in range(4)]
+            checks += [(hessians[k, p_index, i, l], partial(partial(p, i), l))
+                       for i in range(4) for l in range(4)]
+            for got, exact in checks:
+                expected = exact.evaluate(point)
+                assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_polynomial_system_shapes_and_errors():
+    system = PolynomialSystem([poly(X2, {(1, 1): 2.0}), Polynomial.constant(X2, 3.0)])
+    values, grads, hessians = system.derivatives([[1.0, -2.0]])
+    assert values.tolist() == [[-4.0, 3.0]]
+    assert grads.tolist() == [[[-4.0, 2.0], [0.0, 0.0]]]
+    assert hessians.tolist() == [[[[0.0, 2.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    assert PolynomialSystem([Polynomial.zero(X1)])([[5.0]]).tolist() == [[0.0]]
+    with pytest.raises(ValueError):
+        system([1.0, 2.0])  # one point must still be a row
+    with pytest.raises(ValueError):
+        PolynomialSystem([poly(X1, {(1,): 1.0}), poly(X2, {(1, 0): 1.0})])
+    with pytest.raises(ValueError):
+        PolynomialSystem([])
 
 
 # -- midpoint substitution -----------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexcert import sdp
+from convexcert import refute, sdp
 from convexcert.certify import build_qmodule_sdp
 from convexcert.moments import MomentSequence, moment_matrix, monomial_basis
 from convexcert.polynomials import VariableSpace
@@ -16,12 +16,14 @@ from convexcert.refute import (
     build_moment_sdp,
     extract_atoms,
     rank_flatness_check,
+    attains_bound,
     relaxation_orders,
+    sample_witness,
     solve_relaxation,
     validate_witness,
 )
 
-from conftest import brute_force_midpoint_min
+from conftest import BOX, DISK, INTERVAL, brute_force_midpoint_min
 
 LIFTED1 = VariableSpace(1).lift()
 LIFTED2 = VariableSpace(2).lift()
@@ -484,6 +486,12 @@ def test_validate_rejects_convex_candidates(interval_spec):
     assert validate_witness(candidates, interval_spec, 1) is None
 
 
+def test_validate_rejects_non_finite_atoms(parabola_spec):
+    # an evaluation that is NaN proves nothing, whichever side of a test it is on
+    for point in ([np.nan, 1.0, -1.0, 1.0], [1.0, 1.0, np.inf, 1.0]):
+        assert validate_witness([(np.array(point), 1.0)], parabola_spec, 1) is None
+
+
 def test_validate_rejects_near_zero_violation(interval_spec):
     # midpoint violation must clear the strict threshold, not merely be negative
     atoms = [(np.array([1.0, 1.0]), 1.0)]
@@ -502,3 +510,85 @@ def test_witness_payload(parabola_spec):
     assert set(payload["atoms"][0]) == {
         "x", "y", "weight", "midpoint", "violation", "feasibility_margin",
     }
+
+
+# -- sampled witnesses ----------------------------------------------------------------
+
+# a certify-convex-style ellipsoid cut by a half-space through its interior
+ELLIPSOID = (
+    "vars: x1 x2\n"
+    "g: 1 - (0.9*x1 + 0.3*x2 - 0.1)^2 - (-0.2*x1 + 1.1*x2 + 0.2)^2\n"
+    "g: 0.6*x1 - 0.8*x2 + 0.3\n"
+)
+THIN = "vars: x1 x2\ng: x1^2 - 1\ng: 1 - x1^2\ng: 1 - x2^2\n"  # two segments x1 = +-1
+
+
+def _first_order_result(spec, j=1):
+    _v_ks, v = relaxation_orders(spec)
+    result = solve_relaxation(spec, j, v)
+    assert result.status == "optimal"
+    return result
+
+
+@pytest.mark.parametrize("name", ["hyperbola", "parabola", "two_interval"])
+def test_sampled_pair_lies_inside_the_set(name):
+    spec = parse_problem((PROBLEMS / f"{name}.txt").read_text())
+    result = _first_order_result(spec)
+    witness = sample_witness(result, spec, seed=0)
+    (atom,) = witness.atoms
+    assert atom.weight == 1.0
+    # every g_k >= 0 at both points, evaluated exactly, with no tolerance
+    assert atom.feasibility_margin >= 0.0
+    for g in spec.constraints:
+        assert g.evaluate(np.array(atom.x)) >= 0.0 and g.evaluate(np.array(atom.y)) >= 0.0
+    assert result.rho <= atom.violation + 1e-6  # rho is a lower bound
+    assert atom.violation <= -10 * witness.tol_feas
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+def test_sampled_pair_attains_the_exact_bound_at_any_scale(scale):
+    # the box comes from the moments, so scaling the hyperbola scales the pair;
+    # the order-1 draw attains the order-2 bound, which is the true minimum
+    s2 = repr(scale * scale)
+    spec = parse_problem(f"vars: x1 x2\ng: x1*x2 - {s2}\ng: 4*{s2} - x1^2\ng: 4*{s2} - x2^2\n")
+    first = _first_order_result(spec)
+    witness = sample_witness(first, spec, seed=0)
+    violation = witness.atoms[0].violation
+    assert not attains_bound(violation, first.rho)
+    assert attains_bound(violation, -1.5625 * scale * scale)
+
+
+@pytest.mark.parametrize("text", [INTERVAL, DISK, BOX, ELLIPSOID],
+                         ids=["interval", "disk", "box", "ellipsoid"])
+def test_convex_sets_yield_no_sampled_witness(text):
+    spec = parse_problem(text)
+    for j in range(1, spec.m + 1):
+        result = _first_order_result(spec, j)
+        for seed in range(3):
+            assert sample_witness(result, spec, seed=seed) is None
+
+
+def test_set_without_sampled_members_skips_the_polish(monkeypatch):
+    spec = parse_problem(THIN)
+    result = _first_order_result(spec)
+    assert result.rho < -0.5
+
+    def no_polish(*args):
+        raise AssertionError("polished a pair of a set with no sampled member")
+
+    monkeypatch.setattr(refute, "_polish", no_polish)
+    for seed in range(3):
+        assert sample_witness(result, spec, seed=seed) is None
+
+
+def test_sample_witness_is_deterministic():
+    spec = parse_problem((PROBLEMS / "hyperbola.txt").read_text())
+    result = _first_order_result(spec)
+    first = sample_witness(result, spec, seed=5).to_payload()
+    assert sample_witness(result, spec, seed=5).to_payload() == first
+    assert sample_witness(result, spec, seed=6).to_payload() != first
+
+
+def test_attains_bound_is_relative():
+    assert attains_bound(-0.995, -1.0) and not attains_bound(-0.985, -1.0)
+    assert attains_bound(-0.995e-4, -1e-4) and not attains_bound(-0.985e-4, -1e-4)
