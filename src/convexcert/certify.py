@@ -19,16 +19,20 @@ Gram-matrix feasibility SDPs along three routes:
   existence makes the quadratic module archimedean and eps-certificates
   complete for compact convex sets.
 
+Each identity reads target = sum over all its terms of weight * (b^T G b),
+G PSD (the preordering one as g_mid^(2p) = sigma_j * g_mid - h_j), with the
+target built by one rule per kind. verify_certificate is the one check: it
+re-expands the Gram matrices, measures the coefficientwise residual and takes
+each Gram matrix's least eigenvalue and norm from one eigvalsh. Each builder
+runs it once and keeps it as the certificate's ``check``, which callers judge
+at their own tolerance instead of expanding again.
+
 The first two identities live on the doubled space, and their data are
 invariant under the swap tau: (x, y) -> (y, x). SosProgram therefore builds
 them over tau-orbits (one row per orbit of monomials, an even and an odd
 block for sigma_0, one block shared by sigma_k and psi_k = sigma_k o tau),
 which halves the rows and the PSD blocks the solver sees, and expands a
 solution back into every term's full Gram matrix.
-
-Every certificate is verified independently of the solver by re-expanding the
-Gram matrices symbolically and measuring the coefficientwise residual of the
-claimed identity.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from math import ceil
+from math import ceil, nan
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,6 +63,9 @@ DEFAULT_GRAM_EIG_TOL = 1e-8
 STENGLE_M_MAX = 3
 # relative coefficient tolerance under which a swapped polynomial counts as unchanged
 SWAP_TOL = 1e-12
+
+if TYPE_CHECKING:
+    from .refute import RelaxationResult
 
 
 @dataclass
@@ -276,15 +284,6 @@ class SosProgram:
         entries = {gamma: -float(multipliers[row]) for gamma, row in self.row_of.items()}
         return MomentSequence(self.space, self.match_degree // 2, entries)
 
-    def reconstruct(self, terms: list[SosTerm]) -> Polynomial:
-        total = Polynomial.zero(self.space)
-        for term in terms:
-            total = total + term.contribution(self.space)
-        return total
-
-    def residual(self, terms: list[SosTerm]) -> float:
-        return coeff_linf_distance(self.target, self.reconstruct(terms))
-
 
 @dataclass
 class QuadraticModuleCertificate:
@@ -295,6 +294,10 @@ class QuadraticModuleCertificate:
     residual: float
     min_gram_eigenvalue: float
     solver_diagnostics: dict = field(default_factory=dict)
+    check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
+
+    def target(self, spec: ProblemSpec) -> Polynomial:
+        return _qmodule_target(spec, self.j, self.epsilon)
 
     def to_payload(self) -> dict:
         return {
@@ -319,6 +322,15 @@ class PreorderingCertificate:
     residual: float
     min_gram_eigenvalue: float
     solver_diagnostics: dict = field(default_factory=dict)
+    check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
+
+    def target(self, spec: ProblemSpec) -> Polynomial:
+        return _stengle_target(spec, self.j, self.p)
+
+    @property
+    def terms(self) -> list[SosTerm]:
+        """All terms of the identity, sigma side first."""
+        return self.sigma_terms + self.h_terms
 
     def to_payload(self) -> dict:
         return {
@@ -342,6 +354,10 @@ class ArchimedeanCertificate:
     residual: float
     min_gram_eigenvalue: float
     solver_diagnostics: dict = field(default_factory=dict)
+    check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
+
+    def target(self, spec: ProblemSpec) -> Polynomial:
+        return _archimedean_target(spec, self.bound)
 
     def to_payload(self) -> dict:
         return {
@@ -353,6 +369,9 @@ class ArchimedeanCertificate:
             "solver": self.solver_diagnostics,
             "terms": [t.to_payload() for t in self.terms],
         }
+
+
+Certificate = QuadraticModuleCertificate | PreorderingCertificate | ArchimedeanCertificate
 
 
 @dataclass
@@ -377,14 +396,17 @@ def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution) ->
 
 
 def _certificate_fields(program: SosProgram, x_blocks: list[np.ndarray], diagnostics: dict) -> dict:
-    """Terms, residual and minimum Gram eigenvalue of solved Gram blocks."""
-    terms = program.recover(x_blocks)
-    return {
-        "terms": terms,
-        "residual": program.residual(terms),
-        "min_gram_eigenvalue": min(t.min_gram_eigenvalue() for t in terms),
-        "solver_diagnostics": diagnostics,
-    }
+    """Constructor fields of solved Gram blocks; _checked fills residual and min_gram_eigenvalue."""
+    return {"terms": program.recover(x_blocks), "residual": nan, "min_gram_eigenvalue": nan,
+            "solver_diagnostics": diagnostics}
+
+
+def _checked(cert: Certificate, spec: ProblemSpec) -> Certificate:
+    """cert with residual and min_gram_eigenvalue filled from its one recheck, which it keeps."""
+    cert.check = verify_certificate(cert, spec)
+    cert.residual = cert.check.residual
+    cert.min_gram_eigenvalue = min(cert.check.gram_eigenvalues.values())
+    return cert
 
 
 def _solve_certificate(program: SosProgram) -> dict | CertificationFailure:
@@ -433,12 +455,15 @@ def _multiplier_degree(d: int, g: Polynomial) -> int:
     return max(0, d - ceil(g.degree / 2))
 
 
+def _qmodule_target(spec: ProblemSpec, j: int, epsilon: float) -> Polynomial:
+    return midpoint_substitute(spec.constraints[_constraint_index(spec, j)]) + epsilon
+
+
 def _qmodule_program(spec: ProblemSpec, j: int, d: int, epsilon: float) -> SosProgram:
-    gj = spec.constraints[_constraint_index(spec, j)]
+    target = _qmodule_target(spec, j, epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     lifted = spec.space.lift()
-    target = midpoint_substitute(gj) + epsilon
     specs = [_TermSpec("sigma_0", Polynomial.constant(lifted, 1.0), d)]
     for k, g in enumerate(spec.constraints, start=1):
         specs.append(_TermSpec(f"sigma_{k}", lift(g, "x"), _multiplier_degree(d, g)))
@@ -462,36 +487,32 @@ def certify_sufficient(
     fields = _solve_certificate(_qmodule_program(spec, j, d, epsilon))
     if isinstance(fields, CertificationFailure):
         return fields
-    return QuadraticModuleCertificate(j=j, d=d, epsilon=epsilon, **fields)
+    return _checked(QuadraticModuleCertificate(j=j, d=d, epsilon=epsilon, **fields), spec)
 
 
-def qmodule_certificate(
-    program: SosProgram,
-    j: int,
-    d: int,
-    x_blocks: list[np.ndarray],
-    solver_diagnostics: dict,
-    rho: float,
-) -> QuadraticModuleCertificate:
-    """The epsilon = 0 certificate carried by solved blocks of the degree-d program of g_j.
+def qmodule_certificate(result: RelaxationResult, spec: ProblemSpec) -> QuadraticModuleCertificate:
+    """The epsilon = 0 certificate carried by the solved blocks of an optimal relaxation.
 
-    program and x_blocks are those of refute.solve_relaxation, whose blocks
-    satisfy g_j((x+y)/2) - rho = sum of the terms. A positive rho is a constant SOS
+    result comes from refute.solve_relaxation, whose blocks satisfy
+    g_j((x+y)/2) - rho = sum of the terms. A positive rho is a constant SOS
     term: it is added to the constant entry of sigma_0's Gram matrix, which
     stays PSD. A negative rho is left in the constant coefficient, where
     verify_certificate judges it as part of the residual.
     """
-    blocks = list(x_blocks)
-    if rho > 0:
+    blocks = list(result.gram)
+    if result.rho > 0:
         blocks[0] = blocks[0].copy()
-        blocks[0][0, 0] += rho  # the first block, sigma_0's even one, starts with the constant monomial
-    fields = _certificate_fields(program, blocks, solver_diagnostics)
-    return QuadraticModuleCertificate(j=j, d=d, epsilon=0.0, **fields)
+        blocks[0][0, 0] += result.rho  # the first block, sigma_0's even one, starts with the constant monomial
+    fields = _certificate_fields(result.program, blocks, result.diagnostics)
+    return _checked(QuadraticModuleCertificate(j=result.j, d=result.s, epsilon=0.0, **fields), spec)
+
+
+def _stengle_target(spec: ProblemSpec, j: int, p: int) -> Polynomial:
+    return midpoint_substitute(spec.constraints[_constraint_index(spec, j)]) ** (2 * p)
 
 
 def _stengle_program(spec: ProblemSpec, j: int, d: int, p: int) -> SosProgram:
-    idx = _constraint_index(spec, j)
-    gj = spec.constraints[idx]
+    gj = spec.constraints[_constraint_index(spec, j)]
     if p < 1:
         raise ValueError("power p must be a positive integer")
     if d < ceil(gj.degree / 2):
@@ -499,7 +520,7 @@ def _stengle_program(spec: ProblemSpec, j: int, d: int, p: int) -> SosProgram:
     lifted = spec.space.lift()
     gmid = midpoint_substitute(gj)
     ghat = [lift(g, "x") for g in spec.constraints] + [lift(g, "y") for g in spec.constraints]
-    target = gmid ** (2 * p)
+    target = _stengle_target(spec, j, p)
     specs: list[_TermSpec] = []
     subsets = []
     for size in range(len(ghat) + 1):
@@ -539,25 +560,23 @@ def certify_stengle(
     if isinstance(fields, CertificationFailure):
         return fields
     terms = fields.pop("terms")
-    return PreorderingCertificate(
-        j=j,
-        d=d,
-        p=p,
-        sigma_terms=[t for t in terms if t.label.startswith("sigma_J")],
-        h_terms=[t for t in terms if t.label.startswith("h_J")],
-        **fields,
-    )
+    sigma_terms = [t for t in terms if t.label.startswith("sigma_J")]
+    h_terms = [t for t in terms if t.label.startswith("h_J")]
+    return _checked(PreorderingCertificate(j=j, d=d, p=p, sigma_terms=sigma_terms, h_terms=h_terms, **fields), spec)
+
+
+def _archimedean_target(spec: ProblemSpec, bound: float) -> Polynomial:
+    return ball_polynomial(spec.space, bound)
 
 
 def _archimedean_program(spec: ProblemSpec, bound: float, d: int) -> SosProgram:
     if bound <= 0:
         raise ValueError("bound M must be positive")
     space = spec.space
-    target = ball_polynomial(space, bound)
     specs = [_TermSpec("sigma_0", Polynomial.constant(space, 1.0), d)]
     for k, g in enumerate(spec.constraints, start=1):
         specs.append(_TermSpec(f"sigma_{k}", g, _multiplier_degree(d, g)))
-    return SosProgram(space=space, target=target, term_specs=specs, match_degree=2 * d)
+    return SosProgram(space=space, target=_archimedean_target(spec, bound), term_specs=specs, match_degree=2 * d)
 
 
 def archimedean_check(
@@ -573,85 +592,45 @@ def archimedean_check(
     fields = _solve_certificate(_archimedean_program(spec, bound, d))
     if isinstance(fields, CertificationFailure):
         return fields
-    return ArchimedeanCertificate(bound=bound, d=d, **fields)
-
-
-def _identity_sides(
-    cert: QuadraticModuleCertificate | PreorderingCertificate | ArchimedeanCertificate,
-    spec: ProblemSpec,
-) -> tuple[Polynomial, Polynomial, VariableSpace]:
-    """Left and right side of the certified identity, rebuilt from scratch."""
-    if isinstance(cert, QuadraticModuleCertificate):
-        space = spec.space.lift()
-        left = midpoint_substitute(spec.constraints[_constraint_index(spec, cert.j)]) + cert.epsilon
-        right = Polynomial.zero(space)
-        for term in cert.terms:
-            right = right + term.contribution(space)
-        return left, right, space
-    if isinstance(cert, PreorderingCertificate):
-        space = spec.space.lift()
-        gmid = midpoint_substitute(spec.constraints[_constraint_index(spec, cert.j)])
-        # sigma-side weights already carry the factor gmid, so the sum below
-        # is sigma_j * gmid directly; h-side weights carry a minus sign.
-        sigma_times_gmid = Polynomial.zero(space)
-        for term in cert.sigma_terms:
-            sigma_times_gmid = sigma_times_gmid + term.contribution(space)
-        h = Polynomial.zero(space)
-        for term in cert.h_terms:
-            h = h - term.contribution(space)
-        left = sigma_times_gmid
-        right = gmid ** (2 * cert.p) + h
-        return left, right, space
-    if isinstance(cert, ArchimedeanCertificate):
-        space = spec.space
-        left = ball_polynomial(space, cert.bound)
-        right = Polynomial.zero(space)
-        for term in cert.terms:
-            right = right + term.contribution(space)
-        return left, right, space
-    raise TypeError(f"unsupported certificate type {type(cert).__name__}")
+    return _checked(ArchimedeanCertificate(bound=bound, d=d, **fields), spec)
 
 
 def verify_certificate(
-    cert: QuadraticModuleCertificate | PreorderingCertificate | ArchimedeanCertificate,
+    cert: Certificate,
     spec: ProblemSpec,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     eig_tol: float = DEFAULT_GRAM_EIG_TOL,
 ) -> CertificateCheck:
     """Recheck a certificate using polynomial arithmetic only (no solver).
 
-    Re-expands every Gram matrix into its SOS polynomial, reassembles the
-    certified identity, and reports the coefficientwise residual together with
-    the minimum Gram eigenvalues. These two facts alone imply the midpoint
-    inequality the certificate claims, so a passing check is a standalone
-    proof up to the stated tolerances. Reports, never raises, on bad data.
+    Re-expands every Gram matrix into its SOS polynomial, sums the terms of
+    the certified identity, and reports the coefficientwise residual against
+    the target rebuilt from spec, together with the minimum Gram eigenvalues.
+    These two facts alone imply the midpoint inequality the certificate
+    claims, so a passing check is a standalone proof up to the stated
+    tolerances. Reports, never raises, on bad data.
     """
     try:
-        left, right, _space = _identity_sides(cert, spec)
-        residual = coeff_linf_distance(left, right)
+        target = cert.target(spec)
+        total = Polynomial.zero(target.space)
+        for term in cert.terms:
+            total = total + term.contribution(target.space)
+        residual = coeff_linf_distance(target, total)
     except Exception:
         residual = float("inf")
     eigs: dict[str, float] = {}
-    terms = (
-        cert.terms
-        if not isinstance(cert, PreorderingCertificate)
-        else cert.sigma_terms + cert.h_terms
-    )
     min_eig = 0.0
-    for term in terms:
+    for term in cert.terms:
         try:
-            val = term.min_gram_eigenvalue()
-            norm = float(np.linalg.norm(term.gram, 2)) if term.gram.size else 0.0
+            sym = 0.5 * (term.gram + term.gram.T)
+            if not np.isfinite(sym).all():  # eigvalsh returns finite values for a NaN entry
+                raise ValueError(f"{term.label}: non-finite Gram matrix")
+            spectrum = np.linalg.eigvalsh(sym)
+            val, norm = float(spectrum[0]), float(max(-spectrum[0], spectrum[-1]))
         except Exception:
             val, norm = float("-inf"), 1.0
         eigs[term.label] = val
         # scale-relative floor: eigenvalues are compared against eig_tol * max(1, |G|)
-        scaled = val / max(1.0, norm)
-        min_eig = min(min_eig, scaled)
-    return CertificateCheck(
-        residual=residual,
-        min_gram_eigenvalue=min_eig,
-        gram_eigenvalues=eigs,
-        residual_tol=residual_tol,
-        eig_tol=eig_tol,
-    )
+        min_eig = min(min_eig, val / max(1.0, norm))
+    return CertificateCheck(residual=residual, min_gram_eigenvalue=min_eig, gram_eigenvalues=eigs,
+                            residual_tol=residual_tol, eig_tol=eig_tol)

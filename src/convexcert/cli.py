@@ -24,8 +24,10 @@ drawn from that one solve:
 
 With --stengle the preordering certificate replaces the quadratic-module
 one, solved at each order before the Gram solve, which certify mode skips
-as it could conclude nothing. The CLI assembles a JSON report and maps
-outcomes to exit codes:
+as it could conclude nothing. Every certificate, the --archimedean one too,
+arrives with the one recheck its builder ran (certify.verify_certificate),
+and the CLI judges that check at --tol-residual instead of re-expanding the
+identity. The CLI assembles a JSON report and maps outcomes to exit codes:
 
     0   conclusive (convex, or not convex with a validated witness)
     2   inconclusive
@@ -131,15 +133,15 @@ def _dump_hook(config: RunConfig):
     return hook
 
 
-def _try_certificate(entry: dict, outcome, spec: ProblemSpec, k: int, config: RunConfig) -> bool:
-    """Record one certificate check; True when it verified and certified the constraint."""
+def _try_certificate(entry: dict, outcome, k: int, config: RunConfig) -> bool:
+    """Judge the builder's recheck at --tol-residual; True when it verified and certified the constraint."""
     record: dict = {"kind": "preordering" if config.stengle else "quadratic-module", "degree": k}
     entry["attempts"].append(record)
     if isinstance(outcome, certify.CertificationFailure):
         record.update(status=outcome.solver_status, reason=outcome.reason,
                       solver=outcome.solver_diagnostics)
         return False
-    check = certify.verify_certificate(outcome, spec, residual_tol=config.tol_residual)
+    check = dataclasses.replace(outcome.check, residual_tol=config.tol_residual)
     record.update(status="optimal", residual=check.residual, verified=check.passed,
                   solver=outcome.solver_diagnostics)
     if not check.passed:
@@ -219,7 +221,7 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
                 notes.append(str(exc))
                 stengle = False
             else:
-                if _try_certificate(entry, outcome, spec, k, config):
+                if _try_certificate(entry, outcome, k, config):
                     break
         if config.stengle and config.mode == "certify":
             continue  # the Gram blocks are no certificate under --stengle
@@ -244,10 +246,8 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
                 )
                 break
             if not config.stengle:
-                certificate = certify.qmodule_certificate(
-                    result.program, j, k, result.gram, result.diagnostics, rho=result.rho
-                )
-                if _try_certificate(entry, certificate, spec, k, config):
+                certificate = certify.qmodule_certificate(result, spec)
+                if _try_certificate(entry, certificate, k, config):
                     break
             continue
         if config.mode == "certify":
@@ -312,7 +312,7 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
             "status": outcome.solver_status,
             "note": "no bounding identity found at this degree; compactness not established",
         }
-    check = certify.verify_certificate(outcome, spec, residual_tol=config.tol_residual)
+    check = dataclasses.replace(outcome.check, residual_tol=config.tol_residual)
     if check.passed:
         note = ("quadratic module is archimedean; epsilon certificates are complete "
                 "for compact convex sets")

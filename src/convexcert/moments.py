@@ -60,9 +60,6 @@ class MonomialBasis:
         except KeyError:
             raise ValueError(f"monomial {exponents} not in basis of order {self.order}") from None
 
-    def contains(self, exponents: Exponents) -> bool:
-        return tuple(exponents) in self._index
-
 
 @lru_cache(maxsize=64)
 def monomial_basis(space: VariableSpace, order: int) -> MonomialBasis:

@@ -105,10 +105,6 @@ class Polynomial:
         exps = tuple(1 if i == index else 0 for i in range(space.arity))
         return cls(space, {exps: 1.0})
 
-    @classmethod
-    def monomial(cls, space: VariableSpace, exponents: Exponents, coeff: float = 1.0) -> "Polynomial":
-        return cls(space, {tuple(exponents): coeff})
-
     # -- structure ---------------------------------------------------------
 
     @property

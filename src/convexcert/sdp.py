@@ -38,11 +38,11 @@ The denominator that eliminates dtau is the difference of two terms that
 grow like |G|^4 near the boundary; it is floored at their rounding error,
 since below it dtau would be noise.
 
-The presolve runs in this order: validate the data, stack the svec rows
-once, reduce to the diagonal face, eliminate dependent rows. The diagonal
-facial reduction (Loefberg 2009, "Pre- and post-processing sum-of-squares
-programs in practice"; Permenter and Parrilo 2018, "Partial facial
-reduction") reads a face of the cone off the rows' sparsity pattern. A row
+The presolve runs in this order: stack the svec rows once, checking the
+data on the stacks, reduce to the diagonal face, eliminate dependent rows.
+The diagonal facial reduction (Loefberg 2009, "Pre- and post-processing
+sum-of-squares programs in practice"; Permenter and Parrilo 2018, "Partial
+facial reduction") reads a face of the cone off the rows' sparsity pattern. A row
 whose live entries are all diagonal and of one sign reads
 sum_i a_i X_ii = b_i with every X_ii >= 0: with b_i = 0 it forces those
 X_ii, and with them their rows and columns of X, to zero, and forcing
@@ -63,11 +63,15 @@ columns at the removed indices, y is 0 on the rows left with no live entry
 (row elimination drops them), and S is the solver's slack on the face and
 C - A^T y at every entry in a removed row or column. Off the face the dual
 constraint is void, since the dual cone of a face is larger than the PSD
-cone, so S need not be PSD there. A Farkas certificate's S is lifted the
-same way, with -A^T y off the face, and an improving ray like X. Rows are
-scaled by their full norms and the objective's norm is the full one, so the
-residuals and gap measured on the face are those of the full problem. When
-no row forces an index, the solve runs on the stacked data as they are.
+cone, so S need not be PSD there. A Farkas certificate must hold on the
+full cone, so its y also takes multiples of the forcing rows (b = 0 there,
+so b^T y = 1 and S = -A^T y stay exact), last round first, each large
+enough by a Schur-complement bound to make S positive definite on the
+indices of its round and of every later one. An improving ray is lifted
+like X. Rows are scaled by their full norms and the objective's norm is the
+full one, so the residuals and gap measured on the face are those of the
+full problem. When no row forces an index, the solve runs on the stacked
+data as they are.
 
 Pure feasibility problems (zero objective), such as the certificate
 programs, are solved as stated, with no regularizing objective. With c = 0
@@ -113,48 +117,8 @@ class SdpProblem:
     equalities: list[tuple[dict[int, np.ndarray], float]]
 
     def validate(self) -> None:
-        """Raise ValueError naming the first malformed matrix or right-hand side.
-
-        Matrices are taken in order, the objective's and then each
-        equality's, and each is checked for block index, shape, finite
-        entries and symmetry, in that order. The last two checks run as one
-        stacked pass per block.
-        """
-        if len(self.block_dims) == 0:
-            raise ValueError("at least one PSD block is required")
-        for k in self.block_dims:
-            if int(k) < 1:
-                raise ValueError(f"block dimension must be positive, got {k}")
-        labelled = [("objective", self.objective)] + [
-            (f"equality {i}", eq[0]) for i, eq in enumerate(self.equalities)
-        ]
-        entries = [(label, b, mat) for label, mats in labelled for b, mat in mats.items()]
-        faults: list[str | None] = [None] * len(entries)
-        by_block: dict[int, list[int]] = {}
-        for e, (_, b, mat) in enumerate(entries):
-            if not 0 <= b < len(self.block_dims):
-                faults[e] = f"block index {b} out of range"
-                break  # no later matrix can be the first fault
-            k = self.block_dims[b]
-            if np.shape(mat) != (k, k):
-                faults[e] = f"block {b} matrix has shape {np.shape(mat)}, expected {(k, k)}"
-                break
-            by_block.setdefault(b, []).append(e)
-        for b, members in by_block.items():
-            stack = np.asarray([entries[e][2] for e in members], dtype=float)
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            with np.errstate(invalid="ignore"):  # inf - inf, in a matrix already flagged
-                asym = np.abs(stack - _t(stack)).max(axis=(1, 2))
-            skew = asym > _SYMMETRY_TOL * (1.0 + np.abs(stack).max(axis=(1, 2)))
-            for i in np.flatnonzero(~finite | skew):
-                faults[members[i]] = f"block {b} matrix " + ("is not symmetric" if finite[i] else "has a non-finite entry")
-        for (label, _, _), fault in zip(entries, faults):
-            if fault is not None:
-                raise ValueError(f"{label}: {fault}")
-        rhs = np.array([rhs for _, rhs in self.equalities], dtype=float)
-        bad = np.flatnonzero(~np.isfinite(rhs))
-        if bad.size:
-            raise ValueError(f"equality {bad[0]}: rhs is not finite")
+        """Raise ValueError naming the first malformed matrix or right-hand side (see _stack_problem)."""
+        _stack_problem(self, _Layout(self.block_dims))
 
 
 @dataclass
@@ -232,9 +196,9 @@ class _Layout:
     group's slice of that buffer, whose reshape to (members, k, k) is the
     group's stack, and ``places`` the start of each block. The scaled rows of
     the Schur complement stay in svec form, group by group from
-    ``svec_starts``. The indices of all blocks are numbered in one run:
-    ``diagonal`` holds the svec position of each one's diagonal entry, and
-    ``entries`` the two indices of every svec entry.
+    ``svec_starts``. The indices of all blocks are numbered in one run, each
+    block's from ``index_starts``: ``diagonal`` holds the svec position of each
+    diagonal entry, and ``entries`` the two indices of every svec entry.
     """
 
     def __init__(self, dims: Sequence[int]):
@@ -242,6 +206,7 @@ class _Layout:
         self.sizes = [k * (k + 1) // 2 for k in self.dims]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(int)
         self.total = int(self.offsets[-1])
+        self.index_starts = np.cumsum([0] + self.dims)[:-1].tolist()
         members: dict[int, list[int]] = {}
         for i, k in enumerate(self.dims):
             members.setdefault(k, []).append(i)
@@ -266,9 +231,9 @@ class _Layout:
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = np.cumsum([0] + self.dims)
         return tuple(
-            np.concatenate([start + _svec_meta(k)[part] for start, k in zip(starts, self.dims)]) for part in (0, 1)
+            np.concatenate([start + _svec_meta(k)[part] for start, k in zip(self.index_starts, self.dims)])
+            for part in (0, 1)
         )
 
     def stacks(self, vec: np.ndarray) -> list[np.ndarray]:
@@ -295,39 +260,69 @@ class _Layout:
 
 
 def _stack_problem(problem: SdpProblem, layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """svec rows of the equalities, their right-hand sides and the objective, in block order."""
-    rows: dict[int, list[int]] = {}
-    mats: dict[int, list[np.ndarray]] = {}
-    for i, (eq, _) in enumerate(problem.equalities):
-        for blk, mat in eq.items():
-            rows.setdefault(blk, []).append(i)
-            mats.setdefault(blk, []).append(mat)
-    a = np.zeros((len(problem.equalities), layout.total))
-    for blk, idx in rows.items():
-        lo = layout.offsets[blk]
-        a[idx, lo : lo + layout.sizes[blk]] = _svec(np.asarray(mats[blk], dtype=float))
-    b = np.array([rhs for _, rhs in problem.equalities], dtype=float)
-    c = np.zeros(layout.total)
-    for blk, mat in problem.objective.items():
-        lo = layout.offsets[blk]
-        c[lo : lo + layout.sizes[blk]] = _svec(np.asarray(mat, dtype=float))
-    return a, b, c
+    """svec rows of the equalities, their right-hand sides and the objective, in block order.
+
+    Raises ValueError naming the first malformed matrix or right-hand side.
+    Matrices are taken in order, the objective's and then each equality's,
+    and each is checked for block index, shape, finite entries and symmetry,
+    in that order; the last two on the stack the block's rows are read from.
+    """
+    if len(problem.block_dims) == 0:
+        raise ValueError("at least one PSD block is required")
+    for k in problem.block_dims:
+        if int(k) < 1:
+            raise ValueError(f"block dimension must be positive, got {k}")
+    # (row, block, matrix), the row an equality's index or -1 for the objective
+    matrices = [problem.objective] + [mats for mats, _ in problem.equalities]
+    entries = [(row, b, mat) for row, mats in enumerate(matrices, start=-1) for b, mat in mats.items()]
+    faults: list[str | None] = [None] * len(entries)
+    by_block: dict[int, list[int]] = {}
+    for e, (_, b, mat) in enumerate(entries):
+        if not 0 <= b < len(layout.dims):
+            faults[e] = f"block index {b} out of range"
+            break  # no later matrix can be the first fault
+        k = layout.dims[b]
+        if np.shape(mat) != (k, k):
+            faults[e] = f"block {b} matrix has shape {np.shape(mat)}, expected {(k, k)}"
+            break
+        by_block.setdefault(b, []).append(e)
+    a = np.zeros((len(problem.equalities) + 1, layout.total))  # the objective's row last, as row -1
+    for b, members in by_block.items():
+        stack = np.asarray([entries[e][2] for e in members], dtype=float)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # inf - inf, in a matrix already flagged
+            asym = np.abs(stack - _t(stack)).max(axis=(1, 2))
+        skew = asym > _SYMMETRY_TOL * (1.0 + np.abs(stack).max(axis=(1, 2)))
+        for i in np.flatnonzero(~finite | skew):
+            faults[members[i]] = f"block {b} matrix " + ("is not symmetric" if finite[i] else "has a non-finite entry")
+        a[[entries[e][0] for e in members], layout.offsets[b] : layout.offsets[b] + layout.sizes[b]] = _svec(stack)
+    for (row, _, _), fault in zip(entries, faults):
+        if fault is not None:
+            raise ValueError(("objective" if row < 0 else f"equality {row}") + f": {fault}")
+    rhs = np.array([value for _, value in problem.equalities], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        raise ValueError(f"equality {bad[0]}: rhs is not finite")
+    return a[:-1], rhs, a[-1].copy()
 
 
-def _diagonal_face(a: np.ndarray, b: np.ndarray, layout: _Layout) -> tuple[np.ndarray, list[int], list[int]]:
-    """Diagonal facial reduction of the svec rows: (alive, forcing rows, contradicting rows).
+_Round = tuple[list[int], np.ndarray, np.ndarray]  # forcing rows, their signs, the indices they force out
+
+
+def _diagonal_face(a: np.ndarray, b: np.ndarray, layout: _Layout) -> tuple[np.ndarray, list[_Round], list[int]]:
+    """Diagonal facial reduction of the svec rows: (alive, forcing rounds, contradicting rows).
 
     ``alive`` flags each block index, numbered as in ``layout.diagonal``, that
     no row forces out. A row whose live entries are all diagonal and of one
     sign reads sum_i a_i X_ii = b with every X_ii >= 0. With b = 0 it forces
     those X_ii to zero, and with them their rows and columns, since X is
-    PSD; this repeats until no row forces a live index. With b of the other
-    sign, or with no live entry left and b != 0, the row has no PSD solution,
-    and the rows found so far are returned as they stand.
+    PSD; this repeats, one round at a time, until no row forces a live index.
+    With b of the other sign, or with no live entry left and b != 0, the row
+    has no PSD solution, and the rounds found so far are returned as they stand.
     """
     alive = np.ones(len(layout.diagonal), dtype=bool)
     sub, diag = a, layout.diagonal  # the live columns, and the diagonal ones among them
-    forcing: list[int] = []
+    rounds: list[_Round] = []
     while True:
         on_diag = sub[:, diag]
         n_live = np.count_nonzero(sub, axis=1)
@@ -336,12 +331,13 @@ def _diagonal_face(a: np.ndarray, b: np.ndarray, layout: _Layout) -> tuple[np.nd
         only_neg = n_live == np.count_nonzero(on_diag < 0, axis=1)
         contradicting = (only_pos & (b < 0)) | (only_neg & (b > 0))
         if contradicting.any():
-            return alive, forcing, np.flatnonzero(contradicting).tolist()
+            return alive, rounds, np.flatnonzero(contradicting).tolist()
         force = (only_pos | only_neg) & (n_live > 0) & (b == 0)
         if not force.any():
-            return alive, forcing, []
-        forcing += np.flatnonzero(force).tolist()
-        alive[np.flatnonzero(alive)[(on_diag[force] != 0).any(axis=0)]] = False
+            return alive, rounds, []
+        gone = np.flatnonzero(alive)[(on_diag[force] != 0).any(axis=0)]
+        rounds.append((np.flatnonzero(force).tolist(), np.where(only_pos[force], 1.0, -1.0), gone))
+        alive[gone] = False
         rows, cols = layout.entries
         live = alive[rows] & alive[cols]
         sub, diag = a[:, live], np.flatnonzero((rows == cols)[live])
@@ -357,13 +353,12 @@ class _Face:
     the ``live`` columns of the full ones.
     """
 
-    def __init__(self, layout: _Layout, alive: np.ndarray, a: np.ndarray, c: np.ndarray):
+    def __init__(self, layout: _Layout, alive: np.ndarray, rounds: list[_Round], a: np.ndarray, c: np.ndarray):
         self.layout = layout
         self.whole = bool(alive.all())
-        self.sizes = layout.dims
+        self.sizes, self.alive, self.rounds = layout.dims, alive, rounds
         if not self.whole:
-            starts = np.cumsum([0] + layout.dims)
-            self.kept = [np.flatnonzero(alive[at : at + k]) for at, k in zip(starts, layout.dims)]
+            self.kept = [np.flatnonzero(alive[at : at + k]) for at, k in zip(layout.index_starts, layout.dims)]
             self.sizes = [len(idx) for idx in self.kept]
             rows, cols = layout.entries
             self.live = alive[rows] & alive[cols]
@@ -387,6 +382,40 @@ class _Face:
             if idx.size:
                 mat[np.ix_(idx, idx)] = next(reduced)
         return full
+
+    def farkas(self, blocks: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A Farkas certificate (y, S) of the face -> one of the full problem; y is updated in place.
+
+        Signed by its live entries, a forcing row is positive on the diagonal
+        of the indices its round forced out and zero between those and every
+        index alive after the round, so its multiple in y only lifts them.
+        Each round takes twice the least multiple that passes the Schur test
+        against the indices settled before it, and at least one that lifts
+        its diagonal by S's largest entry, so no index is left at zero.
+        """
+        full = self.lift(blocks, y, objective=False)
+        size = max(float(np.abs(mat).max()) for mat in full if mat.size)
+        settled = self.alive.copy()  # the face, then every index forced out in a later round
+        for rows, signs, gone in reversed(self.rounds):
+            vec = np.zeros(self.layout.total)
+            vec[~self.live] = signs @ self.a_dead[rows]
+            push = self.layout.blocks(self.layout.unpack(vec))
+            tau = 0.0
+            for mat, step, at, k in zip(full, push, self.layout.index_starts, self.layout.dims):
+                new, old = gone[(at <= gone) & (gone < at + k)] - at, np.flatnonzero(settled[at : at + k])
+                if new.size:
+                    cross = mat[np.ix_(old, new)]
+                    # least squares, as the settled part may be singular where S is only PSD
+                    reach = np.linalg.lstsq(mat[np.ix_(old, old)], cross, rcond=None)[0]
+                    deficit = cross.T @ reach - mat[np.ix_(new, new)]
+                    gain = np.diag(step)[new]
+                    scaled = deficit / np.sqrt(gain[:, None] * gain[None, :])
+                    tau = max(tau, 2.0 * float(np.linalg.eigvalsh(scaled)[-1]), size / float(gain.min()))
+            y[rows] -= tau * signs
+            for mat, step in zip(full, push):
+                mat += tau * step
+            settled[gone] = True
+        return y, full
 
 
 def _independent_rows(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], bool]:
@@ -485,11 +514,11 @@ def solve(
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
-    problem.validate()
     layout = _Layout(problem.block_dims)
     a_svec, b_full, c_svec = _stack_problem(problem, layout)
-    alive, forcing, contradicting = _diagonal_face(a_svec, b_full, layout)
-    face = _Face(layout, alive, a_svec, c_svec)
+    alive, rounds, contradicting = _diagonal_face(a_svec, b_full, layout)
+    forcing = [row for rows, _, _ in rounds for row in rows]
+    face = _Face(layout, alive, rounds, a_svec, c_svec)
     diagnostics: dict = {
         "dropped_rows": [],
         "n_equalities": len(b_full),
@@ -641,13 +670,8 @@ def solve(
             if kappa > tau and by > 0.0:
                 res_inf = float(np.linalg.norm(aty + s)) / by
                 if res_inf <= cert_tol * norm_c:
-                    y_cert = _expand_y(y / by)
-                    cert = {
-                        "type": "primal-infeasibility",
-                        "y": y_cert,
-                        "S": face.lift([m / by for m in layout.blocks(s)], y_cert, objective=False),
-                        "residual": res_inf,
-                    }
+                    y_cert, s_cert = face.farkas([m / by for m in layout.blocks(s)], _expand_y(y / by))
+                    cert = {"type": "primal-infeasibility", "y": y_cert, "S": s_cert, "residual": res_inf}
                     return _solution(_snapshot(), "infeasible", iteration - 1, cert)
             if kappa > tau and cx < 0.0:
                 res_unb = float(np.linalg.norm(ax)) / (-cx)

@@ -127,26 +127,35 @@ def test_epsilon_negative_rejected(interval_spec):
 # -- verification is solver-independent -------------------------------------------------
 
 
-def test_verify_detects_perturbed_gram(interval_spec):
-    cert = certify_sufficient(interval_spec, 1, 1)
-    assert isinstance(cert, QuadraticModuleCertificate)
-    tampered = QuadraticModuleCertificate(
-        j=cert.j,
-        d=cert.d,
-        epsilon=cert.epsilon,
-        terms=[t for t in cert.terms],
-        residual=cert.residual,
-        min_gram_eigenvalue=cert.min_gram_eigenvalue,
-    )
-    gram = tampered.terms[0].gram.copy()
-    gram[0, 0] += 1e-3
-    tampered.terms[0].gram = gram
-    check = verify_certificate(tampered, interval_spec)
-    assert check.residual > 1e-4
-    assert not check.passed
+def _every_kind(interval_spec, disk_spec):
+    """(certificate, spec) of each kind: quadratic-module and preordering on
+    interval, archimedean on disk with M = 2."""
+    return [
+        (certify_sufficient(interval_spec, 1, 1), interval_spec),
+        (certify_stengle(interval_spec, 1, 2, p=1), interval_spec),
+        (archimedean_check(disk_spec, 2.0, 1), disk_spec),
+    ]
 
 
-def test_verify_never_raises_on_degenerate_certificate(interval_spec):
+def test_verify_detects_perturbed_gram(interval_spec, disk_spec):
+    for cert, spec in _every_kind(interval_spec, disk_spec):
+        kind = type(cert).__name__
+        # the builder's own recheck passed and filled both numbers
+        assert cert.check.passed, kind
+        assert cert.residual == cert.check.residual, kind
+        assert cert.min_gram_eigenvalue == min(cert.check.gram_eigenvalues.values()), kind
+        term = cert.terms[0]
+        gram = term.gram.copy()
+        gram[0, 0] += 1e-3
+        term.gram = gram
+        check = verify_certificate(cert, spec)
+        assert check.residual > 1e-4, kind
+        assert not check.passed, kind
+        # the kept check is the builder's, and verify_certificate recomputes
+        assert cert.check.passed, kind
+
+
+def test_verify_never_raises_on_degenerate_certificate(interval_spec, disk_spec):
     empty = QuadraticModuleCertificate(
         j=1, d=1, epsilon=0.5, terms=[], residual=0.0, min_gram_eigenvalue=0.0
     )
@@ -154,6 +163,33 @@ def test_verify_never_raises_on_degenerate_certificate(interval_spec):
     # reconstruction misses the eps-shifted target entirely
     assert check.residual >= 0.5
     assert not check.passed
+    # an empty preordering identity misses g_mid^2 = (1 - ((x+y)/2)^2)^2, whose
+    # constant coefficient is 1; an empty bounding identity misses 2 - |x|^2
+    empty_sides = PreorderingCertificate(
+        j=1, d=2, p=1, sigma_terms=[], h_terms=[], residual=0.0, min_gram_eigenvalue=0.0
+    )
+    empty_bound = ArchimedeanCertificate(bound=2.0, d=1, terms=[], residual=0.0, min_gram_eigenvalue=0.0)
+    for cert, spec, floor in ((empty_sides, interval_spec, 1.0), (empty_bound, disk_spec, 2.0)):
+        check = verify_certificate(cert, spec)
+        assert check.residual >= floor
+        assert not check.passed
+    # a Gram matrix that cannot be decomposed, one with a NaN entry (where
+    # eigvalsh returns finite values and the residual skips the NaN
+    # coefficients), or a constraint index out of range fails the check
+    for cert, spec in _every_kind(interval_spec, disk_spec):
+        term = cert.terms[-1]
+        nan_entry = term.gram.copy()
+        nan_entry[0, 0] = np.nan
+        for gram in (np.full((2, 3), 1.0), nan_entry):
+            term.gram = gram
+            check = verify_certificate(cert, spec)
+            assert check.gram_eigenvalues[term.label] == float("-inf")
+            assert not check.passed
+    wrong = PreorderingCertificate(
+        j=3, d=2, p=1, sigma_terms=[], h_terms=[], residual=0.0, min_gram_eigenvalue=0.0
+    )
+    check = verify_certificate(wrong, interval_spec)
+    assert check.residual == float("inf") and not check.passed
 
 
 # -- preordering route ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import convexcert
-from convexcert import cli, refute, sdp
+from convexcert import certify, cli, refute, sdp
 from convexcert.problemio import validate_report_payload
 
 from conftest import (
@@ -536,6 +536,40 @@ def test_archimedean_failed_recheck_is_not_affirmed(capsys):
     assert "archimedean" not in arch["note"]
     assert "failed verification" in arch["note"]
     assert f"{arch['residual']:.3e}" in arch["note"]
+
+
+def test_each_accepted_certificate_is_expanded_once(monkeypatch, capsys):
+    # the builder's recheck is the only expansion: the CLI judges the check
+    # it kept, so each term of each certificate is expanded exactly once
+    expanded = []
+    contribution = certify.SosTerm.contribution
+
+    def counting(term, space):
+        expanded.append(term.label)
+        return contribution(term, space)
+
+    monkeypatch.setattr(certify.SosTerm, "contribution", counting)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "disk.txt"), "--mode", "certify", "--archimedean", "2"])
+    assert code == 0 and payload["archimedean"]["holds"] is True
+    assert payload["archimedean"]["residual"] <= 1e-6
+    (entry,) = payload["constraints"]
+    assert [a["verified"] for a in entry["attempts"]] == [True]
+    cert = entry["certificate"]
+    assert cert["kind"] == "quadratic-module"
+    assert cert["residual"] == cert["verification"]["residual"]
+    # the quadratic-module certificate's sigma_0, sigma_1 and psi_1, then the
+    # archimedean identity's sigma_0 and sigma_1
+    assert sorted(expanded) == sorted([t["label"] for t in cert["terms"]] + ["sigma_0", "sigma_1"])
+
+    expanded.clear()
+    code, payload = run_cli(capsys, [str(PROBLEMS / "interval.txt"), "--mode", "certify", "--stengle"])
+    assert code == 0
+    (entry,) = payload["constraints"]
+    assert [a["verified"] for a in entry["attempts"]] == [True]
+    cert = entry["certificate"]
+    assert cert["kind"] == "preordering"
+    assert cert["residual"] == cert["verification"]["residual"] == entry["attempts"][0]["residual"]
+    assert sorted(expanded) == sorted(t["label"] for t in cert["sigma_terms"] + cert["h_terms"])
 
 
 @pytest.mark.parametrize("name", [n for n, (verdict, _code) in README_OUTCOMES.items() if verdict == "convex"])

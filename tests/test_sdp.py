@@ -59,23 +59,30 @@ def test_minimize_one_diagonal_entry():
 def test_offdiagonal_determinant_infeasible():
     # trace X = 1 with X12 = 0.6 needs X11*X22 >= 0.36, but X11*X22 <= 0.25;
     # the second instance embeds it in a 3x3 block whose first index X00 = 0
-    # forces out, so its Farkas certificate is lifted back from the face
+    # forces out, so its Farkas certificate is lifted back from the face; in
+    # the third the trace row also reaches into the removed row and column
+    # (10 X01), where -A^T y alone is not PSD
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
     embed = np.zeros((3, 3))
     embed[1:, 1:] = e12
+    reaching = np.diag([0.0, 1.0, 1.0])
+    reaching[0, 1] = reaching[1, 0] = 5.0
     for rows in (
         [(np.eye(2), 1.0), (e12, 0.6)],
         [(np.diag([1.0, 0.0, 0.0]), 0.0), (np.diag([0.0, 1.0, 1.0]), 1.0), (embed, 0.6)],
+        [(np.diag([1.0, 0.0, 0.0]), 0.0), (reaching, 1.0), (embed, 0.6)],
     ):
         k = len(rows[0][0])
         sol = solve(SdpProblem([k], {}, [({0: m}, rhs) for m, rhs in rows]))
         assert sol.status == "infeasible"
         cert = sol.certificate
         assert cert["type"] == "primal-infeasibility"
-        # A^T y + S = 0 with b^T y = 1, over the full block
-        assert cert["S"][0].shape == (k, k)
-        assert np.max(np.abs(sum(y * m for y, (m, _) in zip(cert["y"], rows)) + cert["S"][0])) <= 1e-6
+        # A^T y + S = 0 with b^T y = 1 and S PSD, over the full block
+        s = cert["S"][0]
+        assert s.shape == (k, k)
+        assert np.max(np.abs(sum(y * m for y, (m, _) in zip(cert["y"], rows)) + s)) <= 1e-6
         assert sum(y * rhs for y, (_, rhs) in zip(cert["y"], rows)) == pytest.approx(1.0)
+        assert np.linalg.eigvalsh(s)[0] >= -1e-8 * max(1.0, np.linalg.norm(s, 2))
 
 
 def test_offdiagonal_below_threshold_feasible():
