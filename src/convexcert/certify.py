@@ -89,7 +89,11 @@ class SosTerm:
         return self.weight * self.sos_polynomial(space)
 
     def min_gram_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.gram + self.gram.T))[0])
+        """Least eigenvalue of the symmetrized Gram matrix; -inf when an entry is not finite."""
+        sym = 0.5 * (self.gram + self.gram.T)
+        if not np.isfinite(sym).all():  # eigvalsh returns finite values for a NaN entry
+            return float("-inf")
+        return float(np.linalg.eigvalsh(sym)[0])
 
     def to_payload(self) -> dict:
         return {

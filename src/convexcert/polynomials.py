@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, inf
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -293,7 +293,7 @@ def lift(g: Polynomial, side: str) -> Polynomial:
 
 
 def coeff_linf_distance(a: Polynomial, b: Polynomial) -> float:
-    """Max absolute coefficient difference over the union of supports."""
+    """Max absolute coefficient difference over the union of supports; inf where a difference is NaN."""
     if a.space != b.space:
         raise ValueError(f"operand spaces differ: {a.space} vs {b.space}")
     worst = 0.0
@@ -301,6 +301,8 @@ def coeff_linf_distance(a: Polynomial, b: Polynomial) -> float:
         diff = abs(a.terms.get(exps, 0.0) - b.terms.get(exps, 0.0))
         if diff > worst:
             worst = diff
+        elif diff != diff:  # NaN compares false with everything
+            return inf
     return worst
 
 

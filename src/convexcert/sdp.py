@@ -8,9 +8,10 @@ Schur complement (Cholesky with a diagonal perturbation fallback). This gives
 clean status semantics: optimal, infeasible (Farkas certificate attached),
 unbounded (improving ray attached), or stalled.
 
-Blocks are grouped by side length once per solve. Every iterate (X, S, the
-dual residual, the corrector and the Newton directions) is one flat buffer of
-full k x k matrices laid out group by group, so a group's (members, k, k)
+The blocks, or the members they are merged into (see below), are grouped by
+side length once per solve. Every iterate (X, S, the dual residual, the
+corrector and the Newton directions) is one flat buffer of full k x k
+member matrices laid out group by group, so a group's (members, k, k)
 stack is a reshape of the buffer, and each iteration works on those stacks
 with numpy's batched Cholesky, SVD, eigvalsh and matmul. SOS Gram programs
 have many blocks of one size, and per-call overhead on their small blocks
@@ -73,6 +74,26 @@ full one, so the residuals and gap measured on the face are those of the
 full problem. When no row forces an index, the solve runs on the stacked
 data as they are.
 
+The blocks left after the presolve are then packed into members, the PSD
+blocks the iteration runs on. Whole size groups, the one of least total side
+first, are merged into one member, along its diagonal, while the member's
+side stays at or below MERGE_MAX_SIDE; merging two groups or more is what
+pays, as one group is already one set of batched calls. A small SOS program,
+such as [4, 3, 1, 1], then runs each iteration as one group of one member,
+and the per-group call overhead, not arithmetic, is what dominates at those
+sizes; [9, 6, 5, 5, 5] and larger keep the grouping by size. This is sound
+because every data matrix is block-diagonal: the merged program's rows and
+objective are 0 between its blocks, the diagonal blocks of a PSD member are
+PSD, S = C - A^T y is block-diagonal at every y, and the diagonal blocks of
+an improving ray form one. X, S, the Farkas slack and the ray are read back
+off each member's diagonal block by block, so the face's lift, the
+certificates and every diagnostic see the blocks as stated. The threshold is
+measured: on this solver, with BLAS on one thread, merging two size groups
+paid up to a merged side of about 20 and lost beyond it (time ratio 1.07 at
+23, 1.3 at 29 to 31). 14 stops below the first merge that the order-2
+hyperbola program, [9, 6, 5, 5, 5], would make: its optimal X is not unique,
+and merging its 9 and 6 moved X by up to 1.6e-5.
+
 Pure feasibility problems (zero objective), such as the certificate
 programs, are solved as stated, with no regularizing objective. With c = 0
 every feasible point is optimal, and the embedding's iterates head for a
@@ -97,6 +118,9 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 ROW_ELIMINATION_THRESHOLD = 1e-10
 _SYMMETRY_TOL = 1e-9
+# Size groups are merged into one PSD block while its side stays at or below
+# this; see _Layout and the module docstring.
+MERGE_MAX_SIDE = 14
 _STEP_SHRINK = 0.99
 _EPS = float(np.finfo(float).eps)
 
@@ -186,19 +210,24 @@ def _sym_into(mats: np.ndarray, out: np.ndarray) -> None:
 
 
 class _Layout:
-    """Blocks grouped by side length, and their place in the solver's vectors.
+    """Blocks packed into members, grouped by side length, and their place in the solver's vectors.
 
     The problem data are first stacked as svec rows in block order:
     ``offsets`` and ``sizes`` place each block there, and row elimination
-    works on those rows. The solver keeps every iterate as one flat buffer of
-    full k x k matrices, laid out group by group, with groups in the order of
-    their first block and members in block order. ``spans`` holds each
-    group's slice of that buffer, whose reshape to (members, k, k) is the
-    group's stack, and ``places`` the start of each block. The scaled rows of
-    the Schur complement stay in svec form, group by group from
-    ``svec_starts``. The indices of all blocks are numbered in one run, each
-    block's from ``index_starts``: ``diagonal`` holds the svec position of each
-    diagonal entry, and ``entries`` the two indices of every svec entry.
+    works on those rows. The indices of all blocks are numbered in one run,
+    each block's from ``index_starts``: ``diagonal`` holds the svec position of
+    each diagonal entry, and ``entries`` the two indices of every svec entry.
+
+    The solver iterates on members, PSD blocks of side ``sides``: a member is
+    one block, or the small blocks merged along its diagonal (see
+    ``MERGE_MAX_SIDE``). It keeps every iterate as one flat buffer of full
+    side x side member matrices, laid out group by group, with members grouped
+    by side, groups in the order of their first block and members in block
+    order. ``spans`` holds each group's slice of that buffer, whose reshape to
+    (members, k, k) is the group's stack, and ``places`` the start, side and
+    diagonal offset of each block's member. The scaled rows of the Schur
+    complement stay in svec form, ``svec_total`` wide, group by group from
+    ``svec_starts``.
     """
 
     def __init__(self, dims: Sequence[int]):
@@ -207,22 +236,43 @@ class _Layout:
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(int)
         self.total = int(self.offsets[-1])
         self.index_starts = np.cumsum([0] + self.dims)[:-1].tolist()
-        members: dict[int, list[int]] = {}
+        by_size: dict[int, list[int]] = {}
         for i, k in enumerate(self.dims):
-            members.setdefault(k, []).append(i)
-        self.groups = list(members.items())
-        self.places = [0] * len(self.dims)
+            by_size.setdefault(k, []).append(i)
+        # whole size groups, least total side first, go into one member while its side stays small
+        merged: list[int] = []
+        count = side = 0
+        for k, idx in sorted(by_size.items(), key=lambda group: group[0] * len(group[1])):
+            if side + k * len(idx) > MERGE_MAX_SIDE:
+                break
+            merged += idx
+            count, side = count + 1, side + k * len(idx)
+        self.merged = count > 1  # one group alone is merged already
+        in_merged = set(merged) if self.merged else set()
+        members = [[i] for i in range(len(self.dims)) if i not in in_merged]
+        if self.merged:
+            members.append(sorted(merged))
+        members.sort()
+        self.sides = [sum(self.dims[i] for i in m) for m in members]
+        groups: dict[int, list[int]] = {}
+        for j, k in enumerate(self.sides):
+            groups.setdefault(k, []).append(j)
+        self.groups = list(groups.items())
+        self.places: list[tuple[int, int, int]] = [(0, 0, 0)] * len(self.dims)
         self.spans: list[tuple[int, int]] = []
         self.svec_starts: list[int] = []
         flat = svec = 0
         for k, idx in self.groups:
-            for j, i in enumerate(idx):
-                self.places[i] = flat + j * k * k
+            for j, m in enumerate(idx):
+                diag = 0
+                for i in members[m]:
+                    self.places[i] = (flat + j * k * k, k, diag)
+                    diag += self.dims[i]
             self.spans.append((flat, flat + len(idx) * k * k))
             self.svec_starts.append(svec)
             flat += len(idx) * k * k
             svec += len(idx) * k * (k + 1) // 2
-        self.flat = flat
+        self.flat, self.svec_total = flat, svec
         # (r, r) sits at r k - r (r - 1) / 2 in a block's row-major upper triangle
         self.diagonal = np.array(
             [lo + r * k - r * (r - 1) // 2 for lo, k in zip(self.offsets.tolist(), self.dims) for r in range(k)],
@@ -246,16 +296,22 @@ class _Layout:
 
     def blocks(self, vec: np.ndarray) -> list[np.ndarray]:
         """Flat vector -> a view of each block, in the problem's block order."""
-        return [vec[at : at + k * k].reshape(k, k) for at, k in zip(self.places, self.dims)]
+        return [
+            vec[at : at + side * side].reshape(side, side)[diag : diag + k, diag : diag + k]
+            for (at, side, diag), k in zip(self.places, self.dims)
+        ]
 
     def unpack(self, rows: np.ndarray) -> np.ndarray:
-        """svec rows in block order (..., total) -> full-matrix rows in the flat layout."""
-        out = np.empty(rows.shape[:-1] + (self.flat,))
-        for k, lo, size, at in zip(self.dims, self.offsets, self.sizes, self.places):
+        """svec rows in block order (..., total) -> full-matrix rows in the flat layout.
+
+        Entries of a merged member between two of its blocks are 0.
+        """
+        out = (np.zeros if self.merged else np.empty)(rows.shape[:-1] + (self.flat,))
+        for k, lo, size, (at, side, diag) in zip(self.dims, self.offsets, self.sizes, self.places):
             r, c, scale = _svec_meta(k)
             vals = rows[..., lo : lo + size] / scale
-            out[..., at + r * k + c] = vals
-            out[..., at + c * k + r] = vals
+            out[..., at + (diag + r) * side + diag + c] = vals
+            out[..., at + (diag + c) * side + diag + r] = vals
         return out
 
 
@@ -575,10 +631,10 @@ def solve(
     cert_tol = max(10.0 * tol, 1e-10)
     # The scaled rows of a group are formed a few members at a time, so their
     # temporaries stay within p * k^2 of the largest block.
-    row_budget = max(layout.dims) ** 2
+    row_budget = max(layout.sides) ** 2
     a_stacks = layout.stacks(a)
     c_stacks = layout.stacks(c)
-    util = np.empty((p, layout.total))
+    util = np.empty((p, layout.svec_total))
 
     x = np.zeros(layout.flat)
     for block in layout.blocks(x):
@@ -741,7 +797,7 @@ def solve(
             # sum its sign and size are noise that would send dtau anywhere, so
             # the sum is floored there.
             ctil_sq = float(ctil @ ctil)
-            denom = max(float((b - v_wc) @ z2) + ctil_sq, layout.total * _EPS * ctil_sq) + kappa / tau
+            denom = max(float((b - v_wc) @ z2) + ctil_sq, layout.svec_total * _EPS * ctil_sq) + kappa / tau
 
             def newton(rc: np.ndarray, rc_tk: float):
                 """Newton direction, with its X and S parts also in the scaled space."""
@@ -799,7 +855,8 @@ def solve(
             y += alpha * dy
             tau = float(tau + alpha * dtau)
             kappa = float(kappa + alpha * dkappa)
-    except _NumericalFailure as exc:
+    # LinAlgError: a batched SVD or eigvalsh met an overflowed iterate or direction
+    except (_NumericalFailure, np.linalg.LinAlgError) as exc:
         diagnostics["failure"] = str(exc)
         return _finish("stalled", iteration)
 

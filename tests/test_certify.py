@@ -185,6 +185,9 @@ def test_verify_never_raises_on_degenerate_certificate(interval_spec, disk_spec)
             check = verify_certificate(cert, spec)
             assert check.gram_eigenvalues[term.label] == float("-inf")
             assert not check.passed
+        # the NaN coefficients it expands to give an infinite residual, not a finite one
+        assert check.residual == float("inf")
+        assert term.min_gram_eigenvalue() == float("-inf")
     wrong = PreorderingCertificate(
         j=3, d=2, p=1, sigma_terms=[], h_terms=[], residual=0.0, min_gram_eigenvalue=0.0
     )

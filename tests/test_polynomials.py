@@ -245,6 +245,16 @@ def test_distance_examples():
     assert coeff_linf_distance(g, h) == pytest.approx(1e-8)
 
 
+def test_distance_to_a_nan_coefficient_is_infinite():
+    g = poly(X1, {(0,): 1.0, (2,): -1.0})
+    for bad in (poly(X1, {(0,): float("nan"), (2,): -1.0}), g + poly(X1, {(1,): float("nan")})):
+        assert coeff_linf_distance(g, bad) == float("inf")
+        assert coeff_linf_distance(bad, g) == float("inf")
+    # inf - inf is NaN too
+    h = poly(X1, {(0,): float("inf")})
+    assert coeff_linf_distance(h, h) == float("inf")
+
+
 @settings(max_examples=60)
 @given(polynomials(X2), polynomials(X2))
 def test_distance_symmetric(a, b):

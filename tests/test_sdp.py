@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from convexcert import sdp
 from convexcert.sdp import SdpProblem, _chol_lower, _Layout, _stack_problem, _svec, dump_sdp, solve
 
 
@@ -61,7 +62,9 @@ def test_offdiagonal_determinant_infeasible():
     # the second instance embeds it in a 3x3 block whose first index X00 = 0
     # forces out, so its Farkas certificate is lifted back from the face; in
     # the third the trace row also reaches into the removed row and column
-    # (10 X01), where -A^T y alone is not PSD
+    # (10 X01), where -A^T y alone is not PSD. Each is solved alone and beside
+    # two small feasible blocks (trace 1 each), which the solver merges with
+    # it into one PSD block.
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
     embed = np.zeros((3, 3))
     embed[1:, 1:] = e12
@@ -73,16 +76,21 @@ def test_offdiagonal_determinant_infeasible():
         [(np.diag([1.0, 0.0, 0.0]), 0.0), (reaching, 1.0), (embed, 0.6)],
     ):
         k = len(rows[0][0])
-        sol = solve(SdpProblem([k], {}, [({0: m}, rhs) for m, rhs in rows]))
-        assert sol.status == "infeasible"
-        cert = sol.certificate
-        assert cert["type"] == "primal-infeasibility"
-        # A^T y + S = 0 with b^T y = 1 and S PSD, over the full block
-        s = cert["S"][0]
-        assert s.shape == (k, k)
-        assert np.max(np.abs(sum(y * m for y, (m, _) in zip(cert["y"], rows)) + s)) <= 1e-6
-        assert sum(y * rhs for y, (_, rhs) in zip(cert["y"], rows)) == pytest.approx(1.0)
-        assert np.linalg.eigvalsh(s)[0] >= -1e-8 * max(1.0, np.linalg.norm(s, 2))
+        for extra in ([], [1, 2]):
+            dims = [k] + extra
+            eqs = [({0: m}, rhs) for m, rhs in rows] + [({b: np.eye(e)}, 1.0) for b, e in enumerate(extra, start=1)]
+            assert _Layout(dims).merged == bool(extra)
+            sol = solve(SdpProblem(dims, {}, eqs))
+            assert sol.status == "infeasible"
+            cert = sol.certificate
+            assert cert["type"] == "primal-infeasibility"
+            # A^T y + S = 0 with b^T y = 1 and S PSD, over every full block
+            assert [s.shape for s in cert["S"]] == [(e, e) for e in dims]
+            for b, s in enumerate(cert["S"]):
+                aty = sum(y * mats[b] for y, (mats, _) in zip(cert["y"], eqs) if b in mats)
+                assert np.max(np.abs(aty + s)) <= 1e-6
+                assert np.linalg.eigvalsh(s)[0] >= -1e-8 * max(1.0, np.linalg.norm(s, 2))
+            assert sum(y * rhs for y, (_, rhs) in zip(cert["y"], eqs)) == pytest.approx(1.0)
 
 
 def test_offdiagonal_below_threshold_feasible():
@@ -453,3 +461,87 @@ def test_every_index_forced_out_leaves_zero():
     assert sol.diagnostics["reduced_blocks"] == [0, 0]
     assert all(np.all(x == 0.0) for x in sol.X)
     assert np.array_equal(sol.S[0], c) and sol.objective_value == 0.0
+
+
+# -- small blocks merged into one ------------------------------------------------------
+
+
+def _blocked(monkeypatch, problem):
+    """The same solve with no block merged."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "MERGE_MAX_SIDE", 0)
+        assert not _Layout(problem.block_dims).merged
+        return solve(problem)
+
+
+def test_merge_layout():
+    # whole size groups, least total side first, while the merged side stays small
+    assert _Layout([4, 3, 1, 1]).groups == [(9, [0])]
+    assert _Layout([4, 3, 1, 1]).places == [(0, 9, 0), (0, 9, 4), (0, 9, 7), (0, 9, 8)]
+    for dims in ([9, 6, 5, 5, 5], [19, 16, 15, 15, 15]):
+        layout = _Layout(dims)
+        assert not layout.merged
+        assert layout.groups == [(dims[0], [0]), (dims[1], [1]), (dims[2], [2, 3, 4])]
+    # one group alone stays as it is; a merged member joins the group of its side
+    assert _Layout([1, 1, 1]).groups == [(1, [0, 1, 2])]
+    assert _Layout([9, 5, 4]).groups == [(9, [0, 1])]
+    # the blocks sit on the member's diagonal, and unpack leaves 0 between them
+    layout = _Layout([2, 1, 3])
+    member = layout.unpack(np.arange(1.0, layout.total + 1.0)).reshape(6, 6)
+    for block, (lo, k) in zip(layout.blocks(member.ravel()), ((0, 2), (2, 1), (3, 3))):
+        assert np.shares_memory(block, member) and np.array_equal(block, member[lo : lo + k, lo : lo + k])
+        assert np.all(block != 0.0)
+        assert np.all(np.delete(member[lo : lo + k], np.s_[lo : lo + k], axis=1) == 0.0)
+
+
+@pytest.mark.parametrize("dims", [[2, 1, 1, 1], [4, 3, 1, 1], [3, 2, 1, 1, 1]])
+def test_merged_solve_matches_blocked(monkeypatch, dims):
+    problem = random_strictly_feasible(np.random.default_rng(sum(dims)), dims, sum(dims))
+    assert _Layout(dims).groups == [(sum(dims), [0])]
+    merged, blocked = solve(problem), _blocked(monkeypatch, problem)
+    assert merged.status == blocked.status == "optimal"
+    assert merged.iterations == blocked.iterations
+    assert merged.objective_value == pytest.approx(blocked.objective_value, abs=1e-9)
+    assert merged.diagnostics == blocked.diagnostics
+    for xm, xb, sm, sb in zip(merged.X, blocked.X, merged.S, blocked.S):
+        assert xm.shape == xb.shape == sm.shape == sb.shape
+        assert np.max(np.abs(xm - xb)) <= 1e-6
+
+
+def test_merged_solve_reports_reduced_blocks_per_block(monkeypatch):
+    # X0_00 + X0_11 = 0 forces two indices out of block 0, and X2 = 0 empties
+    # block 2; the other rows and the objective reach every block
+    rng = np.random.default_rng(4)
+    dims = [3, 2, 1, 1]
+    objective = {b: np.eye(k) + 0.1 * _sym(rng, k) for b, k in enumerate(dims)}
+    eqs = [({0: np.diag([1.0, 1.0, 0.0])}, 0.0), ({2: np.eye(1)}, 0.0)]
+    eqs += [({b: np.eye(k) for b, k in enumerate(dims)}, 4.0), ({0: _sym(rng, 3), 1: _sym(rng, 2), 3: np.eye(1)}, 0.5)]
+    problem = SdpProblem(dims, objective, eqs)
+    merged, blocked = solve(problem), _blocked(monkeypatch, problem)
+    assert merged.diagnostics["reduced_blocks"] == blocked.diagnostics["reduced_blocks"] == [1, 2, 0, 1]
+    assert merged.status == blocked.status == "optimal"
+    assert merged.iterations == blocked.iterations
+    assert merged.objective_value == pytest.approx(blocked.objective_value, abs=1e-9)
+    for xm, xb, k in zip(merged.X, blocked.X, dims):
+        assert xm.shape == (k, k)
+        assert np.max(np.abs(xm - xb)) <= 1e-6
+    assert np.all(merged.X[0][:2, :] == 0.0) and np.all(merged.X[2] == 0.0)
+
+
+def test_merged_unbounded_ray_is_lifted_per_block(monkeypatch):
+    # -trace X0 falls without bound once X0_22 = 0 forces index 2 out; blocks
+    # 1 and 2 are held by X1 + X2 = 1
+    objective = {0: -np.eye(3), 1: np.eye(1), 2: 2.0 * np.eye(1)}
+    eqs = [({0: np.diag([0.0, 0.0, 1.0])}, 0.0), ({1: np.eye(1), 2: np.eye(1)}, 1.0)]
+    problem = SdpProblem([3, 1, 1], objective, eqs)
+    assert _Layout([2, 1, 1]).merged  # the face's blocks
+    for sol in (solve(problem), _blocked(monkeypatch, problem)):
+        assert sol.status == "unbounded"
+        ray = sol.certificate["X"]
+        assert [x.shape for x in ray] == [(3, 3), (1, 1), (1, 1)]
+        assert np.all(ray[0][2, :] == 0.0) and np.all(ray[0][:, 2] == 0.0)
+        # an improving ray: PSD blocks, A X = 0 and <C, X> = -1
+        assert all(np.linalg.eigvalsh(x)[0] >= -1e-8 for x in ray)
+        for mats, _ in eqs:
+            assert abs(sum(np.tensordot(m, ray[b]) for b, m in mats.items())) <= 1e-6
+        assert sum(np.tensordot(c, ray[b]) for b, c in objective.items()) == pytest.approx(-1.0, abs=1e-6)
