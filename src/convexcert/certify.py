@@ -20,12 +20,15 @@ Gram-matrix feasibility SDPs along three routes:
   complete for compact convex sets.
 
 Each identity reads target = sum over all its terms of weight * (b^T G b),
-G PSD (the preordering one as g_mid^(2p) = sigma_j * g_mid - h_j), with the
-target built by one rule per kind. verify_certificate is the one check: it
-re-expands the Gram matrices, measures the coefficientwise residual and takes
-each Gram matrix's least eigenvalue and norm from one eigvalsh. Each builder
-runs it once and keeps it as the certificate's ``check``, which callers judge
-at their own tolerance instead of expanding again.
+G PSD (the preordering one as g_mid^(2p) = sigma_j * g_mid - h_j). The three
+kinds share one base class, Certificate, which holds the fields and payload
+every kind carries; a kind adds its header fields, its terms and its target
+rule, which its program builder uses too. verify_certificate is the one
+check: it re-expands the Gram matrices, measures the coefficientwise residual
+and takes each Gram matrix's least eigenvalue and norm from
+SosTerm.gram_spectrum. Each builder runs it once and keeps it as the
+certificate's ``check``, which callers judge at their own tolerance instead
+of expanding again.
 
 The first two identities live on the doubled space, and their data are
 invariant under the swap tau: (x, y) -> (y, x). SosProgram therefore builds
@@ -41,7 +44,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from math import ceil, nan
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -88,12 +91,23 @@ class SosTerm:
     def contribution(self, space: VariableSpace) -> Polynomial:
         return self.weight * self.sos_polynomial(space)
 
+    def gram_spectrum(self) -> tuple[float, float]:
+        """Least eigenvalue and norm of the symmetrized Gram matrix.
+
+        (-inf, 1.0) when the matrix is malformed or has a non-finite entry,
+        for which eigvalsh raises or returns finite values.
+        """
+        try:
+            sym = 0.5 * (self.gram + self.gram.T)
+            if np.isfinite(sym).all():
+                spectrum = np.linalg.eigvalsh(sym)
+                return float(spectrum[0]), float(max(-spectrum[0], spectrum[-1]))
+        except Exception:  # bad data fails the check instead of raising
+            pass
+        return float("-inf"), 1.0
+
     def min_gram_eigenvalue(self) -> float:
-        """Least eigenvalue of the symmetrized Gram matrix; -inf when an entry is not finite."""
-        sym = 0.5 * (self.gram + self.gram.T)
-        if not np.isfinite(sym).all():  # eigvalsh returns finite values for a NaN entry
-            return float("-inf")
-        return float(np.linalg.eigvalsh(sym)[0])
+        return self.gram_spectrum()[0]
 
     def to_payload(self) -> dict:
         return {
@@ -289,44 +303,49 @@ class SosProgram:
         return MomentSequence(self.space, self.match_degree // 2, entries)
 
 
-@dataclass
-class QuadraticModuleCertificate:
-    j: int  # 1-based constraint index
-    d: int
-    epsilon: float
-    terms: list[SosTerm]
+@dataclass(kw_only=True)
+class Certificate:
+    """Fields and payload shared by the three certificate kinds.
+
+    Each kind adds its header fields, its terms and its target rule, so that
+    its identity reads target(spec) = sum over terms of weight * (b^T G b).
+    """
+
+    kind: ClassVar[str]
     residual: float
     min_gram_eigenvalue: float
     solver_diagnostics: dict = field(default_factory=dict)
     check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
 
-    def target(self, spec: ProblemSpec) -> Polynomial:
-        return _qmodule_target(spec, self.j, self.epsilon)
-
     def to_payload(self) -> dict:
-        return {
-            "kind": "quadratic-module",
-            "constraint": self.j,
-            "degree": self.d,
-            "epsilon": self.epsilon,
-            "residual": self.residual,
-            "min_gram_eigenvalue": self.min_gram_eigenvalue,
-            "solver": self.solver_diagnostics,
-            "terms": [t.to_payload() for t in self.terms],
-        }
+        return {"kind": self.kind, **self._kind_payload(), "residual": self.residual,
+                "min_gram_eigenvalue": self.min_gram_eigenvalue, "solver": self.solver_diagnostics}
 
 
 @dataclass
-class PreorderingCertificate:
+class QuadraticModuleCertificate(Certificate):
+    kind = "quadratic-module"
+    j: int  # 1-based constraint index
+    d: int
+    epsilon: float
+    terms: list[SosTerm]
+
+    def target(self, spec: ProblemSpec) -> Polynomial:
+        return _qmodule_target(spec, self.j, self.epsilon)
+
+    def _kind_payload(self) -> dict:
+        return {"constraint": self.j, "degree": self.d, "epsilon": self.epsilon,
+                "terms": [t.to_payload() for t in self.terms]}
+
+
+@dataclass
+class PreorderingCertificate(Certificate):
+    kind = "preordering"
     j: int
     d: int
     p: int
     sigma_terms: list[SosTerm]
     h_terms: list[SosTerm]
-    residual: float
-    min_gram_eigenvalue: float
-    solver_diagnostics: dict = field(default_factory=dict)
-    check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
 
     def target(self, spec: ProblemSpec) -> Polynomial:
         return _stengle_target(spec, self.j, self.p)
@@ -336,46 +355,24 @@ class PreorderingCertificate:
         """All terms of the identity, sigma side first."""
         return self.sigma_terms + self.h_terms
 
-    def to_payload(self) -> dict:
-        return {
-            "kind": "preordering",
-            "constraint": self.j,
-            "degree": self.d,
-            "power": self.p,
-            "residual": self.residual,
-            "min_gram_eigenvalue": self.min_gram_eigenvalue,
-            "solver": self.solver_diagnostics,
-            "sigma_terms": [t.to_payload() for t in self.sigma_terms],
-            "h_terms": [t.to_payload() for t in self.h_terms],
-        }
+    def _kind_payload(self) -> dict:
+        return {"constraint": self.j, "degree": self.d, "power": self.p,
+                "sigma_terms": [t.to_payload() for t in self.sigma_terms],
+                "h_terms": [t.to_payload() for t in self.h_terms]}
 
 
 @dataclass
-class ArchimedeanCertificate:
+class ArchimedeanCertificate(Certificate):
+    kind = "archimedean"
     bound: float
     d: int
     terms: list[SosTerm]
-    residual: float
-    min_gram_eigenvalue: float
-    solver_diagnostics: dict = field(default_factory=dict)
-    check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
 
     def target(self, spec: ProblemSpec) -> Polynomial:
         return _archimedean_target(spec, self.bound)
 
-    def to_payload(self) -> dict:
-        return {
-            "kind": "archimedean",
-            "bound": self.bound,
-            "degree": self.d,
-            "residual": self.residual,
-            "min_gram_eigenvalue": self.min_gram_eigenvalue,
-            "solver": self.solver_diagnostics,
-            "terms": [t.to_payload() for t in self.terms],
-        }
-
-
-Certificate = QuadraticModuleCertificate | PreorderingCertificate | ArchimedeanCertificate
+    def _kind_payload(self) -> dict:
+        return {"bound": self.bound, "degree": self.d, "terms": [t.to_payload() for t in self.terms]}
 
 
 @dataclass
@@ -616,23 +613,17 @@ def verify_certificate(
     """
     try:
         target = cert.target(spec)
-        total = Polynomial.zero(target.space)
+        total: dict[Exponents, float] = {}  # one running sum, not a new polynomial per term
         for term in cert.terms:
-            total = total + term.contribution(target.space)
-        residual = coeff_linf_distance(target, total)
+            for exps, coeff in term.contribution(target.space).terms.items():
+                total[exps] = total.get(exps, 0.0) + coeff
+        residual = coeff_linf_distance(target, Polynomial(target.space, total))
     except Exception:
         residual = float("inf")
     eigs: dict[str, float] = {}
     min_eig = 0.0
     for term in cert.terms:
-        try:
-            sym = 0.5 * (term.gram + term.gram.T)
-            if not np.isfinite(sym).all():  # eigvalsh returns finite values for a NaN entry
-                raise ValueError(f"{term.label}: non-finite Gram matrix")
-            spectrum = np.linalg.eigvalsh(sym)
-            val, norm = float(spectrum[0]), float(max(-spectrum[0], spectrum[-1]))
-        except Exception:
-            val, norm = float("-inf"), 1.0
+        val, norm = term.gram_spectrum()
         eigs[term.label] = val
         # scale-relative floor: eigenvalues are compared against eig_tol * max(1, |G|)
         min_eig = min(min_eig, val / max(1.0, norm))

@@ -284,20 +284,11 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
 
 
 def _parameters_payload(config: RunConfig, spec: ProblemSpec) -> dict:
-    start, cap = _order_ladder(config, spec)
-    return {
-        "mode": config.mode,
-        "order": start,
-        "max_order": cap,
-        "ball": config.ball,
-        "stengle": config.stengle,
-        "stengle_p": config.stengle_p,
-        "archimedean": config.archimedean,
-        "seed": config.seed,
-        "tol_feas": config.tol_feas,
-        "tol_residual": config.tol_residual,
-        "solver_tol": sdp.DEFAULT_TOL,
-    }
+    """Every RunConfig field but the output paths, with the orders resolved."""
+    parameters = dataclasses.asdict(config)
+    del parameters["out"], parameters["dump_dir"]
+    parameters["order"], parameters["max_order"] = _order_ladder(config, spec)
+    return {**parameters, "solver_tol": sdp.DEFAULT_TOL}
 
 
 def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
@@ -391,7 +382,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-feas", type=float, default=1e-6)
     parser.add_argument("--tol-residual", type=float, default=1e-6)
     parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
-    parser.add_argument("--dump-sdp", type=str, default=None, metavar="DIR",
+    parser.add_argument("--dump-sdp", dest="dump_dir", type=str, default=None, metavar="DIR",
                         help="dump every Gram instance that is solved, in sparse text form")
     return parser
 
@@ -409,20 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         spec = parse_problem(text)
-        config = RunConfig(
-            mode=args.mode,
-            order=args.order,
-            max_order=args.max_order,
-            ball=args.ball,
-            stengle=args.stengle,
-            stengle_p=args.stengle_p,
-            archimedean=args.archimedean,
-            seed=args.seed,
-            tol_feas=args.tol_feas,
-            tol_residual=args.tol_residual,
-            out=args.out,
-            dump_dir=args.dump_sdp,
-        )
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
     except (ParseError, ValueError) as exc:
         print(f"convexcert: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -119,27 +119,18 @@ def riesz_apply(z: MomentSequence, f: Polynomial) -> float:
 
 
 def moment_matrix(z: MomentSequence, order: int) -> np.ndarray:
-    """Moment matrix of the given order; needs moments up to degree 2*order."""
+    """Moment matrix of the given order, the localizing matrix of 1; needs moments up to degree 2*order."""
     if order > z.order:
         raise ValueError(f"order {order} exceeds moment sequence order {z.order}")
-    basis = monomial_basis(z.space, order)
-    m = len(basis)
-    out = np.empty((m, m))
-    for i in range(m):
-        ei = basis[i]
-        for j in range(i, m):
-            value = z.value(tuple(a + b for a, b in zip(ei, basis[j])))
-            out[i, j] = value
-            out[j, i] = value
-    return out
+    return localizing_matrix(z, Polynomial.constant(z.space, 1.0), order)
 
 
 def localizing_matrix(z: MomentSequence, theta: Polynomial, order: int) -> np.ndarray:
     """Localizing matrix of theta at the given order.
 
     Entry (i, j) is sum over theta's terms of coeff * z[e_i + e_j + e_theta];
-    with theta = 1 this reduces to the moment matrix. Needs moments up to
-    degree 2*order + deg(theta).
+    with theta = 1 this is the moment matrix. Needs moments up to degree
+    2*order + deg(theta).
     """
     if theta.space != z.space:
         raise ValueError("weight polynomial lives in a different space than the moments")

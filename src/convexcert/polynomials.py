@@ -7,9 +7,9 @@ and the two embeddings of an n-variable polynomial into the doubled (x, y)
 space.
 
 Polynomials are immutable after construction and all operations are pure, so
-values can be shared freely across threads. Coefficients whose magnitude falls
-below ``DEDUP_THRESHOLD`` are dropped during normalization; in particular the
-zero polynomial always has an empty term map and degree 0.
+values can be shared freely across threads. Normalization drops only
+coefficients that are exactly zero; in particular the zero polynomial always
+has an empty term map and degree 0.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from math import comb, inf
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-
-# Absolute magnitude below which a coefficient is treated as zero.
-DEDUP_THRESHOLD = 1e-12
 
 Exponents = tuple[int, ...]
 
@@ -85,8 +82,8 @@ class Polynomial:
             value = normalized.get(key, 0.0) + float(coeff)
             normalized[key] = value
         self.space = space
-        # not <=, so that a NaN (inf - inf) stays visible instead of passing for zero
-        self.terms = {k: v for k, v in normalized.items() if not abs(v) <= DEDUP_THRESHOLD}
+        # a NaN (inf - inf) is kept, so that it stays visible
+        self.terms = {k: v for k, v in normalized.items() if v != 0.0}
 
     # -- constructors ------------------------------------------------------
 

@@ -371,11 +371,9 @@ def validate_witness(
     """
     if not atoms:
         raise ValueError("no atoms supplied")
-    if not 1 <= j <= spec.m:
-        raise ValueError(f"constraint index {j} out of range 1..{spec.m}")
+    gj = spec.constraints[certify._constraint_index(spec, j)]
     tol_strict = 10.0 * tol_feas
     n = spec.n
-    gj = spec.constraints[j - 1]
     survivors: list[WitnessAtom] = []
     for point, weight in atoms:
         coords = np.asarray(point, dtype=float)
@@ -483,9 +481,9 @@ def sample_witness(
     at the point itself with no tolerance, are the members. g_j is scored at
     the midpoints of all member pairs in one vectorised pass (in chunks of
     SAMPLE_CHUNK midpoints), and the SAMPLE_POLISHED best pairs are polished
-    by _polish with the scale |rho|. The best polished pair goes to
-    validate_witness only when it violates g_j by the strict tolerance and
-    stays inside the set, so a sampled witness has feasibility_margin >= 0.
+    by _polish with the scale |rho|. The best polished pair is kept when
+    validate_witness accepts it and it stays inside the set, so a sampled
+    witness has feasibility_margin >= 0.
 
     Returns None when the sample holds fewer than two members (a thin set:
     no polish is run) or no pair qualifies. Needs numpy only.
@@ -520,10 +518,7 @@ def sample_witness(
     lifted += [lift(g, side) for side in ("x", "y") for g in spec.constraints]
     system = PolynomialSystem(lifted)
     polished = _polish(system, pairs, abs(result.rho))
-    values = system(polished)
-    pick = int(np.argmin(values[:, 0]))
-    if not values[pick, 0] <= -10.0 * tol_feas:  # a NaN fails too
-        return None
+    pick = int(np.argmin(system(polished)[:, 0]))
     witness = validate_witness([(polished[pick], 1.0)], spec, j, tol_feas=tol_feas)
     if witness is None or witness.atoms[0].feasibility_margin < 0.0:
         return None

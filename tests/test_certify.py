@@ -6,6 +6,7 @@ from convexcert.certify import (
     CertificationFailure,
     PreorderingCertificate,
     QuadraticModuleCertificate,
+    SosTerm,
     archimedean_check,
     build_qmodule_sdp,
     certify_stengle,
@@ -135,6 +136,41 @@ def _every_kind(interval_spec, disk_spec):
         (certify_stengle(interval_spec, 1, 2, p=1), interval_spec),
         (archimedean_check(disk_spec, 2.0, 1), disk_spec),
     ]
+
+
+# to_payload() keys per kind, as docs/formats.md lists them; a report adds `verification`
+PAYLOAD_KEYS = {
+    "quadratic-module": {"kind", "constraint", "degree", "epsilon", "residual", "min_gram_eigenvalue",
+                         "solver", "terms"},
+    "preordering": {"kind", "constraint", "degree", "power", "residual", "min_gram_eigenvalue",
+                    "solver", "sigma_terms", "h_terms"},
+    "archimedean": {"kind", "bound", "degree", "residual", "min_gram_eigenvalue", "solver", "terms"},
+}
+
+
+def test_payload_keys_are_the_documented_ones(interval_spec, disk_spec):
+    kinds = {QuadraticModuleCertificate: "quadratic-module", PreorderingCertificate: "preordering",
+             ArchimedeanCertificate: "archimedean"}
+    for cert, _spec in _every_kind(interval_spec, disk_spec):
+        payload = cert.to_payload()
+        assert payload["kind"] == kinds[type(cert)]
+        assert set(payload) == PAYLOAD_KEYS[payload["kind"]]
+        assert (payload["residual"], payload["min_gram_eigenvalue"]) == (
+            cert.residual, cert.min_gram_eigenvalue)
+        assert payload["solver"] == cert.solver_diagnostics
+        for key in ("terms", "sigma_terms", "h_terms"):
+            for term in payload.get(key, []):
+                assert set(term) == {"label", "weight", "basis", "gram"}
+
+
+def test_gram_spectrum_of_bad_data_is_minus_infinity(interval_spec):
+    term = SosTerm("sigma_0", Polynomial.constant(interval_spec.space, 1.0), ((0,), (1,)), np.diag([-2.0, 3.0]))
+    assert term.gram_spectrum() == (-2.0, 3.0)
+    # a malformed matrix, or one with a NaN entry (where eigvalsh returns finite values)
+    for gram in (np.full((2, 3), 1.0), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        term.gram = gram
+        assert term.gram_spectrum() == (float("-inf"), 1.0)
+        assert term.min_gram_eigenvalue() == float("-inf")
 
 
 def test_verify_detects_perturbed_gram(interval_spec, disk_spec):

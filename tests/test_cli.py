@@ -411,13 +411,29 @@ def test_run_config_validation():
         for value in (-1.0, 0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
                 cli.RunConfig(**{name: value})
+    with pytest.raises(ValueError, match="stengle"):
+        cli.RunConfig(stengle_p=0)
     cli.RunConfig(ball=2.0, archimedean=4.0, max_order=1)
+
+
+def test_parameters_are_the_documented_ones(tmp_path):
+    path = write_problem(tmp_path, INTERVAL)
+    out = tmp_path / "report.json"
+    args = [path, "--out", str(out), "--dump-sdp", str(tmp_path / "dump"), "--mode", "refute",
+            "--stengle-p", "2", "--seed", "3", "--tol-feas", "1e-7", "--max-order", "2"]
+    assert cli.main(args) == 2  # a refute run on a convex set proves nothing
+    # the run's output paths are no run parameter
+    assert json.loads(out.read_text())["parameters"] == {
+        "mode": "refute", "order": 1, "max_order": 2, "ball": None, "stengle": False, "stengle_p": 2,
+        "archimedean": None, "seed": 3, "tol_feas": 1e-7, "tol_residual": 1e-6,
+        "solver_tol": sdp.DEFAULT_TOL,
+    }
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--archimedean", "-1"), ("--archimedean", "0"), ("--archimedean", "inf"),
     ("--archimedean", "nan"), ("--ball", "inf"), ("--ball", "nan"), ("--ball", "-2"),
-    ("--tol-feas", "nan"), ("--tol-residual", "-1"), ("--max-order", "0"),
+    ("--tol-feas", "nan"), ("--tol-residual", "-1"), ("--max-order", "0"), ("--stengle-p", "0"),
 ])
 def test_malformed_run_parameter_exits_64(tmp_path, capsys, flag, value):
     path = write_problem(tmp_path, DISK)

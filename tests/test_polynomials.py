@@ -22,8 +22,8 @@ def poly(space, terms):
 
 # -- hypothesis strategies -----------------------------------------------------
 
-# keep magnitudes well above the dedup threshold so products of two
-# coefficients can never straddle it and silently drop a leading term
+# keep magnitudes far from underflow, so that a product of two nonzero
+# coefficients is never zero and never drops a leading term
 coeffs = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False).filter(
     lambda v: v == 0.0 or abs(v) >= 1e-3
 )
@@ -66,9 +66,14 @@ def test_space_mismatch_rejected():
         Polynomial.variable(X1, 0) + Polynomial.variable(X2, 0)
 
 
-def test_dedup_threshold_drops_tiny_terms():
-    p = poly(X1, {(1,): 1e-13})
-    assert p.is_zero()
+def test_tiny_coefficients_are_kept():
+    tiny = 2.0**-44  # 5.7e-14
+    p = poly(X1, {(0,): -tiny, (2,): 1.0})
+    assert p.terms == {(0,): -tiny, (2,): 1.0}
+    assert (p * p).terms == {(0,): tiny * tiny, (2,): -2.0 * tiny, (4,): 1.0}
+    assert poly(X1, {(1,): 1e-300}).degree == 1
+    # only an exact cancellation leaves a term out
+    assert (p + tiny).terms == {(2,): 1.0}
 
 
 @settings(max_examples=60)

@@ -166,6 +166,14 @@ def test_parse_problem_error_carries_position():
     assert err.value.line == 3
 
 
+def test_parse_problem_keeps_tiny_coefficients():
+    # the set under test is the one written: x^2 >= 1e-13, not x^2 >= 0
+    spec = parse_problem("vars: x\ng: x^2 - 1e-13\n")
+    assert spec.constraints[0].terms == {(0,): -1e-13, (2,): 1.0}
+    report = make_report("analyze", spec, {}, [])
+    assert report.payload()["problem"]["constraints"] == ["-1e-13 + x^2"]
+
+
 @pytest.mark.parametrize("body", ["1e400 - x^2", "(1e200*x)^2 - 1", "1e400 - 1e400 + x"])
 def test_parse_problem_rejects_non_finite_coefficients(body):
     # an overflowing literal or product must stop at the parser, not in the solver

@@ -498,6 +498,27 @@ def test_validate_rejects_near_zero_violation(interval_spec):
     assert validate_witness(atoms, interval_spec, 1) is None
 
 
+def test_validate_rejects_malformed_input(parabola_spec):
+    atom = (np.array([1.0, 1.0, -1.0, 1.0]), 1.0)
+    # the atoms are checked first, then the constraint index, then each atom's shape
+    with pytest.raises(ValueError, match="^no atoms supplied$"):
+        validate_witness([], parabola_spec, 9)
+    for j in (0, 4):
+        with pytest.raises(ValueError, match=rf"^constraint index {j} out of range 1\.\.3$"):
+            validate_witness([atom], parabola_spec, j)
+    with pytest.raises(ValueError, match=r"^atom has shape \(2,\), expected \(4,\)$"):
+        validate_witness([atom, (np.array([1.0, 1.0]), 1.0)], parabola_spec, 1)
+
+
+def test_extract_rejects_missing_moments_and_atom_count(interval_spec):
+    result = solve_relaxation(interval_spec, 1, 2)
+    with pytest.raises(ValueError, match="^need at least one atom$"):
+        extract_atoms(result, 0)
+    empty = dataclasses.replace(result, z=None)
+    with pytest.raises(ValueError, match="^relaxation result carries no moment sequence$"):
+        extract_atoms(empty, 1)
+
+
 def test_witness_payload(parabola_spec):
     result = solve_relaxation(parabola_spec, 1, 2)
     flat = rank_flatness_check(result, parabola_spec)

@@ -200,6 +200,23 @@ def test_rejects_non_finite_data():
         solve(SdpProblem([2], {}, eqs))
 
 
+def test_rejects_missing_or_empty_blocks():
+    for dims, message in (([], "^at least one PSD block is required$"),
+                          ([0], "^block dimension must be positive, got 0$")):
+        with pytest.raises(ValueError, match=message):
+            solve(SdpProblem(dims, {}, []))
+
+
+def test_validate_reports_what_solve_rejects():
+    SdpProblem([2], {0: np.eye(2)}, [({0: np.eye(2)}, 1.0)]).validate()
+    bad = SdpProblem([2], {}, [({0: np.eye(2)}, 1.0), ({0: np.eye(3)}, 1.0)])
+    message = r"^equality 1: block 0 matrix has shape \(3, 3\), expected \(2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        bad.validate()
+    with pytest.raises(ValueError, match=message):
+        solve(bad)
+
+
 def test_overflowing_data_reports_stalled():
     # finite data whose products overflow: a stalled status, not a LAPACK error
     p = SdpProblem([2], {0: 1e300 * np.eye(2)}, [({0: np.eye(2)}, 1.0)])
