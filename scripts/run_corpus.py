@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from convexcert.cli import RunConfig, exit_code_for, run_analyze
+from convexcert.cli import RunConfig, exit_code_for, run
 from convexcert.problemio import parse_problem
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -38,7 +38,7 @@ def main() -> int:
         spec = parse_problem(path.read_text())
         config = RunConfig(mode="analyze")
         start = time.perf_counter()
-        report = run_analyze(config, spec)
+        report = run(config, spec)
         elapsed = time.perf_counter() - start
         solvers = [r["solver"] for c in report.constraints for r in c["relaxations"]]
         largest = max(solvers, key=lambda s: s["p"], default=None)

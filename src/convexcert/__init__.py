@@ -4,6 +4,8 @@ semi-algebraic sets {x : g_1(x) >= 0, ..., g_m(x) >= 0}.
 The public surface mirrors the pipeline: polynomial primitives, problem
 parsing, moment machinery, an embedded SDP solver, sum-of-squares
 certification, and moment-relaxation refutation with atom extraction.
+The CLI's RunConfig and run stay in convexcert.cli, which this package does
+not import: runpy warns when `python -m convexcert.cli` finds it loaded.
 """
 
 from .certify import (
@@ -61,19 +63,6 @@ from .sdp import SdpProblem, SdpSolution, dump_sdp, solve
 
 __version__ = "0.1.0"
 
-# The CLI's names load on first use (PEP 562): importing the cli module here
-# would put it in sys.modules before `python -m convexcert.cli` runs it, and
-# runpy warns about that on every run.
-_CLI_NAMES = ("RunConfig", "run_analyze", "run_certify", "run_refute")
-
-
-def __getattr__(name: str):
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ArchimedeanCertificate",
@@ -91,7 +80,6 @@ __all__ = [
     "QuadraticModuleCertificate",
     "RelaxationResult",
     "Report",
-    "RunConfig",
     "SdpProblem",
     "SdpSolution",
     "VariableSpace",
@@ -115,9 +103,6 @@ __all__ = [
     "rank_flatness_check",
     "relaxation_orders",
     "riesz_apply",
-    "run_analyze",
-    "run_certify",
-    "run_refute",
     "sample_witness",
     "serialize_report",
     "solve",

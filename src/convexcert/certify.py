@@ -31,11 +31,12 @@ certificate's ``check``, which callers judge at their own tolerance instead
 of expanding again.
 
 The first two identities live on the doubled space, and their data are
-invariant under the swap tau: (x, y) -> (y, x). SosProgram therefore builds
-them over tau-orbits (one row per orbit of monomials, an even and an odd
-block for sigma_0, one block shared by sigma_k and psi_k = sigma_k o tau),
-which halves the rows and the PSD blocks the solver sees, and expands a
-solution back into every term's full Gram matrix.
+invariant under the swap tau: (x, y) -> (y, x). Their builders name each
+term's swap image (sigma_k's is psi_k, sigma_J's is sigma_tauJ), and
+SosProgram builds them over tau-orbits (one row per orbit of monomials, an
+even and an odd block for sigma_0, one block shared by sigma_k and
+psi_k = sigma_k o tau), which halves the rows and the PSD blocks the solver
+sees, and expands a solution back into every term's full Gram matrix.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ from .problemio import ProblemSpec
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_GRAM_EIG_TOL = 1e-8
 STENGLE_M_MAX = 3
-# relative coefficient tolerance under which a swapped polynomial counts as unchanged
-SWAP_TOL = 1e-12
 
 if TYPE_CHECKING:
     from .refute import RelaxationResult
@@ -130,18 +129,6 @@ def _swap(exponents: Exponents, n: int) -> Exponents:
     return exponents[n:] + exponents[:n]
 
 
-def _is_swap_image(a: Polynomial, b: Polynomial, n: int) -> bool:
-    """Whether b is a with x and y swapped, up to SWAP_TOL relative to a's coefficients."""
-    if len(a.terms) != len(b.terms):
-        return False
-    tol = SWAP_TOL * max([1.0, *(abs(c) for c in a.terms.values())])
-    for exps, coeff in a.terms.items():
-        image = b.terms.get(_swap(exps, n))
-        if image is None or abs(image - coeff) > tol:
-            return False
-    return True
-
-
 @dataclass
 class _Block:
     """One PSD block X of the solved program and the term Gram matrices it carries.
@@ -159,11 +146,11 @@ class SosProgram:
     """Target = sum_i weight_i * (unknown SOS of degree <= 2*basis_degree_i),
     matched coefficientwise over all monomials of degree <= match_degree.
 
-    On the lifted space the program is built over the orbits of the swap
-    tau: (x, y) -> (y, x) whenever the target is tau-invariant and the terms
-    close under tau (term i's weight, swapped, is term tau(i)'s weight).
-    Averaging any solution with its swap then gives a tau-symmetric one, so
-    the symmetric program loses nothing:
+    The builder names, in partner, term tau(i) for each term i under the
+    swap tau: (x, y) -> (y, x) of the lifted space: the target is
+    tau-invariant and term tau(i)'s weight is term i's weight swapped. The
+    program is built over the orbits of tau. Averaging any solution with its
+    swap gives a tau-symmetric one, so the symmetric program loses nothing:
 
     * one equality per monomial orbit, the sum of that orbit's coefficient
       equations, in the graded order of its first monomial;
@@ -173,15 +160,18 @@ class SosProgram:
     * a pair of terms shares one Gram block: term tau(i)'s Gram matrix is
       term i's with the basis permuted by tau.
 
-    Otherwise tau is the identity, every term keeps one block over its own
-    basis and every monomial its own row. recover and moments expand a
-    solution back to every term's Gram matrix and every monomial's moment.
+    With partner None tau is the identity: every term keeps one block over
+    its own basis and every monomial its own row. recover and moments expand
+    a solution back to every term's Gram matrix and every monomial's moment.
+    A wrong partner can lose a certificate but never pass a wrong one, as
+    verify_certificate rechecks every monomial.
     """
 
     space: VariableSpace
     target: Polynomial
     term_specs: list[_TermSpec]
     match_degree: int
+    partner: list[int] | None = None
     bases: list[MonomialBasis] = field(init=False)
     blocks: list[_Block] = field(init=False)
     row_of: dict[Exponents, int] = field(init=False)
@@ -198,11 +188,10 @@ class SosProgram:
                 "the degree bound d must be at least max_k ceil(deg g_k / 2)"
             )
         self.bases = [monomial_basis(self.space, t.basis_degree) for t in self.term_specs]
-        partner = self._swap_partners()
-        if partner is None:  # tau acts as the identity
-            swap, partner = (lambda e: e), list(range(len(self.term_specs)))
+        if self.partner is None:  # tau acts as the identity
+            swap, partner = (lambda e: e), range(len(self.term_specs))
         else:
-            swap = partial(_swap, n=self.space.n)
+            swap, partner = partial(_swap, n=self.space.n), self.partner
         self.row_of = {}
         self.n_rows = 0
         for gamma in monomial_basis(self.space, self.match_degree):
@@ -234,25 +223,6 @@ class SosProgram:
                 moved = np.zeros((k, k))
                 moved[perm, np.arange(k)] = 1.0
                 self.blocks.append(_Block(k, [(i, np.eye(k)), (partner[i], moved)]))
-
-    def _swap_partners(self) -> list[int] | None:
-        """Term tau(i) for each term i, or None when the program is not tau-invariant."""
-        n = self.space.n
-        if not self.space.lifted or not _is_swap_image(self.target, self.target, n):
-            return None
-        specs = self.term_specs
-        partner: list[int | None] = [None] * len(specs)
-        for i, spec in enumerate(specs):
-            if partner[i] is not None:
-                continue
-            # the first match, so a term that is its own image pairs with itself
-            j = next((j for j in range(i, len(specs)) if partner[j] is None
-                      and specs[j].basis_degree == spec.basis_degree
-                      and _is_swap_image(spec.weight, specs[j].weight, n)), None)
-            if j is None:
-                return None
-            partner[i], partner[j] = j, i
-        return partner
 
     def to_sdp(self) -> sdp.SdpProblem:
         # exponent vectors coded in base match_degree + 1, where a monomial
@@ -379,7 +349,6 @@ class ArchimedeanCertificate(Certificate):
 class CertificationFailure:
     reason: str  # "no certificate at this degree" | "inconclusive"
     solver_status: str
-    detail: str = ""
     solver_diagnostics: dict = field(default_factory=dict)
 
 
@@ -470,7 +439,9 @@ def _qmodule_program(spec: ProblemSpec, j: int, d: int, epsilon: float) -> SosPr
         specs.append(_TermSpec(f"sigma_{k}", lift(g, "x"), _multiplier_degree(d, g)))
     for k, g in enumerate(spec.constraints, start=1):
         specs.append(_TermSpec(f"psi_{k}", lift(g, "y"), _multiplier_degree(d, g)))
-    return SosProgram(space=lifted, target=target, term_specs=specs, match_degree=2 * d)
+    m = spec.m  # sigma_0 is its own swap image; sigma_k and psi_k are each other's
+    partner = [0, *range(m + 1, 2 * m + 1), *range(1, m + 1)]
+    return SosProgram(space=lifted, target=target, term_specs=specs, match_degree=2 * d, partner=partner)
 
 
 def build_qmodule_sdp(spec: ProblemSpec, j: int, d: int, epsilon: float = 0.0) -> sdp.SdpProblem:
@@ -523,6 +494,7 @@ def _stengle_program(spec: ProblemSpec, j: int, d: int, p: int) -> SosProgram:
     ghat = [lift(g, "x") for g in spec.constraints] + [lift(g, "y") for g in spec.constraints]
     target = _stengle_target(spec, j, p)
     specs: list[_TermSpec] = []
+    sigma_of: dict[tuple[int, ...], int] = {}  # subset J -> index of sigma_J, with h_J next
     subsets = []
     for size in range(len(ghat) + 1):
         subsets.extend(itertools.combinations(range(len(ghat)), size))
@@ -533,11 +505,19 @@ def _stengle_program(spec: ProblemSpec, j: int, d: int, p: int) -> SosProgram:
         slack = 2 * d - product.degree
         if slack < 0:
             continue
+        sigma_of[subset] = len(specs)
         tag = "{" + ",".join(str(ell + 1) for ell in subset) + "}"
         specs.append(_TermSpec(f"sigma_J{tag}", product * gmid, slack // 2))
         specs.append(_TermSpec(f"h_J{tag}", -1.0 * product, slack // 2))
+    # tau J moves each g_k(x) to g_k(y) and back; the degree filter keeps it with J
+    m = spec.m
+    partner = []
+    for subset in sigma_of:
+        image = sigma_of[tuple(sorted((ell + m) % (2 * m) for ell in subset))]
+        partner += [image, image + 1]
     match_degree = max(2 * d + gj.degree, 2 * p * gj.degree)
-    return SosProgram(space=lifted, target=target, term_specs=specs, match_degree=match_degree)
+    return SosProgram(space=lifted, target=target, term_specs=specs, match_degree=match_degree,
+                      partner=partner)
 
 
 def certify_stengle(

@@ -45,7 +45,6 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import certify, refute, sdp
 from .polynomials import ball_polynomial
@@ -78,8 +77,8 @@ class RunConfig:
     stengle_p: int = 1
     archimedean: float | None = None
     seed: int = 0
-    tol_feas: float = 1e-6
-    tol_residual: float = 1e-6
+    tol_feas: float = refute.DEFAULT_FEASIBILITY_TOL
+    tol_residual: float = certify.DEFAULT_RESIDUAL_TOL
     out: str | None = None
     dump_dir: str | None = None
 
@@ -117,20 +116,6 @@ def _with_ball(spec: ProblemSpec, radius: float) -> ProblemSpec:
     """Augment the constraint list with R^2 - |x|^2 >= 0 (changes the set)."""
     ball = ball_polynomial(spec.space, radius * radius)
     return ProblemSpec(n=spec.n, constraints=spec.constraints + (ball,), names=spec.names)
-
-
-def _dump_hook(config: RunConfig):
-    """hook(name, build) writes build() to DIR/name.sdp; build runs only when dumping."""
-    if config.dump_dir is None:
-        return lambda name, build: None
-    directory = Path(config.dump_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    def hook(name: str, build: Callable[[], sdp.SdpProblem]) -> None:
-        with open(directory / f"{name}.sdp", "w") as stream:
-            sdp.dump_sdp(build(), stream)
-
-    return hook
 
 
 def _try_certificate(entry: dict, outcome, k: int, config: RunConfig) -> bool:
@@ -196,7 +181,7 @@ def _accept_witness(entry: dict, witness: refute.NonconvexityWitness, source: st
     entry.update(verdict="refuted", witness=payload, unproven_signal=False)
 
 
-def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
+def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
     """Constraint j's report entry: one Gram solve per order, conclusions by mode."""
     entry = {
         "index": j,
@@ -225,7 +210,11 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig, dump) -> dict:
                     break
         if config.stengle and config.mode == "certify":
             continue  # the Gram blocks are no certificate under --stengle
-        dump(f"qmodule_g{j}_d{k}", lambda: refute.build_moment_sdp(spec, j, k))
+        if config.dump_dir is not None:
+            directory = Path(config.dump_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            with open(directory / f"qmodule_g{j}_d{k}.sdp", "w") as stream:
+                sdp.dump_sdp(refute.build_moment_sdp(spec, j, k), stream)
         result = refute.solve_relaxation(spec, j, k)
         record = {"order": k, "status": result.status, "rho": result.rho, "solver": result.diagnostics}
         entry["relaxations"].append(record)
@@ -320,32 +309,19 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
     }
 
 
-def _run(mode: str, config: RunConfig, spec: ProblemSpec) -> Report:
+def run(config: RunConfig, spec: ProblemSpec) -> Report:
+    """The report of config.mode on spec, one order ladder per constraint."""
     started = time.perf_counter()
-    config = dataclasses.replace(config, mode=mode)
     spec = _with_ball(spec, config.ball) if config.ball is not None else spec
-    dump = _dump_hook(config)
-    entries = [_walk_ladder(spec, j, config, dump) for j in range(1, spec.m + 1)]
+    entries = [_walk_ladder(spec, j, config) for j in range(1, spec.m + 1)]
     return make_report(
-        mode,
+        config.mode,
         spec,
         _parameters_payload(config, spec),
         entries,
         archimedean=_archimedean_payload(config, spec),
         diagnostics={"elapsed_seconds": time.perf_counter() - started},
     )
-
-
-def run_certify(config: RunConfig, spec: ProblemSpec) -> Report:
-    return _run("certify", config, spec)
-
-
-def run_refute(config: RunConfig, spec: ProblemSpec) -> Report:
-    return _run("refute", config, spec)
-
-
-def run_analyze(config: RunConfig, spec: ProblemSpec) -> Report:
-    return _run("analyze", config, spec)
 
 
 def exit_code_for(report: Report) -> int:
@@ -365,25 +341,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "refute it with explicit witness points.",
     )
     parser.add_argument("problem", help="problem definition file (see docs/formats.md)")
-    parser.add_argument("--mode", choices=("certify", "refute", "analyze"), default="analyze")
-    parser.add_argument("-s", "--order", "-d", "--degree", dest="order", type=int, default=None,
+    parser.add_argument("--mode", choices=("certify", "refute", "analyze"))
+    parser.add_argument("-s", "--order", "-d", "--degree", dest="order", type=int,
                         help="first order k of the ladder, which is also the degree bound d "
                         "of the certificates (default: max ceil(deg g / 2))")
-    parser.add_argument("--max-order", "--max-degree", dest="max_order", type=int, default=None,
+    parser.add_argument("--max-order", "--max-degree", dest="max_order", type=int,
                         help="last order of the ladder (default: first order + 2)")
-    parser.add_argument("--ball", type=float, default=None, metavar="R",
+    parser.add_argument("--ball", type=float, metavar="R",
                         help="add R^2 - |x|^2 >= 0 to the constraints (changes the set under test)")
     parser.add_argument("--stengle", action="store_true", help="use the preordering certificate")
-    parser.add_argument("--stengle-p", type=int, default=1, help="power p in the preordering identity")
-    parser.add_argument("--archimedean", type=float, default=None, metavar="M",
+    parser.add_argument("--stengle-p", type=int, help="power p in the preordering identity")
+    parser.add_argument("--archimedean", type=float, metavar="M",
                         help="also test whether M - |x|^2 lies in the quadratic module")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int,
                         help="non-negative seed for the sampled member pairs and for extraction")
-    parser.add_argument("--tol-feas", type=float, default=1e-6)
-    parser.add_argument("--tol-residual", type=float, default=1e-6)
-    parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
-    parser.add_argument("--dump-sdp", dest="dump_dir", type=str, default=None, metavar="DIR",
+    parser.add_argument("--tol-feas", type=float)
+    parser.add_argument("--tol-residual", type=float)
+    parser.add_argument("--out", type=str, help="write the report here instead of stdout")
+    parser.add_argument("--dump-sdp", dest="dump_dir", type=str, metavar="DIR",
                         help="dump every Gram instance that is solved, in sparse text form")
+    parser.set_defaults(**dataclasses.asdict(RunConfig()))
     return parser
 
 
@@ -404,8 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"convexcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    runner = {"certify": run_certify, "refute": run_refute, "analyze": run_analyze}[config.mode]
-    report = runner(config, spec)
+    report = run(config, spec)
     issues = validate_report_payload(report.payload())
     if issues:  # internal invariant violation, never expected
         raise RuntimeError(f"report failed its own schema: {issues}")

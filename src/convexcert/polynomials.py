@@ -217,7 +217,7 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{label}^{e}")
             magnitude = repr(abs(coeff))
-            if factors and abs(abs(coeff) - 1.0) < 1e-15:
+            if factors and abs(coeff) == 1.0:
                 body = "*".join(factors)
             elif factors:
                 body = magnitude + "*" + "*".join(factors)

@@ -156,8 +156,6 @@ class SdpSolution:
     dual_residual: float
     relative_gap: float
     iterations: int
-    tau: float
-    kappa: float
     certificate: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -602,8 +600,6 @@ def solve(
             dual_residual=0.0 if feasible else float("inf"),
             relative_gap=0.0 if feasible else float("inf"),
             iterations=0,
-            tau=1.0 if feasible else 0.0,
-            kappa=0.0 if feasible else 1.0,
             certificate=certificate,
             diagnostics=diagnostics,
         )
@@ -654,12 +650,12 @@ def solve(
         return full
 
     def _solution(
-        state: tuple[np.ndarray, np.ndarray, np.ndarray, float, float],
+        state: tuple[np.ndarray, np.ndarray, np.ndarray, float],
         status: str,
         iterations: int,
         certificate: dict | None = None,
     ) -> SdpSolution:
-        xs, ss, ys, stau, skappa = state
+        xs, ss, ys, stau = state
         if stau > 1e-300:
             xs, ss, ys = xs / stau, ss / stau, ys / stau
         obj = float(c @ xs)
@@ -678,14 +674,12 @@ def solve(
             dual_residual=dres,
             relative_gap=gap,
             iterations=iterations,
-            tau=stau,
-            kappa=skappa,
             certificate=certificate,
             diagnostics=diagnostics,
         )
 
-    def _snapshot() -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        return (x.copy(), s.copy(), y.copy(), tau, kappa)
+    def _snapshot() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        return (x.copy(), s.copy(), y.copy(), tau)
 
     best_state = _snapshot()
     best_score = np.inf

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from convexcert.polynomials import (
     midpoint_substitute,
 )
 from convexcert.problemio import parse_problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_interval_identity_oracle(interval_spec):
@@ -378,13 +382,15 @@ def test_base_space_archimedean_program_keeps_its_shape(disk_spec, box_spec):
                 assert np.array_equal(mat, ref_mats[blk])
 
 
-def test_orbit_rows_sum_the_monomial_rows(parabola_spec, disk_spec):
+def test_orbit_rows_sum_the_monomial_rows(parabola_spec, disk_spec, box_spec):
     # on any blocks X, each orbit row of the reduced program reads the sum of
-    # the term-by-term rows of its monomials on the Gram matrices recover expands
+    # the term-by-term rows of its monomials on the Gram matrices recover expands;
+    # box at d=2 pairs distinct subsets, such as J{1,4} with J{2,3}
     from convexcert.certify import _qmodule_program, _stengle_program
 
     rng = np.random.default_rng(3)
-    for program in (_qmodule_program(parabola_spec, 1, 2, 0.0), _stengle_program(disk_spec, 1, 1, 1)):
+    for program in (_qmodule_program(parabola_spec, 1, 2, 0.0), _stengle_program(disk_spec, 1, 1, 1),
+                    _stengle_program(box_spec, 1, 2, 1)):
         problem = program.to_sdp()
         blocks = [m @ m.T for m in (rng.normal(size=(k, k)) for k in problem.block_dims)]
         grams = [t.gram for t in program.recover(blocks)]
@@ -397,12 +403,49 @@ def test_orbit_rows_sum_the_monomial_rows(parabola_spec, disk_spec):
         assert len(problem.equalities) < len(monomials)
 
 
-def test_stengle_program_shares_blocks_across_the_swap(disk_spec):
-    cert = certify_stengle(disk_spec, 1, 1)
-    assert isinstance(cert, PreorderingCertificate)
+def test_stengle_program_shares_blocks_across_the_swap(disk_spec, box_spec):
     # sigma_J{} and h_J{} split into even and odd blocks on (1, x1, x2, y1, y2);
-    # sigma_J{1} with sigma_J{2} and h_J{1} with h_J{2} share one constant block each
-    assert cert.solver_diagnostics["blocks"] == [3, 2, 3, 2, 1, 1]
-    assert [t.label for t in cert.sigma_terms] == ["sigma_J{}", "sigma_J{1}", "sigma_J{2}"]
-    assert np.array_equal(cert.sigma_terms[1].gram, cert.sigma_terms[2].gram)
-    assert verify_certificate(cert, disk_spec).passed
+    # sigma_J with sigma_tauJ and h_J with h_tauJ share one constant block each:
+    # J{1} with J{2} for disk (m = 1), J{1} with J{3} and J{2} with J{4} for box (m = 2)
+    for spec, blocks, (a, b) in ((disk_spec, [3, 2, 3, 2, 1, 1], (1, 2)),
+                                 (box_spec, [3, 2, 3, 2, 1, 1, 1, 1], (1, 3))):
+        cert = certify_stengle(spec, 1, 1)
+        assert isinstance(cert, PreorderingCertificate)
+        assert cert.solver_diagnostics["blocks"] == blocks
+        labels = ["sigma_J{}"] + [f"sigma_J{{{ell}}}" for ell in range(1, 2 * spec.m + 1)]
+        assert [t.label for t in cert.sigma_terms] == labels
+        assert np.array_equal(cert.sigma_terms[a].gram, cert.sigma_terms[b].gram)
+        assert verify_certificate(cert, spec).passed
+
+
+def _swapped(poly: Polynomial) -> Polynomial:
+    n = poly.space.n
+    return Polynomial(poly.space, {e[n:] + e[:n]: c for e, c in poly.terms.items()})
+
+
+def test_declared_swap_pairs_match_the_swapped_weights():
+    # the builders name each term's swap image; over every bundled problem the
+    # naming must be an involution between terms of one basis degree whose
+    # weights are each other's swap, on a tau-invariant target
+    from convexcert.certify import STENGLE_M_MAX, _qmodule_program, _stengle_program
+    from convexcert.refute import relaxation_orders
+
+    paths = sorted(PROBLEMS.glob("*.txt"))
+    assert paths
+    for path in paths:
+        spec = parse_problem(path.read_text())
+        v = relaxation_orders(spec)[1]
+        programs = [_qmodule_program(spec, j, d, 0.0) for j in range(1, spec.m + 1) for d in (v, v + 1)]
+        if spec.m <= STENGLE_M_MAX:
+            programs += [_stengle_program(spec, j, d, 1) for j in range(1, spec.m + 1) for d in (v, v + 1)]
+        for program in programs:
+            specs, partner = program.term_specs, program.partner
+            assert len(partner) == len(specs)
+            for i, term in enumerate(specs):
+                image = specs[partner[i]]
+                assert partner[partner[i]] == i
+                assert image.basis_degree == term.basis_degree
+                scale = max(abs(c) for c in term.weight.terms.values())
+                assert coeff_linf_distance(_swapped(term.weight), image.weight) <= 1e-12 * scale
+            scale = max(abs(c) for c in program.target.terms.values())
+            assert coeff_linf_distance(_swapped(program.target), program.target) <= 1e-12 * scale

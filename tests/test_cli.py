@@ -608,16 +608,6 @@ def test_certificates_are_swap_symmetric(name, capsys):
                 assert np.array_equal(psi[np.ix_(perm, perm)], gram)
 
 
-def test_cli_names_load_lazily():
-    from convexcert import RunConfig, run_refute
-
-    assert (RunConfig, run_refute, convexcert.run_analyze) == (cli.RunConfig, cli.run_refute,
-                                                               cli.run_analyze)
-    assert {"RunConfig", "run_certify"} <= set(convexcert.__all__)
-    with pytest.raises(AttributeError):
-        convexcert.no_such_name
-
-
 def test_module_entry_point_runs_without_warnings():
     # the package must not import cli itself, or runpy warns on `python -m convexcert.cli`
     src = str(Path(convexcert.__file__).resolve().parent.parent)

@@ -174,6 +174,14 @@ def test_parse_problem_keeps_tiny_coefficients():
     assert report.payload()["problem"]["constraints"] == ["-1e-13 + x^2"]
 
 
+def test_constraint_string_keeps_a_coefficient_next_to_one():
+    # only an exact 1 is left unprinted, so the report's string parses back to the set under test
+    spec = parse_problem("vars: x\ng: 1.0000000000000002*x - 1\n")
+    text = make_report("analyze", spec, {}, []).payload()["problem"]["constraints"][0]
+    assert text == "-1.0 + 1.0000000000000002*x"
+    assert parse_polynomial(text, spec.space, spec.names).terms == spec.constraints[0].terms
+
+
 @pytest.mark.parametrize("body", ["1e400 - x^2", "(1e200*x)^2 - 1", "1e400 - 1e400 + x"])
 def test_parse_problem_rejects_non_finite_coefficients(body):
     # an overflowing literal or product must stop at the parser, not in the solver
