@@ -15,9 +15,8 @@ from .certify import (
     PreorderingCertificate,
     QuadraticModuleCertificate,
     archimedean_check,
-    build_qmodule_sdp,
     certify_stengle,
-    certify_sufficient,
+    qmodule_certificate,
     verify_certificate,
 )
 from .moments import (
@@ -42,7 +41,6 @@ from .problemio import (
     make_report,
     parse_polynomial,
     parse_problem,
-    parse_report,
     serialize_report,
     validate_report_payload,
 )
@@ -85,9 +83,7 @@ __all__ = [
     "VariableSpace",
     "archimedean_check",
     "build_moment_sdp",
-    "build_qmodule_sdp",
     "certify_stengle",
-    "certify_sufficient",
     "coeff_linf_distance",
     "dump_sdp",
     "extract_atoms",
@@ -99,7 +95,7 @@ __all__ = [
     "monomial_basis",
     "parse_polynomial",
     "parse_problem",
-    "parse_report",
+    "qmodule_certificate",
     "rank_flatness_check",
     "relaxation_orders",
     "riesz_apply",

@@ -2,14 +2,15 @@
 
 A set {x : g_j(x) >= 0} is convex exactly when every g_j stays nonnegative at
 midpoints of member pairs. This module compiles that midpoint condition into
-Gram-matrix feasibility SDPs along three routes:
+Gram-matrix SDPs along three routes:
 
 * the quadratic-module identity
-  g_j((x+y)/2) + eps = sigma_0 + sum_k sigma_k * g_k(x) + psi_k * g_k(y)
-  with all multipliers sums of squares (sufficient; eps = 0 proves convexity);
-  the refuter solves the same program with a free constant in place of eps
-  and reads its moment relaxation off the dual, and qmodule_certificate
-  reads the eps = 0 certificate off the Gram blocks of that same solve;
+  g_j((x+y)/2) = sigma_0 + sum_k sigma_k * g_k(x) + psi_k * g_k(y)
+  with all multipliers sums of squares (sufficient). It is solved once per
+  degree d, by refute.solve_relaxation as g_j((x+y)/2) - rho = ... for the
+  largest rho, whose dual is the moment relaxation; qmodule_certificate
+  reads the certificate off the Gram blocks of that solve, which carry one
+  exactly when rho >= 0 (an eps-relaxed one exactly when rho >= -eps);
 * the preordering identity
   sigma_j * g_j((x+y)/2) = g_j((x+y)/2)^(2p) + h_j
   with sigma_j, h_j in the preordering of the doubled constraint list
@@ -27,8 +28,9 @@ rule, which its program builder uses too. verify_certificate is the one
 check: it re-expands the Gram matrices, measures the coefficientwise residual
 and takes each Gram matrix's least eigenvalue and norm from
 SosTerm.gram_spectrum. Each builder runs it once and keeps it as the
-certificate's ``check``, which callers judge at their own tolerance instead
-of expanding again.
+certificate's ``check``, which holds the certificate's residual and least
+Gram eigenvalue and which callers judge at their own tolerance instead of
+expanding again.
 
 The first two identities live on the doubled space, and their data are
 invariant under the swap tau: (x, y) -> (y, x). Their builders name each
@@ -44,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from math import ceil, nan
+from math import ceil
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -104,9 +106,6 @@ class SosTerm:
         except Exception:  # bad data fails the check instead of raising
             pass
         return float("-inf"), 1.0
-
-    def min_gram_eigenvalue(self) -> float:
-        return self.gram_spectrum()[0]
 
     def to_payload(self) -> dict:
         return {
@@ -279,13 +278,21 @@ class Certificate:
 
     Each kind adds its header fields, its terms and its target rule, so that
     its identity reads target(spec) = sum over terms of weight * (b^T G b).
+    The residual and the least raw Gram eigenvalue are read off check, the
+    recheck its builder ran.
     """
 
     kind: ClassVar[str]
-    residual: float
-    min_gram_eigenvalue: float
     solver_diagnostics: dict = field(default_factory=dict)
     check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def residual(self) -> float:
+        return self.check.residual
+
+    @property
+    def min_gram_eigenvalue(self) -> float:
+        return min(self.check.gram_eigenvalues.values())
 
     def to_payload(self) -> dict:
         return {"kind": self.kind, **self._kind_payload(), "residual": self.residual,
@@ -297,14 +304,13 @@ class QuadraticModuleCertificate(Certificate):
     kind = "quadratic-module"
     j: int  # 1-based constraint index
     d: int
-    epsilon: float
     terms: list[SosTerm]
 
     def target(self, spec: ProblemSpec) -> Polynomial:
-        return _qmodule_target(spec, self.j, self.epsilon)
+        return _qmodule_target(spec, self.j)
 
     def _kind_payload(self) -> dict:
-        return {"constraint": self.j, "degree": self.d, "epsilon": self.epsilon,
+        return {"constraint": self.j, "degree": self.d, "epsilon": 0.0,
                 "terms": [t.to_payload() for t in self.terms]}
 
 
@@ -366,16 +372,13 @@ def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution) ->
 
 
 def _certificate_fields(program: SosProgram, x_blocks: list[np.ndarray], diagnostics: dict) -> dict:
-    """Constructor fields of solved Gram blocks; _checked fills residual and min_gram_eigenvalue."""
-    return {"terms": program.recover(x_blocks), "residual": nan, "min_gram_eigenvalue": nan,
-            "solver_diagnostics": diagnostics}
+    """Constructor fields of solved Gram blocks."""
+    return {"terms": program.recover(x_blocks), "solver_diagnostics": diagnostics}
 
 
 def _checked(cert: Certificate, spec: ProblemSpec) -> Certificate:
-    """cert with residual and min_gram_eigenvalue filled from its one recheck, which it keeps."""
+    """cert with its one recheck kept as cert.check."""
     cert.check = verify_certificate(cert, spec)
-    cert.residual = cert.check.residual
-    cert.min_gram_eigenvalue = min(cert.check.gram_eigenvalues.values())
     return cert
 
 
@@ -399,8 +402,8 @@ class CertificateCheck:
     residual: float
     min_gram_eigenvalue: float
     gram_eigenvalues: dict[str, float]
-    residual_tol: float
-    eig_tol: float
+    residual_tol: float = DEFAULT_RESIDUAL_TOL
+    eig_tol: float = DEFAULT_GRAM_EIG_TOL
 
     @property
     def passed(self) -> bool:
@@ -425,14 +428,12 @@ def _multiplier_degree(d: int, g: Polynomial) -> int:
     return max(0, d - ceil(g.degree / 2))
 
 
-def _qmodule_target(spec: ProblemSpec, j: int, epsilon: float) -> Polynomial:
-    return midpoint_substitute(spec.constraints[_constraint_index(spec, j)]) + epsilon
+def _qmodule_target(spec: ProblemSpec, j: int) -> Polynomial:
+    return midpoint_substitute(spec.constraints[_constraint_index(spec, j)])
 
 
-def _qmodule_program(spec: ProblemSpec, j: int, d: int, epsilon: float) -> SosProgram:
-    target = _qmodule_target(spec, j, epsilon)
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+def _qmodule_program(spec: ProblemSpec, j: int, d: int) -> SosProgram:
+    target = _qmodule_target(spec, j)
     lifted = spec.space.lift()
     specs = [_TermSpec("sigma_0", Polynomial.constant(lifted, 1.0), d)]
     for k, g in enumerate(spec.constraints, start=1):
@@ -444,26 +445,8 @@ def _qmodule_program(spec: ProblemSpec, j: int, d: int, epsilon: float) -> SosPr
     return SosProgram(space=lifted, target=target, term_specs=specs, match_degree=2 * d, partner=partner)
 
 
-def build_qmodule_sdp(spec: ProblemSpec, j: int, d: int, epsilon: float = 0.0) -> sdp.SdpProblem:
-    """Gram-matrix feasibility SDP for the quadratic-module midpoint identity, over swap orbits."""
-    return _qmodule_program(spec, j, d, epsilon).to_sdp()
-
-
-def certify_sufficient(
-    spec: ProblemSpec,
-    j: int,
-    d: int,
-    epsilon: float = 0.0,
-) -> QuadraticModuleCertificate | CertificationFailure:
-    """Attempt a quadratic-module certificate for constraint j at degree bound d."""
-    fields = _solve_certificate(_qmodule_program(spec, j, d, epsilon))
-    if isinstance(fields, CertificationFailure):
-        return fields
-    return _checked(QuadraticModuleCertificate(j=j, d=d, epsilon=epsilon, **fields), spec)
-
-
 def qmodule_certificate(result: RelaxationResult, spec: ProblemSpec) -> QuadraticModuleCertificate:
-    """The epsilon = 0 certificate carried by the solved blocks of an optimal relaxation.
+    """The quadratic-module certificate carried by the solved blocks of an optimal relaxation.
 
     result comes from refute.solve_relaxation, whose blocks satisfy
     g_j((x+y)/2) - rho = sum of the terms. A positive rho is a constant SOS
@@ -476,7 +459,7 @@ def qmodule_certificate(result: RelaxationResult, spec: ProblemSpec) -> Quadrati
         blocks[0] = blocks[0].copy()
         blocks[0][0, 0] += result.rho  # the first block, sigma_0's even one, starts with the constant monomial
     fields = _certificate_fields(result.program, blocks, result.diagnostics)
-    return _checked(QuadraticModuleCertificate(j=result.j, d=result.s, epsilon=0.0, **fields), spec)
+    return _checked(QuadraticModuleCertificate(j=result.j, d=result.s, **fields), spec)
 
 
 def _stengle_target(spec: ProblemSpec, j: int, p: int) -> Polynomial:
@@ -530,12 +513,12 @@ def certify_stengle(
 
     Refused for m > STENGLE_M_MAX: the doubled constraint list makes the
     preordering carry 2^(2m+1) SOS weights, which is out of desk-scale reach;
-    use certify_sufficient instead for larger m.
+    the quadratic-module certificate has no such limit.
     """
     if spec.m > STENGLE_M_MAX:
         raise ValueError(
             f"preordering certification refused for m={spec.m} > {STENGLE_M_MAX}: "
-            f"it would require 2^{2 * spec.m + 1} SOS blocks; use certify_sufficient instead"
+            f"it would require 2^{2 * spec.m + 1} SOS blocks; the quadratic-module certificate has no such limit"
         )
     fields = _solve_certificate(_stengle_program(spec, j, d, p))
     if isinstance(fields, CertificationFailure):
@@ -576,20 +559,16 @@ def archimedean_check(
     return _checked(ArchimedeanCertificate(bound=bound, d=d, **fields), spec)
 
 
-def verify_certificate(
-    cert: Certificate,
-    spec: ProblemSpec,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    eig_tol: float = DEFAULT_GRAM_EIG_TOL,
-) -> CertificateCheck:
+def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck:
     """Recheck a certificate using polynomial arithmetic only (no solver).
 
     Re-expands every Gram matrix into its SOS polynomial, sums the terms of
     the certified identity, and reports the coefficientwise residual against
     the target rebuilt from spec, together with the minimum Gram eigenvalues.
     These two facts alone imply the midpoint inequality the certificate
-    claims, so a passing check is a standalone proof up to the stated
-    tolerances. Reports, never raises, on bad data.
+    claims, so a passing check is a standalone proof up to the check's
+    tolerances, which a caller may replace (dataclasses.replace). Reports,
+    never raises, on bad data.
     """
     try:
         target = cert.target(spec)
@@ -607,5 +586,4 @@ def verify_certificate(
         eigs[term.label] = val
         # scale-relative floor: eigenvalues are compared against eig_tol * max(1, |G|)
         min_eig = min(min_eig, val / max(1.0, norm))
-    return CertificateCheck(residual=residual, min_gram_eigenvalue=min_eig, gram_eigenvalues=eigs,
-                            residual_tol=residual_tol, eig_tol=eig_tol)
+    return CertificateCheck(residual=residual, min_gram_eigenvalue=min_eig, gram_eigenvalues=eigs)

@@ -6,7 +6,7 @@ refute.solve_relaxation, and the mode decides only which conclusions may be
 drawn from that one solve:
 
 * bound rho >= -tol_feas: certify and analyze verify the solved Gram blocks
-  as the epsilon = 0 certificate (a positive rho joins sigma_0 as a constant
+  as the quadratic-module certificate (a positive rho joins sigma_0 as a constant
   SOS term; a negative one stays in the constant coefficient, where the
   residual test judges it); refute stops, as no midpoint violation is left
   to find;
@@ -32,7 +32,7 @@ identity. The CLI assembles a JSON report and maps outcomes to exit codes:
     0   conclusive (convex, or not convex with a validated witness)
     2   inconclusive
     3   relaxation suggests non-convexity but no witness validated
-    64  usage or parse error
+    64  usage, parse or file error
     70  numerical contradiction (a constraint both certified and refuted)
 """
 
@@ -103,7 +103,7 @@ class RunConfig:
 
 def _order_ladder(config: RunConfig, spec: ProblemSpec) -> tuple[int, int]:
     """First and last order: v = max_k ceil(deg g_k / 2) and v + 2 unless set."""
-    _v_ks, v = refute.relaxation_orders(spec)
+    v = refute.relaxation_orders(spec)
     start = config.order if config.order is not None else v
     if config.order is None and config.max_order is not None:
         start = min(start, config.max_order)
@@ -211,9 +211,7 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
         if config.stengle and config.mode == "certify":
             continue  # the Gram blocks are no certificate under --stengle
         if config.dump_dir is not None:
-            directory = Path(config.dump_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            with open(directory / f"qmodule_g{j}_d{k}.sdp", "w") as stream:
+            with open(Path(config.dump_dir) / f"qmodule_g{j}_d{k}.sdp", "w") as stream:
                 sdp.dump_sdp(refute.build_moment_sdp(spec, j, k), stream)
         result = refute.solve_relaxation(spec, j, k)
         record = {"order": k, "status": result.status, "rho": result.rho, "solver": result.diagnostics}
@@ -312,6 +310,8 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
 def run(config: RunConfig, spec: ProblemSpec) -> Report:
     """The report of config.mode on spec, one order ladder per constraint."""
     started = time.perf_counter()
+    if config.dump_dir is not None:
+        Path(config.dump_dir).mkdir(parents=True, exist_ok=True)
     spec = _with_ball(spec, config.ball) if config.ball is not None else spec
     entries = [_walk_ladder(spec, j, config) for j in range(1, spec.m + 1)]
     return make_report(
@@ -381,14 +381,18 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"convexcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run(config, spec)
-    issues = validate_report_payload(report.payload())
-    if issues:  # internal invariant violation, never expected
-        raise RuntimeError(f"report failed its own schema: {issues}")
-    text_out = serialize_report(report)
-    if config.out:
-        Path(config.out).write_text(text_out + "\n")
-    else:
+    try:
+        report = run(config, spec)
+        issues = validate_report_payload(report.payload())
+        if issues:  # internal invariant violation, never expected
+            raise RuntimeError(f"report failed its own schema: {issues}")
+        text_out = serialize_report(report)
+        if config.out:
+            Path(config.out).write_text(text_out + "\n")
+    except OSError as exc:  # an unwritable --dump-sdp or --out path
+        print(f"convexcert: cannot write: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not config.out:
         print(text_out)
     return exit_code_for(report)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, inf
+from numbers import Real
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -132,8 +133,8 @@ class Polynomial:
         if self.space != other.space:
             raise ValueError(f"operand spaces differ: {self.space} vs {other.space}")
 
-    def __add__(self, other: "Polynomial | float | int") -> "Polynomial":
-        if isinstance(other, (int, float)):
+    def __add__(self, other: "Polynomial | Real") -> "Polynomial":
+        if isinstance(other, Real):
             other = Polynomial.constant(self.space, other)
         self._check_space(other)
         merged = dict(self.terms)
@@ -141,23 +142,23 @@ class Polynomial:
             merged[exps] = merged.get(exps, 0.0) + coeff
         return Polynomial(self.space, merged)
 
-    def __radd__(self, other: "float | int") -> "Polynomial":
+    def __radd__(self, other: Real) -> "Polynomial":
         return self.__add__(other)
 
-    def __sub__(self, other: "Polynomial | float | int") -> "Polynomial":
-        if isinstance(other, (int, float)):
+    def __sub__(self, other: "Polynomial | Real") -> "Polynomial":
+        if isinstance(other, Real):
             other = Polynomial.constant(self.space, other)
         return self.__add__(other.__neg__())
 
-    def __rsub__(self, other: "float | int") -> "Polynomial":
+    def __rsub__(self, other: Real) -> "Polynomial":
         return Polynomial.constant(self.space, other).__sub__(self)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.space, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other: "Polynomial | float | int") -> "Polynomial":
-        if isinstance(other, (int, float)):
-            return Polynomial(self.space, {e: c * other for e, c in self.terms.items()})
+    def __mul__(self, other: "Polynomial | Real") -> "Polynomial":
+        if isinstance(other, Real):
+            return Polynomial(self.space, {e: c * float(other) for e, c in self.terms.items()})
         self._check_space(other)
         product: dict[Exponents, float] = {}
         for ea, ca in self.terms.items():
@@ -166,7 +167,7 @@ class Polynomial:
                 product[key] = product.get(key, 0.0) + ca * cb
         return Polynomial(self.space, product)
 
-    def __rmul__(self, other: "float | int") -> "Polynomial":
+    def __rmul__(self, other: Real) -> "Polynomial":
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "Polynomial":

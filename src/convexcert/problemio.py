@@ -350,11 +350,6 @@ def serialize_report(report: Report | dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
 
 
-def parse_report(text: str) -> dict:
-    """Inverse of serialize_report on payload fields."""
-    return json.loads(text)
-
-
 _REQUIRED_TOP_LEVEL = {
     "schema": str,
     "mode": str,

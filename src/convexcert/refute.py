@@ -7,7 +7,7 @@ constraint must be PSD and z_0 = 1. The optimal value rho is a lower bound on
 the true minimum of g_j at midpoints of member pairs and climbs toward it as
 the order s grows. The relaxation is solved as its SOS dual, the
 quadratic-module Gram program max lambda s.t. g_j((x+y)/2) - lambda lies in
-the truncated quadratic module (the program certification builds), and z is
+the truncated quadratic module (certify._qmodule_program), and z is
 read off that solve's dual multipliers. That program is built over the
 orbits of the swap tau: (x, y) -> (y, x), one row per orbit, so the moments
 come out swap-symmetric, z_gamma = z_tau(gamma); averaging any optimal z
@@ -88,21 +88,19 @@ class ExtractionError(RuntimeError):
     """Atom extraction failed: too few atoms in the moments, or no retry matched them."""
 
 
-def relaxation_orders(spec: ProblemSpec) -> tuple[list[int], int]:
-    """Localizing orders v_k = ceil(deg/2) of the 2m doubled constraints, and v = max_k v_k.
+def relaxation_orders(spec: ProblemSpec) -> int:
+    """v = max_k ceil(deg g_k / 2), the largest localizing order of the doubled constraints.
 
-    Lifting g_k to g_k(x) and g_k(y) keeps its degree, so the orders are read
-    off spec.constraints, the x copies first.
+    Lifting g_k to g_k(x) and g_k(y) keeps its degree, so v is read off
+    spec.constraints.
     """
-    v_ks = [ceil(g.degree / 2) for g in spec.constraints] * 2
-    return v_ks, max(v_ks)
+    return max(ceil(g.degree / 2) for g in spec.constraints)
 
 
 @dataclass
 class RelaxationResult:
     j: int
     s: int
-    v: int
     status: str  # optimal | inconclusive-unbounded | infeasible | stalled
     rho: float | None
     z: MomentSequence | None
@@ -197,7 +195,7 @@ def build_moment_sdp(spec: ProblemSpec, j: int, s: int) -> sdp.SdpProblem:
     of gamma's orbit is -z_gamma = -z_tau(gamma) for the optimal moment
     sequence z (z_0 = 1).
     """
-    return _moment_form(certify._qmodule_program(spec, j, s, 0.0))  # rejects s < v
+    return _moment_form(certify._qmodule_program(spec, j, s))  # rejects s < v
 
 
 def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
@@ -214,9 +212,8 @@ def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
     an infeasible Gram program means the moment relaxation is unbounded, and
     an unbounded one means it is infeasible.
     """
-    program = certify._qmodule_program(spec, j, s, 0.0)  # rejects s < v
+    program = certify._qmodule_program(spec, j, s)  # rejects s < v
     problem = _moment_form(program)
-    _v_ks, v = relaxation_orders(spec)
     tol = sdp.DEFAULT_TOL / 10.0
     solution = sdp.solve(problem, tol=tol)
     status = {"infeasible": "inconclusive-unbounded", "unbounded": "infeasible"}.get(
@@ -229,12 +226,10 @@ def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
     solved = certify._solution_diagnostics(problem, solution)
     diagnostics = {"solver_status": solved.pop("status"), "solver_tol": tol, **solved}
     if status != "optimal":
-        return RelaxationResult(j=j, s=s, v=v, status=status, rho=None, z=None,
-                                diagnostics=diagnostics)
+        return RelaxationResult(j=j, s=s, status=status, rho=None, z=None, diagnostics=diagnostics)
     return RelaxationResult(
         j=j,
         s=s,
-        v=v,
         status="optimal",
         rho=spec.constraints[j - 1].evaluate(np.zeros(spec.n)) - float(solution.objective_value),
         # the constant row, moved into the objective, carries the multiplier -z_0 = -1
@@ -270,7 +265,7 @@ def rank_flatness_check(result: RelaxationResult, spec: ProblemSpec) -> Flatness
     """
     if result.z is None:
         raise ValueError("relaxation result carries no moment sequence")
-    _v_ks, v = relaxation_orders(spec)
+    v = relaxation_orders(spec)
     m_s = moment_matrix(result.z, result.s)
     # the order-(s - v) basis is a prefix of the order-s one, so M_{s-v} is a leading block
     size = len(monomial_basis(result.z.space, result.s - v))
@@ -284,13 +279,7 @@ def rank_flatness_check(result: RelaxationResult, spec: ProblemSpec) -> Flatness
                           rank_s=rank_s, rank_sv=rank_sv)
 
 
-def extract_atoms(
-    result: RelaxationResult,
-    t: int,
-    seed: int = 0,
-    tol: float = EXTRACTION_MATCH_TOL,
-    max_attempts: int = EXTRACTION_MAX_ATTEMPTS,
-) -> list[tuple[np.ndarray, float]]:
+def extract_atoms(result: RelaxationResult, t: int, seed: int = 0) -> list[tuple[np.ndarray, float]]:
     """Recover the t atoms and weights of a flat moment sequence.
 
     Let H_0 = M_{s-1}(z) and H_i the order-(s-1) localizing matrix of the
@@ -303,14 +292,14 @@ def extract_atoms(
     symmetric, commute, and share the eigenvectors R. The eigenvectors r_k of
     a random convex combination of the N_i are the columns of R, and atom k's
     i-th coordinate is r_k^T N_i r_k. Weights come from a least-squares moment
-    match against z, which must reproduce every moment within tol times the
-    largest one.
+    match against z, which must reproduce every moment within
+    EXTRACTION_MATCH_TOL times the largest one.
 
     A repeated eigenvalue of the combination mixes the eigenvectors of the
     atoms that share it, so when the moment match fails or a weight is not
     positive a fresh combination is tried; raises ExtractionError after
-    max_attempts, or at once when fewer than t eigenvalues of H_0 clear the
-    rank threshold.
+    EXTRACTION_MAX_ATTEMPTS, or at once when fewer than t eigenvalues of H_0
+    clear the rank threshold.
     """
     if result.z is None:
         raise ValueError("relaxation result carries no moment sequence")
@@ -334,10 +323,10 @@ def extract_atoms(
     full_basis = monomial_basis(space, 2 * result.s)
     exponents = np.array(full_basis.elements)  # (N, arity)
     z_vec = np.array([z.value(e) for e in full_basis])
-    scale = tol * max(1.0, float(np.max(np.abs(z_vec))))
+    scale = EXTRACTION_MATCH_TOL * max(1.0, float(np.max(np.abs(z_vec))))
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"
-    for _attempt in range(max_attempts):
+    for _attempt in range(EXTRACTION_MAX_ATTEMPTS):
         coeffs = rng.random(space.arity)
         coeffs /= coeffs.sum()
         _, rotation = np.linalg.eigh(np.tensordot(coeffs, pencil, axes=1))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from convexcert.certify import qmodule_certificate
 from convexcert.problemio import parse_problem
+from convexcert.refute import DEFAULT_FEASIBILITY_TOL, solve_relaxation
 
 INTERVAL = "vars: x1\ng: 1 - x1^2\n"
 DISK = "vars: x1 x2\ng: 1 - x1^2 - x2^2\n"
@@ -39,6 +41,19 @@ def parabola_spec():
 @pytest.fixture
 def two_interval_spec():
     return parse_problem(TWO_INTERVAL)
+
+
+def gram_certificate(spec, j, d):
+    """The quadratic-module certificate of constraint j at degree d, as the CLI reads it.
+
+    The certificate comes off the blocks of the one Gram solve at order d when
+    that solve is optimal with rho >= -DEFAULT_FEASIBILITY_TOL; otherwise the
+    RelaxationResult itself is returned.
+    """
+    result = solve_relaxation(spec, j, d)
+    if result.status == "optimal" and result.rho >= -DEFAULT_FEASIBILITY_TOL:
+        return qmodule_certificate(result, spec)
+    return result
 
 
 def brute_force_midpoint_min(spec, j, points_1d):

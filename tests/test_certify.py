@@ -9,10 +9,9 @@ from convexcert.certify import (
     PreorderingCertificate,
     QuadraticModuleCertificate,
     SosTerm,
+    _qmodule_program,
     archimedean_check,
-    build_qmodule_sdp,
     certify_stengle,
-    certify_sufficient,
     verify_certificate,
 )
 from convexcert.moments import monomial_basis
@@ -23,6 +22,9 @@ from convexcert.polynomials import (
     midpoint_substitute,
 )
 from convexcert.problemio import parse_problem
+from convexcert.refute import RelaxationResult
+
+from conftest import gram_certificate
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -51,7 +53,7 @@ def test_disk_identity_oracle(disk_spec):
 
 
 def test_qmodule_sdp_shape(interval_spec):
-    problem = build_qmodule_sdp(interval_spec, 1, 1)
+    problem = _qmodule_program(interval_spec, 1, 1).to_sdp()
     # sigma_0 even on (1, (x+y)/sqrt2), odd on (x-y)/sqrt2, and sigma_1 = psi_1 swapped
     assert list(problem.block_dims) == [2, 1, 1]
     # one row per swap orbit of the monomials of degree <= 2: 1, {x, y}, {x^2, y^2}, xy
@@ -60,11 +62,11 @@ def test_qmodule_sdp_shape(interval_spec):
 
 def test_qmodule_degree_too_small(interval_spec):
     with pytest.raises(ValueError):
-        build_qmodule_sdp(interval_spec, 1, 0)
+        _qmodule_program(interval_spec, 1, 0).to_sdp()
 
 
 def test_interval_certificate(interval_spec):
-    cert = certify_sufficient(interval_spec, 1, 1)
+    cert = gram_certificate(interval_spec, 1, 1)
     assert isinstance(cert, QuadraticModuleCertificate)
     assert cert.residual <= 1e-6
     assert cert.min_gram_eigenvalue >= -1e-8
@@ -73,14 +75,14 @@ def test_interval_certificate(interval_spec):
 
 
 def test_disk_certificate(disk_spec):
-    cert = certify_sufficient(disk_spec, 1, 1)
+    cert = gram_certificate(disk_spec, 1, 1)
     assert isinstance(cert, QuadraticModuleCertificate)
     assert cert.residual <= 1e-6
     assert verify_certificate(cert, disk_spec).passed
 
 
 def test_halfspace_certificate_recovers_half_multipliers(halfspace_spec):
-    cert = certify_sufficient(halfspace_spec, 1, 1)
+    cert = gram_certificate(halfspace_spec, 1, 1)
     assert isinstance(cert, QuadraticModuleCertificate)
     lifted = halfspace_spec.space.lift()
     by_label = {t.label: t for t in cert.terms}
@@ -93,16 +95,16 @@ def test_halfspace_certificate_recovers_half_multipliers(halfspace_spec):
 
 
 def test_parabola_not_certifiable(parabola_spec):
+    # the best bound rho stays far below 0, so no degree-d identity exists
     for d in (1, 2, 3):
-        outcome = certify_sufficient(parabola_spec, 1, d)
-        assert isinstance(outcome, CertificationFailure)
-        assert outcome.solver_status == "infeasible"
-        assert outcome.reason == "no certificate at this degree"
+        outcome = gram_certificate(parabola_spec, 1, d)
+        assert isinstance(outcome, RelaxationResult), f"d={d}"
+        assert outcome.status == "optimal" and outcome.rho < -0.5, f"d={d}"
 
 
 def test_box_certificates(box_spec):
     for j in (1, 2):
-        cert = certify_sufficient(box_spec, j, 1)
+        cert = gram_certificate(box_spec, j, 1)
         assert isinstance(cert, QuadraticModuleCertificate)
         assert verify_certificate(cert, box_spec).passed
 
@@ -110,23 +112,9 @@ def test_box_certificates(box_spec):
 def test_monotone_in_degree(interval_spec, disk_spec):
     for spec in (interval_spec, disk_spec):
         for d in (1, 2):
-            cert = certify_sufficient(spec, 1, d)
+            cert = gram_certificate(spec, 1, d)
             assert isinstance(cert, QuadraticModuleCertificate), f"d={d}"
             assert verify_certificate(cert, spec).passed
-
-
-def test_epsilon_monotone(interval_spec):
-    # feasibility at eps implies feasibility at every larger eps
-    for eps in (0.0, 1e-6, 1e-2):
-        cert = certify_sufficient(interval_spec, 1, 1, epsilon=eps)
-        assert isinstance(cert, QuadraticModuleCertificate), f"eps={eps}"
-        assert cert.epsilon == eps
-        assert verify_certificate(cert, interval_spec).passed
-
-
-def test_epsilon_negative_rejected(interval_spec):
-    with pytest.raises(ValueError):
-        certify_sufficient(interval_spec, 1, 1, epsilon=-1e-3)
 
 
 # -- verification is solver-independent -------------------------------------------------
@@ -136,7 +124,7 @@ def _every_kind(interval_spec, disk_spec):
     """(certificate, spec) of each kind: quadratic-module and preordering on
     interval, archimedean on disk with M = 2."""
     return [
-        (certify_sufficient(interval_spec, 1, 1), interval_spec),
+        (gram_certificate(interval_spec, 1, 1), interval_spec),
         (certify_stengle(interval_spec, 1, 2, p=1), interval_spec),
         (archimedean_check(disk_spec, 2.0, 1), disk_spec),
     ]
@@ -174,13 +162,12 @@ def test_gram_spectrum_of_bad_data_is_minus_infinity(interval_spec):
     for gram in (np.full((2, 3), 1.0), np.array([[np.nan, 0.0], [0.0, 1.0]])):
         term.gram = gram
         assert term.gram_spectrum() == (float("-inf"), 1.0)
-        assert term.min_gram_eigenvalue() == float("-inf")
 
 
 def test_verify_detects_perturbed_gram(interval_spec, disk_spec):
     for cert, spec in _every_kind(interval_spec, disk_spec):
         kind = type(cert).__name__
-        # the builder's own recheck passed and filled both numbers
+        # the builder's own recheck passed and holds both numbers
         assert cert.check.passed, kind
         assert cert.residual == cert.check.residual, kind
         assert cert.min_gram_eigenvalue == min(cert.check.gram_eigenvalues.values()), kind
@@ -196,19 +183,15 @@ def test_verify_detects_perturbed_gram(interval_spec, disk_spec):
 
 
 def test_verify_never_raises_on_degenerate_certificate(interval_spec, disk_spec):
-    empty = QuadraticModuleCertificate(
-        j=1, d=1, epsilon=0.5, terms=[], residual=0.0, min_gram_eigenvalue=0.0
-    )
+    empty = QuadraticModuleCertificate(j=1, d=1, terms=[])
     check = verify_certificate(empty, interval_spec)
-    # reconstruction misses the eps-shifted target entirely
-    assert check.residual >= 0.5
+    # reconstruction misses the target 1 - ((x+y)/2)^2, whose constant coefficient is 1
+    assert check.residual >= 1.0
     assert not check.passed
     # an empty preordering identity misses g_mid^2 = (1 - ((x+y)/2)^2)^2, whose
     # constant coefficient is 1; an empty bounding identity misses 2 - |x|^2
-    empty_sides = PreorderingCertificate(
-        j=1, d=2, p=1, sigma_terms=[], h_terms=[], residual=0.0, min_gram_eigenvalue=0.0
-    )
-    empty_bound = ArchimedeanCertificate(bound=2.0, d=1, terms=[], residual=0.0, min_gram_eigenvalue=0.0)
+    empty_sides = PreorderingCertificate(j=1, d=2, p=1, sigma_terms=[], h_terms=[])
+    empty_bound = ArchimedeanCertificate(bound=2.0, d=1, terms=[])
     for cert, spec, floor in ((empty_sides, interval_spec, 1.0), (empty_bound, disk_spec, 2.0)):
         check = verify_certificate(cert, spec)
         assert check.residual >= floor
@@ -227,10 +210,8 @@ def test_verify_never_raises_on_degenerate_certificate(interval_spec, disk_spec)
             assert not check.passed
         # the NaN coefficients it expands to give an infinite residual, not a finite one
         assert check.residual == float("inf")
-        assert term.min_gram_eigenvalue() == float("-inf")
-    wrong = PreorderingCertificate(
-        j=3, d=2, p=1, sigma_terms=[], h_terms=[], residual=0.0, min_gram_eigenvalue=0.0
-    )
+        assert term.gram_spectrum()[0] == float("-inf")
+    wrong = PreorderingCertificate(j=3, d=2, p=1, sigma_terms=[], h_terms=[])
     check = verify_certificate(wrong, interval_spec)
     assert check.residual == float("inf") and not check.passed
 
@@ -258,7 +239,7 @@ def test_stengle_box_two_constraints(box_spec):
 
 def test_stengle_refuses_large_m():
     spec = parse_problem("vars: x1\ng: x1\ng: 1 - x1\ng: 2 - x1\ng: 3 - x1\n")
-    with pytest.raises(ValueError, match="certify_sufficient"):
+    with pytest.raises(ValueError, match="the quadratic-module certificate has no such limit"):
         certify_stengle(spec, 1, 1)
 
 
@@ -271,7 +252,7 @@ def test_degree_below_other_constraint_rejected():
     # d = 1 fits g1 = x but not g2 = 1 - x^4, whose x^4 row would go unmatched
     spec = parse_problem("vars: x\ng: x\ng: 1 - x^4\n")
     with pytest.raises(ValueError, match="degree bound"):
-        certify_sufficient(spec, 1, 1)
+        gram_certificate(spec, 1, 1)
     with pytest.raises(ValueError, match="degree bound"):
         archimedean_check(spec, 2.0, 1)
 
@@ -322,7 +303,7 @@ def test_random_ellipsoids_certify():
                 key = tuple((1 if k == i else 0) + (1 if k == jdx else 0) for k in range(n))
                 terms[key] = terms.get(key, 0.0) - q[i, jdx]
         spec = _single_constraint_spec(space, Polynomial(space, terms))
-        cert = certify_sufficient(spec, 1, 1)
+        cert = gram_certificate(spec, 1, 1)
         assert isinstance(cert, QuadraticModuleCertificate), f"trial {trial}"
         assert verify_certificate(cert, spec).passed, f"trial {trial}"
 
@@ -338,7 +319,7 @@ def _single_constraint_spec(space, g):
 
 
 def test_certificate_payload_shape(interval_spec):
-    cert = certify_sufficient(interval_spec, 1, 1)
+    cert = gram_certificate(interval_spec, 1, 1)
     payload = cert.to_payload()
     assert payload["kind"] == "quadratic-module"
     assert payload["constraint"] == 1
@@ -386,10 +367,10 @@ def test_orbit_rows_sum_the_monomial_rows(parabola_spec, disk_spec, box_spec):
     # on any blocks X, each orbit row of the reduced program reads the sum of
     # the term-by-term rows of its monomials on the Gram matrices recover expands;
     # box at d=2 pairs distinct subsets, such as J{1,4} with J{2,3}
-    from convexcert.certify import _qmodule_program, _stengle_program
+    from convexcert.certify import _stengle_program
 
     rng = np.random.default_rng(3)
-    for program in (_qmodule_program(parabola_spec, 1, 2, 0.0), _stengle_program(disk_spec, 1, 1, 1),
+    for program in (_qmodule_program(parabola_spec, 1, 2), _stengle_program(disk_spec, 1, 1, 1),
                     _stengle_program(box_spec, 1, 2, 1)):
         problem = program.to_sdp()
         blocks = [m @ m.T for m in (rng.normal(size=(k, k)) for k in problem.block_dims)]
@@ -427,15 +408,15 @@ def test_declared_swap_pairs_match_the_swapped_weights():
     # the builders name each term's swap image; over every bundled problem the
     # naming must be an involution between terms of one basis degree whose
     # weights are each other's swap, on a tau-invariant target
-    from convexcert.certify import STENGLE_M_MAX, _qmodule_program, _stengle_program
+    from convexcert.certify import STENGLE_M_MAX, _stengle_program
     from convexcert.refute import relaxation_orders
 
     paths = sorted(PROBLEMS.glob("*.txt"))
     assert paths
     for path in paths:
         spec = parse_problem(path.read_text())
-        v = relaxation_orders(spec)[1]
-        programs = [_qmodule_program(spec, j, d, 0.0) for j in range(1, spec.m + 1) for d in (v, v + 1)]
+        v = relaxation_orders(spec)
+        programs = [_qmodule_program(spec, j, d) for j in range(1, spec.m + 1) for d in (v, v + 1)]
         if spec.m <= STENGLE_M_MAX:
             programs += [_stengle_program(spec, j, d, 1) for j in range(1, spec.m + 1) for d in (v, v + 1)]
         for program in programs:

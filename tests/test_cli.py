@@ -228,6 +228,29 @@ def test_missing_file_exits_64(tmp_path, capsys):
     assert code == 64
 
 
+def test_unwritable_out_exits_64(tmp_path, capsys):
+    path = write_problem(tmp_path, INTERVAL)
+    out = tmp_path / "missing" / "report.json"
+    code = cli.main([path, "--mode", "certify", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err.startswith("convexcert: cannot write: ") and str(out) in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_unwritable_dump_dir_exits_64_before_any_solve(tmp_path, capsys, monkeypatch):
+    path = write_problem(tmp_path, INTERVAL)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    solves = []
+    monkeypatch.setattr(refute, "solve_relaxation", lambda *args: solves.append(args))
+    code = cli.main([path, "--dump-sdp", str(blocker / "dump")])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err.startswith("convexcert: cannot write: ") and str(blocker / "dump") in captured.err
+    assert captured.out == "" and solves == []
+
+
 def test_halfspace_analyze(tmp_path, capsys):
     path = write_problem(tmp_path, HALFSPACE)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
@@ -354,7 +377,7 @@ def test_stengle_guard_surfaces_in_report(tmp_path, capsys):
     code, payload = run_cli(capsys, [path, "--mode", "certify", "--stengle"])
     assert code == 2
     g1 = payload["constraints"][0]
-    assert "certify_sufficient" in " ".join(g1["notes"])
+    assert "the quadratic-module certificate has no such limit" in " ".join(g1["notes"])
     # refused once for the constraint, not once per order; and in certify mode
     # under --stengle the Gram solve could conclude nothing, so none is run
     assert len(g1["notes"]) == 1

@@ -61,6 +61,18 @@ def test_scale_by_zero_annihilates():
     assert result.is_zero()
 
 
+def test_numpy_scalars_act_like_python_numbers():
+    # numpy scalars are numbers.Real; only np.float64 subclasses float
+    x = Polynomial.variable(X1, 0)
+    for two in (np.int64(2), np.float32(2.0), np.float64(2.0), 2):
+        assert x * two == two * x == poly(X1, {(1,): 2.0})
+        assert x + two == two + x == poly(X1, {(0,): 2.0, (1,): 1.0})
+        assert x - two == poly(X1, {(0,): -2.0, (1,): 1.0})
+        assert two - x == poly(X1, {(0,): 2.0, (1,): -1.0})
+    # a float32 factor scales at double precision
+    assert (poly(X1, {(1,): 0.1}) * np.float32(3.0)).terms == {(1,): 0.1 * 3.0}
+
+
 def test_space_mismatch_rejected():
     with pytest.raises(ValueError):
         Polynomial.variable(X1, 0) + Polynomial.variable(X2, 0)

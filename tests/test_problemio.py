@@ -10,7 +10,6 @@ from convexcert.problemio import (
     make_report,
     parse_polynomial,
     parse_problem,
-    parse_report,
     serialize_report,
     validate_report_payload,
 )
@@ -211,14 +210,14 @@ def test_report_round_trip():
     spec = parse_problem("vars: x1\ng: 1 - x1^2")
     report = _tiny_report(spec)
     payload = report.payload()
-    assert parse_report(serialize_report(report)) == payload
+    assert json.loads(serialize_report(report)) == payload
 
 
 def test_report_float_precision_survives():
     spec = parse_problem("vars: x1\ng: 1 - x1^2")
     report = _tiny_report(spec)
     text = serialize_report(report)
-    back = parse_report(text)
+    back = json.loads(text)
     assert back["constraints"][0]["certificate"]["residual"] == 3.0325999489377864e-09
 
 

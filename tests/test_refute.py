@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convexcert import refute, sdp
-from convexcert.certify import build_qmodule_sdp
+from convexcert.certify import _qmodule_program
 from convexcert.moments import MomentSequence, moment_matrix, monomial_basis
 from convexcert.polynomials import VariableSpace
 from convexcert.problemio import parse_problem
@@ -30,22 +30,18 @@ LIFTED2 = VariableSpace(2).lift()
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
-def synthetic_result(space, order, points, weights, v=1):
+def synthetic_result(space, order, points, weights):
     """RelaxationResult wrapping exact atomic moments (no solver involved)."""
     z = MomentSequence.from_atoms(space, order, points, weights)
-    return RelaxationResult(j=1, s=order, v=v, status="optimal", rho=0.0, z=z)
+    return RelaxationResult(j=1, s=order, status="optimal", rho=0.0, z=z)
 
 
 # -- construction -----------------------------------------------------------------
 
 
 def test_orders(interval_spec, parabola_spec):
-    v_ks, v = relaxation_orders(interval_spec)
-    assert v_ks == [1, 1]
-    assert v == 1
-    v_ks, v = relaxation_orders(parabola_spec)
-    assert v_ks == [1] * 6
-    assert v == 1
+    assert relaxation_orders(interval_spec) == 1
+    assert relaxation_orders(parabola_spec) == 1
 
 
 def test_build_interval_shape(interval_spec):
@@ -76,7 +72,7 @@ def test_objective_is_midpoint_image(interval_spec):
     assert rhs == pytest.approx({(1, 0): 0.0, (2, 0): -0.5, (1, 1): -0.5})
     # the objective is the constant row: sigma_0[0, 0] plus the constants of g_1(x)
     # and g_1(y), which share the block of the pair; the odd block has no constant
-    constant_row, constant = build_qmodule_sdp(interval_spec, 1, 1).equalities[0]
+    constant_row, constant = _qmodule_program(interval_spec, 1, 1).to_sdp().equalities[0]
     assert constant == pytest.approx(1.0)
     assert set(problem.objective) == set(constant_row) == {0, 2}
     for blk, mat in constant_row.items():
@@ -99,7 +95,7 @@ def test_hyperbola_order3_over_swap_orbits():
     assert (result.diagnostics["blocks"], result.diagnostics["p"]) == ([19, 16, 15, 15, 15], 109)
     flatness = rank_flatness_check(result, hyperbola)
     assert flatness.flat and flatness.t == 4
-    atoms = extract_atoms(result, flatness.t, seed=0, tol=1e-4)
+    atoms = extract_atoms(result, flatness.t, seed=0)
     witness = validate_witness(atoms, hyperbola, 1)
     assert witness is not None and len(witness.atoms) == 4
 
@@ -145,7 +141,7 @@ def test_convex_interval_bound_nonnegative(interval_spec):
 
 def test_unbounded_relaxation_flagged():
     cubic = parse_problem((PROBLEMS / "cubic_halfline.txt").read_text())
-    _v_ks, v = relaxation_orders(cubic)
+    v = relaxation_orders(cubic)
     assert v == 2
     for s in (v, v + 1, v + 2):
         result = solve_relaxation(cubic, 1, s)
@@ -375,10 +371,10 @@ def test_extract_swap_symmetric_perturbed_moments():
         for exps in z.entries:
             orbit = min(exps, exps[n:] + exps[:n])
             z.entries[exps] += noise.setdefault(orbit, rng.uniform(-1e-9, 1e-9))
-        res = RelaxationResult(j=1, s=2, v=1, status="optimal", rho=0.0, z=z)
+        res = RelaxationResult(j=1, s=2, status="optimal", rho=0.0, z=z)
         flat = rank_flatness_check(res, _dummy_spec_1d() if n == 1 else _dummy_spec_2d())
         assert flat.flat and flat.t == len(pts), f"trial {trial}"
-        atoms = extract_atoms(res, flat.t, seed=trial, tol=1e-4)  # the CLI's tolerance
+        atoms = extract_atoms(res, flat.t, seed=trial)
         assert len(atoms) == len(pts)
         matched = _match_atoms(atoms, pts, wts)
         assert matched <= 1e-5, f"trial {trial}: atom mismatch {matched}"
@@ -412,7 +408,7 @@ def test_extraction_failure_reported():
     # demanding more atoms than the moment matrix can support must fail cleanly
     res = synthetic_result(LIFTED1, 1, [[0.5, 0.5]], [1.0])
     with pytest.raises(ExtractionError):
-        extract_atoms(res, 3, max_attempts=2)
+        extract_atoms(res, 3)
 
 
 # -- witness validation --------------------------------------------------------------------
@@ -430,7 +426,7 @@ def test_hyperbola_pipeline_four_atoms():
     assert deep.rho == pytest.approx(oracle, abs=1e-3)
     flat = rank_flatness_check(deep, hyper)
     assert flat.flat and flat.t == 4
-    atoms = extract_atoms(deep, flat.t, seed=0, tol=1e-4)
+    atoms = extract_atoms(deep, flat.t, seed=0)
     witness = validate_witness(atoms, hyper, 1)
     assert witness is not None
     for atom in witness.atoms:
@@ -449,7 +445,7 @@ def test_hyperbola_order_four_flat_at_default_tol():
     assert result.rho == pytest.approx(-1.5625, abs=1e-3)
     flat = rank_flatness_check(result, hyper)
     assert flat.flat and flat.t == 4
-    atoms = extract_atoms(result, flat.t, seed=0, tol=1e-4)
+    atoms = extract_atoms(result, flat.t, seed=0)
     assert validate_witness(atoms, hyper, 1) is not None
 
 
@@ -457,7 +453,7 @@ def test_parabola_pipeline_produces_witness(parabola_spec):
     result = solve_relaxation(parabola_spec, 1, 2)
     flat = rank_flatness_check(result, parabola_spec)
     assert flat.flat and flat.t == 2
-    atoms = extract_atoms(result, flat.t, seed=0, tol=1e-4)
+    atoms = extract_atoms(result, flat.t, seed=0)
     witness = validate_witness(atoms, parabola_spec, 1)
     assert witness is not None
     assert len(witness.atoms) == 2
@@ -522,7 +518,7 @@ def test_extract_rejects_missing_moments_and_atom_count(interval_spec):
 def test_witness_payload(parabola_spec):
     result = solve_relaxation(parabola_spec, 1, 2)
     flat = rank_flatness_check(result, parabola_spec)
-    atoms = extract_atoms(result, flat.t, seed=0, tol=1e-4)
+    atoms = extract_atoms(result, flat.t, seed=0)
     witness = validate_witness(atoms, parabola_spec, 1)
     payload = witness.to_payload()
     assert payload["kind"] == "midpoint-violation"
@@ -545,7 +541,7 @@ THIN = "vars: x1 x2\ng: x1^2 - 1\ng: 1 - x1^2\ng: 1 - x2^2\n"  # two segments x1
 
 
 def _first_order_result(spec, j=1):
-    _v_ks, v = relaxation_orders(spec)
+    v = relaxation_orders(spec)
     result = solve_relaxation(spec, j, v)
     assert result.status == "optimal"
     return result
