@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Run the 65-run regression sweep in one process and write one JSON file per run.
+
+    python3 scripts/sweep.py OUT_DIR
+    python3 scripts/sweep.py OUT_DIR --against OTHER_DIR
+
+The runs are the seed-1 instances of the corpus, certify-convex and
+refute-nonconvex workloads of perfbench.workloads, each with its own flags,
+and every problems/*.txt under certify, refute, analyze, certify --stengle
+and --archimedean 2. Each run goes through convexcert.cli.main of this
+checkout's src/, and its file holds the exit code and the report with every
+``*_seconds`` timing removed, the only values docs/formats.md lets differ
+between reruns. OUT_DIR also gets the --dump-sdp files of hyperbola in
+analyze mode and the --help text.
+
+With --against, every file in OUT_DIR is compared byte for byte with the one
+of the same name in OTHER_DIR (say, a sweep of another checkout); the script
+names each that differs or is missing on either side and exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from convexcert import cli  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+SEED = 1
+SWEPT_WORKLOADS = ("corpus", "certify-convex", "refute-nonconvex")
+PROBLEM_FLAGS = {
+    "certify": ("--mode", "certify"),
+    "refute": ("--mode", "refute"),
+    "analyze": ("--mode", "analyze"),
+    "stengle": ("--mode", "certify", "--stengle"),
+    "archimedean": ("--archimedean", "2"),
+}
+
+
+def _untimed(value):
+    """value without the keys that end in _seconds, at any depth."""
+    if isinstance(value, dict):
+        return {k: _untimed(v) for k, v in value.items() if not k.endswith("_seconds")}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+def _run(argv: list[str], scratch: Path) -> str:
+    """The exit code and timing-free report of one CLI run, as JSON text."""
+    report = scratch / "report.json"
+    report.unlink(missing_ok=True)
+    code = cli.main(argv + ["--out", str(report)])
+    payload = _untimed(json.loads(report.read_text())) if report.exists() else None
+    return json.dumps({"exit": code, "report": payload}, indent=1, sort_keys=True) + "\n"
+
+
+def sweep(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        for workload in SWEPT_WORKLOADS:
+            for instance in WORKLOADS[workload](ROOT, SEED):
+                problem = scratch / "problem.txt"
+                problem.write_text(instance.text)
+                text = _run([str(problem), *instance.args], scratch)
+                (out / f"{workload}-{instance.ident}.json").write_text(text)
+        for path in sorted((ROOT / "problems").glob("*.txt")):
+            for variant, flags in PROBLEM_FLAGS.items():
+                (out / f"problem-{path.stem}-{variant}.json").write_text(_run([str(path), *flags], scratch))
+        _run([str(ROOT / "problems" / "hyperbola.txt"), "--mode", "analyze",
+              "--dump-sdp", str(out / "dump-hyperbola")], scratch)
+    help_text = io.StringIO()
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    with contextlib.redirect_stdout(help_text):
+        cli.main(["--help"])
+    (out / "help.txt").write_text(help_text.getvalue())
+
+
+def differences(out: Path, against: Path) -> list[str]:
+    """Relative paths of the files that differ, or exist on one side only."""
+    names = {p.relative_to(root) for root in (out, against) for p in root.rglob("*") if p.is_file()}
+    return sorted(str(name) for name in names
+                  if not ((out / name).is_file() and (against / name).is_file()
+                          and (out / name).read_bytes() == (against / name).read_bytes()))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="directory for the run files")
+    parser.add_argument("--against", type=Path, help="compare with the files of this earlier sweep")
+    args = parser.parse_args()
+    sweep(args.out)
+    if args.against is None:
+        return 0
+    differing = differences(args.out, args.against)
+    for name in differing:
+        print(f"DIFFERS {name}")
+    print(f"{len(differing)} of the swept files differ from {args.against}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

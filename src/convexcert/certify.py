@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from math import ceil
 from typing import TYPE_CHECKING, ClassVar
 
@@ -58,7 +57,6 @@ from .polynomials import (
     Polynomial,
     VariableSpace,
     ball_polynomial,
-    coeff_linf_distance,
     lift,
     midpoint_substitute,
 )
@@ -81,16 +79,23 @@ class SosTerm:
     basis: tuple[Exponents, ...]
     gram: np.ndarray
 
-    def sos_polynomial(self, space: VariableSpace) -> Polynomial:
-        terms: dict[Exponents, float] = {}
-        for a, ea in enumerate(self.basis):
-            for b, eb in enumerate(self.basis):
-                key = tuple(p + q for p, q in zip(ea, eb))
-                terms[key] = terms.get(key, 0.0) + float(self.gram[a, b])
-        return Polynomial(space, terms)
+    def squares(self, monomials: MonomialBasis) -> np.ndarray:
+        """Coefficients of b^T G b over monomials, summed in the row-major order of G."""
+        basis = np.array(self.basis)
+        return np.bincount(monomials.positions(basis, basis).ravel(), weights=self.gram.ravel(),
+                           minlength=len(monomials))
 
-    def contribution(self, space: VariableSpace) -> Polynomial:
-        return self.weight * self.sos_polynomial(space)
+    def sos_polynomial(self, space: VariableSpace) -> Polynomial:
+        monomials = monomial_basis(space, 2 * max(map(sum, self.basis)))
+        return Polynomial(space, dict(zip(monomials.elements, self.squares(monomials))))
+
+    def contribution(self, monomials: MonomialBasis) -> np.ndarray:
+        """Coefficients of weight * (b^T G b) over monomials, weight terms outer."""
+        squares = self.squares(monomials)
+        support = np.flatnonzero(squares)
+        return np.bincount(monomials.positions(list(self.weight.terms), monomials.exponents[support]).ravel(),
+                           weights=np.outer(list(self.weight.terms.values()), squares[support]).ravel(),
+                           minlength=len(monomials))
 
     def gram_spectrum(self) -> tuple[float, float]:
         """Least eigenvalue and norm of the symmetrized Gram matrix.
@@ -121,11 +126,6 @@ class _TermSpec:
     label: str
     weight: Polynomial
     basis_degree: int
-
-
-def _swap(exponents: Exponents, n: int) -> Exponents:
-    """The swap tau: (x, y) -> (y, x) on an exponent vector of the lifted space."""
-    return exponents[n:] + exponents[:n]
 
 
 @dataclass
@@ -159,9 +159,11 @@ class SosProgram:
     * a pair of terms shares one Gram block: term tau(i)'s Gram matrix is
       term i's with the basis permuted by tau.
 
-    With partner None tau is the identity: every term keeps one block over
-    its own basis and every monomial its own row. recover and moments expand
-    a solution back to every term's Gram matrix and every monomial's moment.
+    tau swaps the x and y columns of an exponent vector. With partner None it
+    is the identity: every term keeps one block over its own basis and every
+    monomial its own row. rows[i] is the row of monomial i of
+    monomial_basis(space, match_degree). recover and moments expand a
+    solution back to every term's Gram matrix and every monomial's moment.
     A wrong partner can lose a certificate but never pass a wrong one, as
     verify_certificate rechecks every monomial.
     """
@@ -173,7 +175,7 @@ class SosProgram:
     partner: list[int] | None = None
     bases: list[MonomialBasis] = field(init=False)
     blocks: list[_Block] = field(init=False)
-    row_of: dict[Exponents, int] = field(init=False)
+    rows: np.ndarray = field(init=False)
     n_rows: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -188,19 +190,19 @@ class SosProgram:
             )
         self.bases = [monomial_basis(self.space, t.basis_degree) for t in self.term_specs]
         if self.partner is None:  # tau acts as the identity
-            swap, partner = (lambda e: e), range(len(self.term_specs))
+            columns, partner = np.arange(self.space.arity), range(len(self.term_specs))
         else:
-            swap, partner = partial(_swap, n=self.space.n), self.partner
-        self.row_of = {}
-        self.n_rows = 0
-        for gamma in monomial_basis(self.space, self.match_degree):
-            if gamma not in self.row_of:
-                self.row_of[gamma] = self.row_of[swap(gamma)] = self.n_rows
-                self.n_rows += 1
+            columns, partner = (np.arange(self.space.arity) + self.space.n) % self.space.arity, self.partner
+        monomials = monomial_basis(self.space, self.match_degree)
+        index = np.arange(len(monomials))
+        swapped = monomials.positions(monomials.exponents[:, columns])
+        first = swapped >= index  # the first monomial of its orbit
+        self.rows = (np.cumsum(first) - 1)[np.minimum(index, swapped)]
+        self.n_rows = int(np.count_nonzero(first))
         self.blocks = []
         for i, basis in enumerate(self.bases):
             k = len(basis)
-            perm = [basis.index(swap(e)) for e in basis]
+            perm = swapped[:k].tolist()  # the basis is a prefix of monomials, which tau keeps
             if partner[i] == i:
                 even, odd = [], []
                 for a, b in enumerate(perm):
@@ -224,26 +226,17 @@ class SosProgram:
                 self.blocks.append(_Block(k, [(i, np.eye(k)), (partner[i], moved)]))
 
     def to_sdp(self) -> sdp.SdpProblem:
-        # exponent vectors coded in base match_degree + 1, where a monomial
-        # product is a sum of codes; sorted codes find each product's row
-        radix = (self.match_degree + 1) ** np.arange(self.space.arity)
-        codes = np.array(list(self.row_of), dtype=np.int64) @ radix
-        order = np.argsort(codes)
-        codes = codes[order]
-        code_rows = np.fromiter(self.row_of.values(), dtype=np.int64, count=len(order))[order]
+        monomials = monomial_basis(self.space, self.match_degree)
         rhs = np.zeros(self.n_rows)
         for gamma, coeff in self.target.terms.items():
-            rhs[self.row_of[gamma]] += coeff
+            rhs[self.rows[monomials.index(gamma)]] += coeff
         equalities: list[tuple[dict[int, np.ndarray], float]] = [({}, float(b)) for b in rhs]
         for blk, block in enumerate(self.blocks):
             mats = np.zeros((self.n_rows, block.size, block.size))
             for i, t in block.parts:
                 spec, basis = self.term_specs[i], self.bases[i]
                 k = len(basis)
-                basis_codes = np.array(basis.elements, dtype=np.int64) @ radix
-                weight_codes = np.array(list(spec.weight.terms), dtype=np.int64) @ radix
-                products = basis_codes[:, None, None] + basis_codes[None, :, None] + weight_codes
-                rows = code_rows[np.searchsorted(codes, products)]
+                rows = self.rows[monomials.positions(basis.exponents, basis.exponents, list(spec.weight.terms))]
                 cells = (rows * k + np.arange(k)[:, None, None]) * k + np.arange(k)[None, :, None]
                 weights = np.broadcast_to(list(spec.weight.terms.values()), rows.shape)
                 coefficients = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=mats.shape[0] * k * k)
@@ -268,8 +261,7 @@ class SosProgram:
 
     def moments(self, multipliers: np.ndarray) -> MomentSequence:
         """Moment sequence z_gamma = z_tau(gamma) = -multipliers[row of gamma's orbit]."""
-        entries = {gamma: -float(multipliers[row]) for gamma, row in self.row_of.items()}
-        return MomentSequence(self.space, self.match_degree // 2, entries)
+        return MomentSequence(self.space, self.match_degree // 2, -multipliers[self.rows])
 
 
 @dataclass(kw_only=True)
@@ -562,9 +554,10 @@ def archimedean_check(
 def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck:
     """Recheck a certificate using polynomial arithmetic only (no solver).
 
-    Re-expands every Gram matrix into its SOS polynomial, sums the terms of
-    the certified identity, and reports the coefficientwise residual against
-    the target rebuilt from spec, together with the minimum Gram eigenvalues.
+    Re-expands every term weight * (b^T G b) over the monomials the identity
+    reaches, through MonomialBasis.positions, sums the terms in order, and
+    reports the coefficientwise residual against the target rebuilt from
+    spec (inf on a NaN), together with the minimum Gram eigenvalues.
     These two facts alone imply the midpoint inequality the certificate
     claims, so a passing check is a standalone proof up to the check's
     tolerances, which a caller may replace (dataclasses.replace). Reports,
@@ -572,11 +565,12 @@ def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck
     """
     try:
         target = cert.target(spec)
-        total: dict[Exponents, float] = {}  # one running sum, not a new polynomial per term
-        for term in cert.terms:
-            for exps, coeff in term.contribution(target.space).terms.items():
-                total[exps] = total.get(exps, 0.0) + coeff
-        residual = coeff_linf_distance(target, Polynomial(target.space, total))
+        reach = max([target.degree] + [t.weight.degree + 2 * max(map(sum, t.basis)) for t in cert.terms])
+        monomials = monomial_basis(target.space, reach)
+        total = sum((term.contribution(monomials) for term in cert.terms), np.zeros(len(monomials)))
+        for gamma, coeff in target.terms.items():
+            total[monomials.index(gamma)] -= coeff
+        residual = float(np.max(np.where(np.isnan(total), np.inf, np.abs(total))))
     except Exception:
         residual = float("inf")
     eigs: dict[str, float] = {}

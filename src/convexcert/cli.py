@@ -382,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"convexcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if config.out and not Path(config.out).parent.is_dir():  # fail before the first solve
+            raise OSError(f"{config.out}: {Path(config.out).parent} is not a directory")
         report = run(config, spec)
         issues = validate_report_payload(report.payload())
         if issues:  # internal invariant violation, never expected

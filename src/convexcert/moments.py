@@ -7,11 +7,16 @@ and the localizing matrix of a weight polynomial theta folds theta's
 coefficients into those sums. Positive semidefiniteness of these matrices is
 what makes z look like the moments of a nonnegative measure supported where
 theta >= 0.
+
+The bases carry the package's one coefficient index: MonomialBasis.positions
+finds the place of every monomial product, so the Gram rows and swap orbits
+of certify.SosProgram, the certificate recheck and the moment and localizing
+matrices here all expand through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -23,9 +28,10 @@ from .polynomials import Exponents, Polynomial, VariableSpace, grlex_key
 
 
 class MonomialBasis:
-    """Canonically ordered exponent vectors of total degree <= order."""
+    """Canonically ordered exponent vectors of total degree <= order, also as
+    the (N, arity) array exponents and as codes in base order + 1 for positions."""
 
-    __slots__ = ("space", "order", "elements", "_index")
+    __slots__ = ("space", "order", "elements", "exponents", "_index", "_radix", "_codes", "_rank")
 
     def __init__(self, space: VariableSpace, order: int):
         if order < 0:
@@ -44,6 +50,10 @@ class MonomialBasis:
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         assert len(self.elements) == comb(arity + order, order)
+        self.exponents = np.array(self.elements, dtype=np.int64)
+        self._radix = (order + 1) ** np.arange(arity, dtype=np.int64)
+        self._rank = np.argsort(self.exponents @ self._radix)
+        self._codes = self.exponents[self._rank] @ self._radix
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -60,6 +70,17 @@ class MonomialBasis:
         except KeyError:
             raise ValueError(f"monomial {exponents} not in basis of order {self.order}") from None
 
+    def positions(self, *factors: np.ndarray) -> np.ndarray:
+        """Index of every sum of one exponent vector from each (k_i, arity) factor, shape (k_1, k_2, ...).
+
+        Codes add as their vectors do while no entry exceeds order, so the caller
+        must keep every sum's total degree <= order: this is not checked.
+        """
+        total = np.zeros((), dtype=np.int64)
+        for factor in factors:
+            total = np.add.outer(total, np.asarray(factor, dtype=np.int64) @ self._radix)
+        return self._rank[np.searchsorted(self._codes, total)]
+
 
 @lru_cache(maxsize=64)
 def monomial_basis(space: VariableSpace, order: int) -> MonomialBasis:
@@ -73,11 +94,11 @@ def monomial_basis(space: VariableSpace, order: int) -> MonomialBasis:
 
 @dataclass
 class MomentSequence:
-    """Values z_gamma for every monomial gamma with |gamma| <= 2*order."""
+    """Values z_gamma for every monomial gamma with |gamma| <= 2*order, in the order of monomial_basis."""
 
     space: VariableSpace
     order: int
-    entries: dict[Exponents, float] = field(default_factory=dict)
+    values: np.ndarray
 
     @classmethod
     def from_atoms(
@@ -94,16 +115,13 @@ class MomentSequence:
             raise ValueError(f"expected atom coordinates of shape (t, {space.arity})")
         if wts.shape != (pts.shape[0],):
             raise ValueError("one weight per atom required")
-        entries: dict[Exponents, float] = {}
-        for exps in monomial_basis(space, 2 * order):
-            powers = np.prod(pts ** np.asarray(exps, dtype=float), axis=1)
-            entries[exps] = float(wts @ powers)
-        return cls(space, order, entries)
+        exponents = monomial_basis(space, 2 * order).exponents.astype(float)
+        return cls(space, order, np.prod(pts[None] ** exponents[:, None], axis=2) @ wts)
 
     def value(self, exponents: Exponents) -> float:
         try:
-            return self.entries[tuple(exponents)]
-        except KeyError:
+            return float(self.values[monomial_basis(self.space, 2 * self.order).index(exponents)])
+        except ValueError:
             raise ValueError(
                 f"moment {exponents} missing (sequence holds degrees <= {2 * self.order})"
             ) from None
@@ -134,16 +152,8 @@ def localizing_matrix(z: MomentSequence, theta: Polynomial, order: int) -> np.nd
     """
     if theta.space != z.space:
         raise ValueError("weight polynomial lives in a different space than the moments")
-    basis = monomial_basis(z.space, order)
-    m = len(basis)
-    out = np.empty((m, m))
-    for i in range(m):
-        ei = basis[i]
-        for j in range(i, m):
-            ej = basis[j]
-            value = 0.0
-            for exps, coeff in theta.terms.items():
-                value += coeff * z.value(tuple(a + b + c for a, b, c in zip(ei, ej, exps)))
-            out[i, j] = value
-            out[j, i] = value
-    return out
+    if 2 * order + theta.degree > 2 * z.order:
+        raise ValueError(f"moments of degree {2 * order + theta.degree} missing (sequence holds <= {2 * z.order})")
+    basis = monomial_basis(z.space, order).exponents
+    positions = monomial_basis(z.space, 2 * z.order).positions(basis, basis, list(theta.terms))
+    return z.values[positions] @ list(theta.terms.values())

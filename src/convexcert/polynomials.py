@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, inf
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -171,11 +171,11 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, Integral) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         result = Polynomial.constant(self.space, 1.0)
         base = self
-        k = exponent
+        k = int(exponent)
         while k:
             if k & 1:
                 result = result * base

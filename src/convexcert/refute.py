@@ -320,9 +320,8 @@ def extract_atoms(result: RelaxationResult, t: int, seed: int = 0) -> list[tuple
         for i in range(space.arity)
     ])  # (arity, t, t)
 
-    full_basis = monomial_basis(space, 2 * result.s)
-    exponents = np.array(full_basis.elements)  # (N, arity)
-    z_vec = np.array([z.value(e) for e in full_basis])
+    exponents = monomial_basis(space, 2 * result.s).exponents  # (N, arity)
+    z_vec = z.values[:len(exponents)]
     scale = EXTRACTION_MATCH_TOL * max(1.0, float(np.max(np.abs(z_vec))))
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"

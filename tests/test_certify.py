@@ -377,8 +377,8 @@ def test_orbit_rows_sum_the_monomial_rows(parabola_spec, disk_spec, box_spec):
         grams = [t.gram for t in program.recover(blocks)]
         full = [0.0] * len(problem.equalities)
         monomials = monomial_basis(program.space, program.match_degree)
-        for gamma, (mats, _rhs) in zip(monomials, _loop_reference_rows(program)):
-            full[program.row_of[gamma]] += sum(np.sum(m * grams[i]) for i, m in mats.items())
+        for row, (mats, _rhs) in zip(program.rows, _loop_reference_rows(program)):
+            full[row] += sum(np.sum(m * grams[i]) for i, m in mats.items())
         reduced = [sum(np.sum(m * blocks[b]) for b, m in mats.items()) for mats, _rhs in problem.equalities]
         assert np.allclose(reduced, full, rtol=1e-12, atol=1e-12)
         assert len(problem.equalities) < len(monomials)
@@ -430,3 +430,42 @@ def test_declared_swap_pairs_match_the_swapped_weights():
                 assert coeff_linf_distance(_swapped(term.weight), image.weight) <= 1e-12 * scale
             scale = max(abs(c) for c in program.target.terms.values())
             assert coeff_linf_distance(_swapped(program.target), program.target) <= 1e-12 * scale
+
+
+def _dict_residual(cert, spec) -> float:
+    """The residual by the dict expansion that verify_certificate replaced: per term the
+    k^2 loop over the Gram matrix, times the weight by Polynomial.__mul__, summed in term order."""
+    target = cert.target(spec)
+    total: dict = {}
+    for term in cert.terms:
+        squares: dict = {}
+        for a, ea in enumerate(term.basis):
+            for b, eb in enumerate(term.basis):
+                key = tuple(p + q for p, q in zip(ea, eb))
+                squares[key] = squares.get(key, 0.0) + float(term.gram[a, b])
+        for exps, coeff in (term.weight * Polynomial(target.space, squares)).terms.items():
+            total[exps] = total.get(exps, 0.0) + coeff
+    return coeff_linf_distance(target, Polynomial(target.space, total))
+
+
+def test_residual_equals_the_dict_expansion_bit_for_bit():
+    # every certificate the builders make on the bundled problems: quadratic-module
+    # at d = v..v+2, preordering at d = v, v+1 for m <= 3, archimedean at M = 2
+    from convexcert.certify import STENGLE_M_MAX, qmodule_certificate
+    from convexcert.refute import relaxation_orders, solve_relaxation
+
+    checked = 0
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        spec = parse_problem(path.read_text())
+        v = relaxation_orders(spec)
+        certs = [archimedean_check(spec, 2.0, v)]
+        for j in range(1, spec.m + 1):
+            results = [solve_relaxation(spec, j, d) for d in (v, v + 1, v + 2)]
+            certs += [qmodule_certificate(r, spec) for r in results if r.status == "optimal"]
+            if spec.m <= STENGLE_M_MAX:
+                certs += [certify_stengle(spec, j, d) for d in (v, v + 1)]
+        for cert in certs:
+            if not isinstance(cert, CertificationFailure):
+                assert verify_certificate(cert, spec).residual == _dict_residual(cert, spec), path.stem
+                checked += 1
+    assert checked >= 50  # 64 at the time of writing: 39 quadratic-module, 21 preordering, 4 archimedean

@@ -251,6 +251,21 @@ def test_unwritable_dump_dir_exits_64_before_any_solve(tmp_path, capsys, monkeyp
     assert captured.out == "" and solves == []
 
 
+def test_unwritable_out_exits_64_before_any_solve(tmp_path, capsys, monkeypatch):
+    # a missing directory, and a file in the place of one
+    path = write_problem(tmp_path, INTERVAL)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    solves = []
+    monkeypatch.setattr(refute, "solve_relaxation", lambda *args: solves.append(args))
+    for out in (tmp_path / "missing" / "report.json", blocker / "report.json"):
+        code = cli.main([path, "--mode", "certify", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err.startswith("convexcert: cannot write: ") and str(out) in captured.err
+        assert captured.out == "" and solves == [] and not out.exists()
+
+
 def test_halfspace_analyze(tmp_path, capsys):
     path = write_problem(tmp_path, HALFSPACE)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])

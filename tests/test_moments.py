@@ -63,6 +63,27 @@ def test_lower_order_moment_matrix_is_leading_block():
             assert np.array_equal(moment_matrix(z, order), full[:size, :size])
 
 
+def test_positions_match_the_index_of_each_sum():
+    # seeded factors whose sums stay within the basis order, for 1 to 3 factors
+    rng = np.random.default_rng(17)
+    for arity in range(1, 5):
+        space = VariableSpace(arity)
+        for order in range(7):
+            basis = monomial_basis(space, order)
+            for count in (1, 2, 3):
+                cuts = np.sort(rng.integers(0, order + 1, size=count - 1))
+                degrees = np.diff([0, *cuts, order])  # a degree budget per factor, summing to order
+                factors = []
+                for degree in degrees:
+                    rows = monomial_basis(space, int(degree)).exponents
+                    factors.append(rows[rng.integers(0, len(rows), size=rng.integers(1, 6))])
+                got = basis.positions(*factors)
+                assert got.shape == tuple(len(f) for f in factors)
+                for cell in np.ndindex(got.shape):
+                    total = sum(f[i] for f, i in zip(factors, cell))
+                    assert got[cell] == basis.index(tuple(int(e) for e in total))
+
+
 # -- Riesz functional ---------------------------------------------------------------
 
 
@@ -110,9 +131,9 @@ def test_moment_matrix_dirac_outer_product():
 
 
 def test_moment_matrix_unit_mass_only():
-    entries = {e: 0.0 for e in monomial_basis(LIFTED1, 2)}
-    entries[(0, 0)] = 1.0
-    z = MomentSequence(LIFTED1, 1, entries)
+    values = np.zeros(len(monomial_basis(LIFTED1, 2)))
+    values[0] = 1.0  # the constant monomial comes first
+    z = MomentSequence(LIFTED1, 1, values)
     m = moment_matrix(z, 1)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0

@@ -295,3 +295,14 @@ def test_power_matches_repeated_multiplication():
     g = poly(X1, {(0,): 1.0, (1,): 2.0})
     assert coeff_linf_distance(g**3, g * g * g) <= 1e-12
     assert (g**0) == Polynomial.constant(X1, 1.0)
+
+
+def test_power_accepts_numpy_integers():
+    # numpy integers are numbers.Integral, as numpy scalars are numbers.Real for + - *
+    g = poly(X1, {(0,): 1.0, (1,): 2.0})
+    for two in (np.int64(2), np.uint8(2), np.int32(2)):
+        assert g**two == g**2
+    assert g ** np.int64(0) == Polynomial.constant(X1, 1.0)
+    for bad in (np.int64(-1), np.float64(2.0), 2.0):
+        with pytest.raises(ValueError):
+            g**bad
