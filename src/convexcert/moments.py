@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Exponents, Polynomial, VariableSpace, grlex_key
+from .polynomials import Exponents, Polynomial, VariableSpace, _monomials, grlex_key
 
 
 class MonomialBasis:
@@ -115,8 +115,7 @@ class MomentSequence:
             raise ValueError(f"expected atom coordinates of shape (t, {space.arity})")
         if wts.shape != (pts.shape[0],):
             raise ValueError("one weight per atom required")
-        exponents = monomial_basis(space, 2 * order).exponents.astype(float)
-        return cls(space, order, np.prod(pts[None] ** exponents[:, None], axis=2) @ wts)
+        return cls(space, order, _monomials(pts, monomial_basis(space, 2 * order).exponents).T @ wts)
 
     def value(self, exponents: Exponents) -> float:
         try:

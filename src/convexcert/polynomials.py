@@ -6,6 +6,10 @@ arithmetic, point evaluation, the midpoint substitution x_i -> (x_i + y_i)/2,
 and the two embeddings of an n-variable polynomial into the doubled (x, y)
 space.
 
+Point evaluation has one kernel, _monomials: Polynomial.evaluate, the
+PolynomialSystem of the sampler, the polish and witness validation, and the
+Vandermonde matrices of MomentSequence.from_atoms and extract_atoms use it.
+
 Polynomials are immutable after construction and all operations are pure, so
 values can be shared freely across threads. Normalization drops only
 coefficients that are exactly zero; in particular the zero polynomial always
@@ -186,16 +190,12 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != self.space.arity:
-            raise ValueError(f"point has length {len(point)}, expected {self.space.arity}")
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(point, exps):
-                if e:
-                    term *= value**e
-            total += term
-        return total
+        """The value at one point, as a one-point PolynomialSystem call.
+
+        The point is read as floats: integer coordinates cannot wrap, and an
+        overflow gives inf, with numpy's warning.
+        """
+        return float(PolynomialSystem([self])([point])[0, 0])
 
     def __call__(self, point: Sequence[float]) -> float:
         return self.evaluate(point)
@@ -305,10 +305,12 @@ def coeff_linf_distance(a: Polynomial, b: Polynomial) -> float:
 
 
 def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """prod_i points[:, i] ** exponents[:, i] for every point: shape (N, T).
+    """prod_i points[:, i] ** exponents[:, i] for every point and exponent row: shape (N, T).
 
-    The powers come from a table built by repeated multiplication, which is
-    several times faster than a power per entry and within a few ulps of it.
+    The one code that raises coordinates to powers. The powers come from a
+    table built by repeated multiplication, several times faster than a power
+    per entry for the thousands of points the sampler and the polish score,
+    and within a few ulps of it.
     """
     powers = np.empty((int(exponents.max(initial=0)) + 1,) + points.shape)
     powers[0] = 1.0

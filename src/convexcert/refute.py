@@ -54,7 +54,7 @@ import numpy as np
 
 from . import certify, sdp
 from .moments import MomentSequence, localizing_matrix, monomial_basis, moment_matrix
-from .polynomials import Polynomial, PolynomialSystem, lift, midpoint_substitute
+from .polynomials import Polynomial, PolynomialSystem, _monomials, lift, midpoint_substitute
 from .problemio import ProblemSpec
 
 RANK_SINGULAR_THRESHOLD = 1e-6
@@ -231,7 +231,7 @@ def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
         j=j,
         s=s,
         status="optimal",
-        rho=spec.constraints[j - 1].evaluate(np.zeros(spec.n)) - float(solution.objective_value),
+        rho=spec.constraints[j - 1].terms.get((0,) * spec.n, 0.0) - float(solution.objective_value),
         # the constant row, moved into the objective, carries the multiplier -z_0 = -1
         z=program.moments(np.concatenate([[-1.0], solution.y])),
         diagnostics=diagnostics,
@@ -291,9 +291,9 @@ def extract_atoms(result: RelaxationResult, t: int, seed: int = 0) -> list[tuple
     N_i = Lambda^(-1/2) U^T H_i U Lambda^(-1/2) = R D_i R^T: the N_i are
     symmetric, commute, and share the eigenvectors R. The eigenvectors r_k of
     a random convex combination of the N_i are the columns of R, and atom k's
-    i-th coordinate is r_k^T N_i r_k. Weights come from a least-squares moment
-    match against z, which must reproduce every moment within
-    EXTRACTION_MATCH_TOL times the largest one.
+    i-th coordinate is r_k^T N_i r_k. Weights come from a least-squares match
+    of the atoms' monomial values (_monomials) against z, which must reproduce
+    every moment within EXTRACTION_MATCH_TOL times the largest one.
 
     A repeated eigenvalue of the combination mixes the eigenvectors of the
     atoms that share it, so when the moment match fails or a weight is not
@@ -330,7 +330,7 @@ def extract_atoms(result: RelaxationResult, t: int, seed: int = 0) -> list[tuple
         coeffs /= coeffs.sum()
         _, rotation = np.linalg.eigh(np.tensordot(coeffs, pencil, axes=1))
         points = np.einsum("jk,ijl,lk->ki", rotation, pencil, rotation)  # (t, arity)
-        vander = np.prod(points[None, :, :] ** exponents[:, None, :], axis=2)  # (N, t)
+        vander = _monomials(points, exponents).T  # (N, t)
         weights, *_ = np.linalg.lstsq(vander, z_vec, rcond=None)
         reproduction = float(np.max(np.abs(vander @ weights - z_vec)))
         if reproduction > scale:
@@ -351,8 +351,10 @@ def validate_witness(
 ) -> NonconvexityWitness | None:
     """Re-evaluate candidate atoms; keep only sound ones.
 
-    Each atom splits into (x, y); it survives when every g_k is >= -tol_feas
-    at both components and g_j at the midpoint is <= -10*tol_feas. Surviving
+    Each atom splits into (x, y); one PolynomialSystem call evaluates g_j and
+    every g_k at all components and midpoints. An atom survives when every g_k
+    is >= -tol_feas at both components, g_j at the midpoint is <= -10*tol_feas
+    and its weight is finite and > 0; a NaN in any of these fails it. Surviving
     weights are renormalized to sum to one. Returns None when nothing
     survives. Uses polynomial evaluation only, so an accepted witness is a
     standalone disproof of convexity at the stated tolerances.
@@ -362,31 +364,25 @@ def validate_witness(
     gj = spec.constraints[certify._constraint_index(spec, j)]
     tol_strict = 10.0 * tol_feas
     n = spec.n
-    survivors: list[WitnessAtom] = []
-    for point, weight in atoms:
-        coords = np.asarray(point, dtype=float)
+    points = [np.asarray(point, dtype=float) for point, _weight in atoms]
+    for coords in points:
         if coords.shape != (2 * n,):
             raise ValueError(f"atom has shape {coords.shape}, expected ({2 * n},)")
-        x_part = coords[:n]
-        y_part = coords[n:]
-        margin = min(
-            min(g.evaluate(x_part) for g in spec.constraints),
-            min(g.evaluate(y_part) for g in spec.constraints),
-        )
-        midpoint = 0.5 * (x_part + y_part)
-        violation = gj.evaluate(midpoint)
-        if not (margin >= -tol_feas and violation <= -tol_strict):  # a NaN fails too
-            continue
-        survivors.append(
-            WitnessAtom(
-                x=tuple(float(v) for v in x_part),
-                y=tuple(float(v) for v in y_part),
-                weight=float(weight),
-                midpoint=tuple(float(v) for v in midpoint),
-                violation=float(violation),
-                feasibility_margin=float(margin),
-            )
-        )
+    pairs = np.array(points)
+    x, y = pairs[:, :n], pairs[:, n:]
+    midpoints = 0.5 * (x + y)
+    weights = np.array([weight for _point, weight in atoms], dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf is judged below
+        values = PolynomialSystem([gj, *spec.constraints])(np.concatenate([x, y, midpoints]))
+    values = values.reshape(3, len(atoms), -1)
+    margins, violations = np.min(values[:2, :, 1:], axis=(0, 2)), values[2, :, 0]
+    keep = (margins >= -tol_feas) & (violations <= -tol_strict) & (weights > 0.0) & (weights < np.inf)
+    survivors = [
+        WitnessAtom(x=tuple(x[k].tolist()), y=tuple(y[k].tolist()), weight=float(weights[k]),
+                    midpoint=tuple(midpoints[k].tolist()), violation=float(violations[k]),
+                    feasibility_margin=float(margins[k]))
+        for k in np.flatnonzero(keep)
+    ]
     if not survivors:
         return None
     total = sum(a.weight for a in survivors)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,34 +131,51 @@ def test_evaluate_arity_mismatch():
         poly(X1, {(1,): 1.0}).evaluate([1.0, 2.0])
 
 
-def partial(p, i):
-    """d p / d w_i, term by term."""
-    terms = {}
-    for exps, coeff in p.terms.items():
+def test_evaluate_reads_points_as_floats():
+    x = Polynomial.variable(X1, 0)
+    # an int64 power would wrap to 7766279631452241920
+    assert (x**5).evaluate(np.array([10**4])) == 1e20
+    with np.errstate(over="ignore"):
+        # a Python float power would raise OverflowError
+        assert (x**2).evaluate([1e200]) == np.inf
+        assert (x**2).evaluate(np.array([1e200])) == np.inf
+
+
+def exact_value(terms, point):
+    """sum of coeff * prod(w_i ** e_i) over a term map, every float read as an exact rational."""
+    w = [Fraction(v) for v in point]
+    return sum((Fraction(c) * prod(wi**e for wi, e in zip(w, exps)) for exps, c in terms.items()),
+               Fraction(0))
+
+
+def partial(terms, i):
+    """d/dw_i of a term map, term by term, with exact rational coefficients."""
+    out = {}
+    for exps, coeff in terms.items():
         if exps[i]:
             shifted = list(exps)
             shifted[i] -= 1
-            terms[tuple(shifted)] = terms.get(tuple(shifted), 0.0) + coeff * exps[i]
-    return Polynomial(p.space, terms)
+            out[tuple(shifted)] = out.get(tuple(shifted), 0) + Fraction(coeff) * exps[i]
+    return out
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(polynomials(X2.lift(), max_degree=3), min_size=1, max_size=4),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_polynomial_system_matches_evaluate(polys, seed):
+def test_polynomial_system_matches_exact_evaluation(polys, seed):
     points = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(6, 4))
     system = PolynomialSystem(polys)
     plain = system(points)
     values, grads, hessians = system.derivatives(points)
     for k, point in enumerate(points):
         for p_index, p in enumerate(polys):
-            checks = [(plain[k, p_index], p), (values[k, p_index], p)]
-            checks += [(grads[k, p_index, i], partial(p, i)) for i in range(4)]
-            checks += [(hessians[k, p_index, i, l], partial(partial(p, i), l))
+            checks = [(plain[k, p_index], p.terms), (values[k, p_index], p.terms)]
+            checks += [(grads[k, p_index, i], partial(p.terms, i)) for i in range(4)]
+            checks += [(hessians[k, p_index, i, l], partial(partial(p.terms, i), l))
                        for i in range(4) for l in range(4)]
-            for got, exact in checks:
-                expected = exact.evaluate(point)
-                assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+            for got, terms in checks:
+                expected = exact_value(terms, point)
+                assert abs(Fraction(got) - expected) <= Fraction(1e-12) * max(1, abs(expected))
 
 
 def test_polynomial_system_shapes_and_errors():

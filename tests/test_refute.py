@@ -488,6 +488,22 @@ def test_validate_rejects_non_finite_atoms(parabola_spec):
         assert validate_witness([(np.array(point), 1.0)], parabola_spec, 1) is None
 
 
+def test_validate_rejects_a_nan_behind_finite_constraint_values():
+    # at x = (1e200, 1e200), g2 = 1e400 - 2e400 < 0 evaluates to inf - inf = NaN; a
+    # min over the constraint values that skipped it would read g1's 1e200 as the margin
+    spec = parse_problem("vars: x1 x2\ng: x1\ng: x1^2 - 2*x2^2\ng: x2^2 - 1")
+    atom = np.array([1e200, 1e200, 1e200, -1e200])
+    assert validate_witness([(atom, 1.0)], spec, 3) is None
+
+
+def test_validate_rejects_weights_not_finite_and_positive(parabola_spec):
+    good = np.array([1.0, 1.0, -1.0, 1.0])
+    for weight in (0.0, -1.0, np.nan, np.inf):
+        assert validate_witness([(good, weight)], parabola_spec, 1) is None
+        witness = validate_witness([(good, weight), (good, 0.25)], parabola_spec, 1)
+        assert [atom.weight for atom in witness.atoms] == [1.0]
+
+
 def test_validate_rejects_near_zero_violation(interval_spec):
     # midpoint violation must clear the strict threshold, not merely be negative
     atoms = [(np.array([1.0, 1.0]), 1.0)]
