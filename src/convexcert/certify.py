@@ -87,7 +87,7 @@ class SosTerm:
 
     def sos_polynomial(self, space: VariableSpace) -> Polynomial:
         monomials = monomial_basis(space, 2 * max(map(sum, self.basis)))
-        return Polynomial(space, dict(zip(monomials.elements, self.squares(monomials))))
+        return Polynomial._of(space, zip(monomials.elements, self.squares(monomials)))
 
     def contribution(self, monomials: MonomialBasis) -> np.ndarray:
         """Coefficients of weight * (b^T G b) over monomials, weight terms outer."""

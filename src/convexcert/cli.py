@@ -95,6 +95,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.ball is not None and not (math.isfinite(self.ball * self.ball) and self.ball * self.ball > 0):
+            raise ValueError(f"ball squared must be finite and positive, got {self.ball}^2 = {self.ball * self.ball}")
         if self.stengle_p < 1:
             raise ValueError("stengle power must be a positive integer")
         if self.seed < 0:

@@ -73,12 +73,14 @@ class MonomialBasis:
     def positions(self, *factors: np.ndarray) -> np.ndarray:
         """Index of every sum of one exponent vector from each (k_i, arity) factor, shape (k_1, k_2, ...).
 
-        Codes add as their vectors do while no entry exceeds order, so the caller
-        must keep every sum's total degree <= order: this is not checked.
+        A factor may be empty (k_i = 0, the terms of a zero weight). Codes add as
+        their vectors do while no entry exceeds order, so the caller must keep
+        every sum's total degree <= order: this is not checked.
         """
         total = np.zeros((), dtype=np.int64)
         for factor in factors:
-            total = np.add.outer(total, np.asarray(factor, dtype=np.int64) @ self._radix)
+            vectors = np.asarray(factor, dtype=np.int64).reshape(-1, self.space.arity)
+            total = np.add.outer(total, vectors @ self._radix)
         return self._rank[np.searchsorted(self._codes, total)]
 
 

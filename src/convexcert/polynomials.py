@@ -10,23 +10,34 @@ Point evaluation has one kernel, _monomials: Polynomial.evaluate, the
 PolynomialSystem of the sampler, the polish and witness validation, and the
 Vandermonde matrices of MomentSequence.from_atoms and extract_atoms use it.
 
-Polynomials are immutable after construction and all operations are pure, so
-values can be shared freely across threads. Normalization drops only
-coefficients that are exactly zero; in particular the zero polynomial always
-has an empty term map and degree 0.
+Term summation has one helper too, _summed: it sums (exponents, coefficient)
+pairs per key in the order given and drops only exact zeros (a NaN stays), so
+the zero polynomial has an empty term map and degree 0. Keys are checked only
+where they come from outside, in Polynomial(space, terms); every operation
+builds its result through Polynomial._of, from keys valid by construction.
+Polynomials are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product, starmap
 from math import comb, inf
 from numbers import Integral, Real
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 Exponents = tuple[int, ...]
+
+
+def _summed(pairs: Iterable[tuple[Exponents, float]]) -> dict[Exponents, float]:
+    """The coefficients summed per key in the order given, exact zeros dropped; a NaN (inf - inf) stays visible."""
+    total: dict[Exponents, float] = {}
+    for key, coeff in pairs:
+        total[key] = total.get(key, 0.0) + float(coeff)
+    return {k: v for k, v in total.items() if v != 0.0}
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, tuple[int, ...]]:
@@ -71,41 +82,47 @@ class VariableSpace:
 
 
 class Polynomial:
-    """A polynomial stored as a map from exponent vectors to coefficients."""
+    """A polynomial stored as a map from exponent vectors to coefficients.
+
+    The constructor checks each key (the space's arity, nonnegative integer
+    entries) and sums the terms; internal results skip the check through _of.
+    """
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space: VariableSpace, terms: Mapping[Exponents, float]):
         arity = space.arity
-        normalized: dict[Exponents, float] = {}
-        for exps, coeff in terms.items():
-            key = tuple(exps)
+        pairs = [(tuple(exps), coeff) for exps, coeff in terms.items()]
+        for key, _ in pairs:
             if len(key) != arity:
                 raise ValueError(f"exponent vector {key} has length {len(key)}, expected {arity}")
             if any((not isinstance(e, (int, np.integer))) or e < 0 for e in key):
                 raise ValueError(f"exponents must be nonnegative integers, got {key}")
-            value = normalized.get(key, 0.0) + float(coeff)
-            normalized[key] = value
-        self.space = space
-        # a NaN (inf - inf) is kept, so that it stays visible
-        self.terms = {k: v for k, v in normalized.items() if v != 0.0}
+        self.space, self.terms = space, _summed(pairs)
+
+    @classmethod
+    def _of(cls, space: VariableSpace, pairs: Iterable[tuple[Exponents, float]]) -> "Polynomial":
+        """The sum of the pairs, whose keys are valid for space by construction: they are not checked."""
+        poly = cls.__new__(cls)
+        poly.space, poly.terms = space, _summed(pairs)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, space: VariableSpace) -> "Polynomial":
-        return cls(space, {})
+        return cls._of(space, ())
 
     @classmethod
     def constant(cls, space: VariableSpace, value: float) -> "Polynomial":
-        return cls(space, {(0,) * space.arity: value})
+        return cls._of(space, [((0,) * space.arity, value)])
 
     @classmethod
     def variable(cls, space: VariableSpace, index: int) -> "Polynomial":
         if not 0 <= index < space.arity:
             raise ValueError(f"variable index {index} out of range for arity {space.arity}")
         exps = tuple(1 if i == index else 0 for i in range(space.arity))
-        return cls(space, {exps: 1.0})
+        return cls._of(space, [(exps, 1.0)])
 
     # -- structure ---------------------------------------------------------
 
@@ -141,35 +158,28 @@ class Polynomial:
         if isinstance(other, Real):
             other = Polynomial.constant(self.space, other)
         self._check_space(other)
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, 0.0) + coeff
-        return Polynomial(self.space, merged)
+        return Polynomial._of(self.space, chain(self.terms.items(), other.terms.items()))
 
     def __radd__(self, other: Real) -> "Polynomial":
         return self.__add__(other)
 
     def __sub__(self, other: "Polynomial | Real") -> "Polynomial":
-        if isinstance(other, Real):
-            other = Polynomial.constant(self.space, other)
-        return self.__add__(other.__neg__())
+        return self.__add__(-other)
 
     def __rsub__(self, other: Real) -> "Polynomial":
         return Polynomial.constant(self.space, other).__sub__(self)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.space, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.space, ((e, -c) for e, c in self.terms.items()))
 
     def __mul__(self, other: "Polynomial | Real") -> "Polynomial":
         if isinstance(other, Real):
-            return Polynomial(self.space, {e: c * float(other) for e, c in self.terms.items()})
+            return Polynomial._of(self.space, ((e, c * float(other)) for e, c in self.terms.items()))
         self._check_space(other)
-        product: dict[Exponents, float] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                product[key] = product.get(key, 0.0) + ca * cb
-        return Polynomial(self.space, product)
+        return Polynomial._of(self.space, (
+            (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms.items() for eb, cb in other.terms.items()
+        ))
 
     def __rmul__(self, other: Real) -> "Polynomial":
         return self.__mul__(other)
@@ -247,29 +257,16 @@ def midpoint_substitute(g: Polynomial) -> Polynomial:
     """
     if g.space.lifted:
         raise ValueError("midpoint substitution expects a base-space polynomial")
-    lifted = g.space.lift()
-    n = g.space.n
-    arity = lifted.arity
-    out: dict[Exponents, float] = {}
-    for exps, coeff in g.terms.items():
-        partial: dict[Exponents, float] = {(0,) * arity: coeff}
-        for i, a in enumerate(exps):
-            if a == 0:
-                continue
-            scale = 0.5**a
-            expanded: dict[Exponents, float] = {}
-            for key, value in partial.items():
-                for k in range(a + 1):
-                    weight = comb(a, k) * scale * value
-                    grown = list(key)
-                    grown[i] += k
-                    grown[n + i] += a - k
-                    tkey = tuple(grown)
-                    expanded[tkey] = expanded.get(tkey, 0.0) + weight
-            partial = expanded
-        for key, value in partial.items():
-            out[key] = out.get(key, 0.0) + value
-    return Polynomial(lifted, out)
+
+    def split(exps: Exponents, coeff: float) -> Iterator[tuple[Exponents, float]]:
+        # x_i^a -> sum_k comb(a, k) 0.5^a x_i^k y_i^(a - k), the splits in lexicographic order
+        for ks in product(*(range(a + 1) for a in exps)):
+            weight = coeff
+            for a, k in zip(exps, ks):
+                weight = comb(a, k) * 0.5**a * weight
+            yield ks + tuple(a - k for a, k in zip(exps, ks)), weight
+
+    return Polynomial._of(g.space.lift(), chain.from_iterable(starmap(split, g.terms.items())))
 
 
 def lift(g: Polynomial, side: str) -> Polynomial:
@@ -278,16 +275,10 @@ def lift(g: Polynomial, side: str) -> Polynomial:
         raise ValueError("polynomial already lives in the lifted space")
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
-    lifted = g.space.lift()
-    n = g.space.n
-    offset = 0 if side == "x" else n
-    terms = {}
-    for exps, coeff in g.terms.items():
-        grown = [0] * (2 * n)
-        for i, e in enumerate(exps):
-            grown[offset + i] = e
-        terms[tuple(grown)] = coeff
-    return Polynomial(lifted, terms)
+    pad = (0,) * g.space.n
+    return Polynomial._of(g.space.lift(), (
+        (exps + pad if side == "x" else pad + exps, coeff) for exps, coeff in g.terms.items()
+    ))
 
 
 def coeff_linf_distance(a: Polynomial, b: Polynomial) -> float:

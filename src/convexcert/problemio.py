@@ -236,9 +236,9 @@ def parse_problem(text: str) -> ProblemSpec:
         elif stripped.startswith("g:"):
             if names is None:
                 raise ParseError("vars line must precede constraints", lineno, 1)
-            body = line.split("g:", 1)[1]
             column = line.index("g:") + 3
-            pending.append((body, lineno, column))
+            # the prefix blanked, so that token columns count from the start of the line
+            pending.append((" " * (column - 1) + line[column - 1:], lineno, column))
         else:
             raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, 1)
     if names is None:

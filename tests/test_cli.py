@@ -10,7 +10,8 @@ import pytest
 
 import convexcert
 from convexcert import certify, cli, refute, sdp
-from convexcert.problemio import validate_report_payload
+from convexcert.polynomials import Polynomial
+from convexcert.problemio import parse_problem, validate_report_payload
 
 from conftest import (
     BOX,
@@ -471,6 +472,7 @@ def test_parameters_are_the_documented_ones(tmp_path):
 @pytest.mark.parametrize("flag, value", [
     ("--archimedean", "-1"), ("--archimedean", "0"), ("--archimedean", "inf"),
     ("--archimedean", "nan"), ("--ball", "inf"), ("--ball", "nan"), ("--ball", "-2"),
+    ("--ball", "1e200"), ("--ball", "1e-200"),  # R^2 overflows to inf, underflows to 0
     ("--tol-feas", "nan"), ("--tol-residual", "-1"), ("--max-order", "0"), ("--stengle-p", "0"),
 ])
 def test_malformed_run_parameter_exits_64(tmp_path, capsys, flag, value):
@@ -578,6 +580,24 @@ def test_bundled_problem_archimedean_outcome(path, capsys):
     if witness is not None:
         for atom in witness["atoms"]:
             assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * (1.0 - refute.SAMPLE_ATTAIN_RTOL)
+
+
+def test_runs_check_no_keys_of_their_own_polynomials(monkeypatch):
+    # keys are checked where they come from outside; parsing and every mode
+    # build their polynomials from keys valid by construction
+    checked = []
+
+    def record(self, space, terms):
+        checked.append(dict(terms))
+        raise AssertionError("Polynomial.__init__ called")
+
+    monkeypatch.setattr(Polynomial, "__init__", record)
+    configs = [cli.RunConfig(), cli.RunConfig(mode="certify", stengle=True), cli.RunConfig(archimedean=2.0)]
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        spec = parse_problem(path.read_text())
+        for config in configs:
+            assert cli.run(config, spec).verdict in ("convex", "not convex", "inconclusive")
+    assert checked == []
 
 
 def test_archimedean_failed_recheck_is_not_affirmed(capsys):

@@ -162,6 +162,14 @@ def test_localizing_identity_weight_is_moment_matrix():
     assert np.allclose(localizing_matrix(z, one, 1), moment_matrix(z, 1))
 
 
+def test_localizing_zero_weight_is_the_zero_matrix():
+    space = VariableSpace(2)
+    z = MomentSequence.from_atoms(space, 2, [[1.0, 2.0]], [1.0])
+    basis = monomial_basis(space, 4)
+    assert basis.positions(basis.exponents[:3], []).shape == (3, 0)
+    np.testing.assert_array_equal(localizing_matrix(z, Polynomial.zero(space), 1), np.zeros((3, 3)))
+
+
 def test_localizing_flags_negative_constraint():
     g = Polynomial(VariableSpace(1), {(0,): 1.0, (2,): -1.0})
     theta = lift(g, "x")

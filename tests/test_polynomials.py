@@ -76,6 +76,15 @@ def test_numpy_scalars_act_like_python_numbers():
     assert (poly(X1, {(1,): 0.1}) * np.float32(3.0)).terms == {(1,): 0.1 * 3.0}
 
 
+def test_constructor_checks_the_keys_it_is_given():
+    for key, message in [((1,), "length 1, expected 2"), ((1, -1), "nonnegative integers"),
+                         ((1, 0.5), "nonnegative integers"), ((1.0, 0), "nonnegative integers")]:
+        with pytest.raises(ValueError, match=message):
+            Polynomial(X2, {(0, 0): 1.0, key: 2.0})
+    p = Polynomial(X2, {(np.int64(1), np.uint8(2)): 3.0})
+    assert (p + Polynomial(X2, {(1, 2): 1.0})).terms == {(1, 2): 4.0}
+
+
 def test_space_mismatch_rejected():
     with pytest.raises(ValueError):
         Polynomial.variable(X1, 0) + Polynomial.variable(X2, 0)

@@ -165,6 +165,13 @@ def test_parse_problem_error_carries_position():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("line, column", [("g: 2 x", 6), ("  g: 1 + z", 10)])
+def test_parse_problem_error_columns_count_from_the_line_start(line, column):
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"vars: x\n{line}\n")
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 def test_parse_problem_keeps_tiny_coefficients():
     # the set under test is the one written: x^2 >= 1e-13, not x^2 >= 0
     spec = parse_problem("vars: x\ng: x^2 - 1e-13\n")
