@@ -11,11 +11,14 @@ and --archimedean 2. Each run goes through convexcert.cli.main of this
 checkout's src/, and its file holds the exit code and the report with every
 ``*_seconds`` timing removed, the only values docs/formats.md lets differ
 between reruns. OUT_DIR also gets the --dump-sdp files of hyperbola in
-analyze mode and the --help text.
+analyze mode and the --help text. BLAS runs on one thread whatever the
+environment says.
 
 With --against, every file in OUT_DIR is compared byte for byte with the one
 of the same name in OTHER_DIR (say, a sweep of another checkout); the script
-names each that differs or is missing on either side and exits 1.
+names each that differs or is missing on either side and exits 1. For a JSON
+file on both sides it also names the first path, in key order, at which the
+parsed contents differ, e.g. ``report.constraints[1].notes[0]``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# BLAS on one thread before numpy loads: its thread count moves the last bits
+# of some solves (a hyperbola rho read -1.562499986806972 on one thread and
+# -1.562499986800743 on two), and the comparison is byte for byte
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
@@ -95,6 +102,35 @@ def differences(out: Path, against: Path) -> list[str]:
                           and (out / name).read_bytes() == (against / name).read_bytes()))
 
 
+def first_difference(a, b, path: str = "") -> str | None:
+    """The first JSON path, in key order, at which a and b differ, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            at = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                return at
+            found = first_difference(a[key], b[key], at)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if json.dumps(a) == json.dumps(b) else path  # as text, 1 differs from True and NaN equals NaN
+
+
+def _where(name: str, out: Path, against: Path) -> str:
+    """The suffix ' at PATH' for a JSON file whose parsed contents differ at PATH, else ''."""
+    try:
+        path = first_difference(json.loads((out / name).read_text()), json.loads((against / name).read_text()))
+    except (OSError, ValueError):  # missing on one side, or not JSON (--help text, --dump-sdp files)
+        return ""
+    return "" if path is None else f" at {path}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory for the run files")
@@ -105,7 +141,7 @@ def main() -> int:
         return 0
     differing = differences(args.out, args.against)
     for name in differing:
-        print(f"DIFFERS {name}")
+        print(f"DIFFERS {name}{_where(name, args.out, args.against)}")
     print(f"{len(differing)} of the swept files differ from {args.against}")
     return 1 if differing else 0
 

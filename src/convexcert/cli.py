@@ -1,7 +1,8 @@
 """Command-line orchestration: certify, refute, or analyze a problem file.
 
-Every mode walks one order ladder per constraint g_j. At each order k the
-degree-k quadratic-module program of g_j is solved once, in the Gram form of
+Every mode walks one order ladder per constraint g_j, refute mode only up
+to the first refuted one (below). At each order k the degree-k
+quadratic-module program of g_j is solved once, in the Gram form of
 refute.solve_relaxation, and the mode decides only which conclusions may be
 drawn from that one solve:
 
@@ -21,6 +22,12 @@ drawn from that one solve:
   validation, and later orders compare the same pair with their own rho.
   A pair that attains no bound refutes the constraint only if the ladder
   ends with no other witness.
+
+Refute mode walks no further ladder once a constraint ends with a validated
+witness, whatever its source: one violating member pair settles "not
+convex", and refute certifies nothing. Each later constraint still gets an
+entry, inconclusive with no relaxations and a note naming the refuting
+constraint. Certify and analyze walk every ladder.
 
 With --stengle the preordering certificate replaces the quadratic-module
 one, solved at each order before the Gram solve, which certify mode skips
@@ -183,18 +190,23 @@ def _accept_witness(entry: dict, witness: refute.NonconvexityWitness, source: st
     entry.update(verdict="refuted", witness=payload, unproven_signal=False)
 
 
-def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
-    """Constraint j's report entry: one Gram solve per order, conclusions by mode."""
-    entry = {
+def _entry(j: int, *notes: str) -> dict:
+    """Constraint j's report entry before any solve: inconclusive, with the given notes."""
+    return {
         "index": j,
         "verdict": "inconclusive",
         "certificate": None,
         "witness": None,
         "relaxations": [],
         "attempts": [],
-        "notes": [],
+        "notes": list(notes),
         "unproven_signal": False,
     }
+
+
+def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
+    """Constraint j's report entry: one Gram solve per order, conclusions by mode."""
+    entry = _entry(j)
     notes = entry["notes"]
     start, cap = _order_ladder(config, spec)
     stengle = config.stengle and config.mode != "refute"
@@ -310,12 +322,21 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
 
 
 def run(config: RunConfig, spec: ProblemSpec) -> Report:
-    """The report of config.mode on spec, one order ladder per constraint."""
+    """The report of config.mode on spec, one order ladder per constraint, in
+    refute mode only up to the first entry that holds a witness."""
     started = time.perf_counter()
     if config.dump_dir is not None:
         Path(config.dump_dir).mkdir(parents=True, exist_ok=True)
     spec = _with_ball(spec, config.ball) if config.ball is not None else spec
-    entries = [_walk_ladder(spec, j, config) for j in range(1, spec.m + 1)]
+    entries: list[dict] = []
+    refuted_by: int | None = None  # refute mode: the first constraint whose entry holds a witness
+    for j in range(1, spec.m + 1):
+        if refuted_by is not None:
+            entries.append(_entry(j, f"not examined: the witness of g{refuted_by} already refutes convexity"))
+            continue
+        entries.append(_walk_ladder(spec, j, config))
+        if config.mode == "refute" and entries[-1]["witness"] is not None:
+            refuted_by = j
     return make_report(
         config.mode,
         spec,

@@ -220,27 +220,29 @@ def parse_problem(text: str) -> ProblemSpec:
         if not line.strip():
             continue
         stripped = line.strip()
+        indent = len(line) - len(line.lstrip())  # columns count from the start of the line
         if stripped.startswith("vars:"):
             if names is not None:
-                raise ParseError("duplicate vars line", lineno, 1 + line.index("vars:"))
-            names = stripped[len("vars:") :].split()
-            if not names:
-                raise ParseError("vars line names no variables", lineno, 1)
-            seen = set()
-            for name in names:
-                if name in seen:
-                    raise ParseError(f"duplicate variable name {name!r}", lineno, 1)
+                raise ParseError("duplicate vars line", lineno, 1 + indent)
+            after = indent + len("vars:")
+            words = [(m.group(), after + m.start() + 1) for m in re.finditer(r"\S+", line[after:])]
+            if not words:
+                raise ParseError("vars line names no variables", lineno, 1 + indent)
+            names = []
+            for name, column in words:
+                if name in names:
+                    raise ParseError(f"duplicate variable name {name!r}", lineno, column)
                 if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-                    raise ParseError(f"invalid variable name {name!r}", lineno, 1)
-                seen.add(name)
+                    raise ParseError(f"invalid variable name {name!r}", lineno, column)
+                names.append(name)
         elif stripped.startswith("g:"):
             if names is None:
-                raise ParseError("vars line must precede constraints", lineno, 1)
-            column = line.index("g:") + 3
+                raise ParseError("vars line must precede constraints", lineno, 1 + indent)
+            column = indent + 3
             # the prefix blanked, so that token columns count from the start of the line
             pending.append((" " * (column - 1) + line[column - 1:], lineno, column))
         else:
-            raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, 1)
+            raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, 1 + indent)
     if names is None:
         raise ParseError("missing vars line", max(1, text.count("\n") + 1), 1)
     if not pending:
@@ -250,7 +252,7 @@ def parse_problem(text: str) -> ProblemSpec:
     for body, lineno, column in pending:
         poly = parse_polynomial(body, space, names, line_offset=lineno)
         if poly.is_zero():
-            raise ParseError("constraint is the zero polynomial", lineno, 1)
+            raise ParseError("constraint is the zero polynomial", lineno, column)
         if not all(math.isfinite(coeff) for coeff in poly.terms.values()):
             # an overflowing literal or product; the solver cannot take it
             raise ParseError("constraint expands to a non-finite coefficient", lineno, column)

@@ -36,6 +36,19 @@ def run_cli(capsys, args):
     return code, payload
 
 
+def count_solves(monkeypatch) -> list:
+    """Patch sdp.solve to record one item per call; returns the record."""
+    calls = []
+    original = sdp.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", counted)
+    return calls
+
+
 def test_interval_certify(tmp_path, capsys):
     path = write_problem(tmp_path, INTERVAL)
     code, payload = run_cli(capsys, [path, "--mode", "certify"])
@@ -283,21 +296,13 @@ def test_parabola_analyze(tmp_path, capsys):
 
 
 def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
-    calls = 0
-    original = sdp.solve
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(sdp, "solve", counted)
+    calls = count_solves(monkeypatch)
     path = write_problem(tmp_path, PARABOLA)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
     # g1: order 1, where a sampled member pair attains rho; g2 and g3: certified
     # from their order-1 solve
-    assert calls == 3
+    assert len(calls) == 3
     assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 3
     g1 = payload["constraints"][0]
     (record,) = g1["relaxations"]
@@ -525,6 +530,57 @@ def test_bundled_problem_analyze_outcome(path, capsys):
     assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * (1.0 - refute.SAMPLE_ATTAIN_RTOL)
     assert atom["feasibility_margin"] >= 0.0
     assert "unproven-nonconvexity-signal" not in payload["flags"]
+
+
+# sdp.solve calls of a refute run: g1's orders only, since g1's witness settles the verdict
+REFUTE_SOLVES = {"parabola": 1, "hyperbola": 2, "two_interval": 1}
+
+
+@pytest.mark.parametrize("name", sorted(REFUTE_SOLVES))
+def test_refute_examines_no_constraint_after_the_first_witness(name, capsys, monkeypatch):
+    calls = count_solves(monkeypatch)
+    code, payload = run_cli(capsys, [str(PROBLEMS / f"{name}.txt"), "--mode", "refute"])
+    assert (payload["verdict"], code, payload["flags"]) == ("not convex", 0, [])
+    assert len(calls) == REFUTE_SOLVES[name]
+    first, *rest = payload["constraints"]
+    assert len(first["relaxations"]) == len(calls)
+    witness = first["witness"]
+    assert (witness["source"], witness["order"], len(witness["atoms"])) == README_WITNESSES[name]
+    assert rest == [
+        {
+            "index": j,
+            "verdict": "inconclusive",
+            "certificate": None,
+            "witness": None,
+            "relaxations": [],
+            "attempts": [],
+            "notes": ["not examined: the witness of g1 already refutes convexity"],
+            "unproven_signal": False,
+        }
+        for j in range(2, payload["problem"]["m"] + 1)
+    ]
+    assert validate_report_payload(payload) == []
+
+
+def test_refute_walks_every_ladder_up_to_the_refuted_constraint(tmp_path, capsys):
+    # the interval g1 leaves no room for a violation; g2 cuts it into two pieces
+    path = write_problem(tmp_path, "vars: x1\ng: 4 - x1^2\ng: x1^2 - 1\n")
+    code, payload = run_cli(capsys, [path, "--mode", "refute"])
+    assert (payload["verdict"], code) == ("not convex", 0)
+    g1, g2 = payload["constraints"]
+    assert g1["verdict"] == "inconclusive" and g1["relaxations"]
+    assert g2["verdict"] == "refuted" and g2["relaxations"]
+    assert g2["witness"]["source"] == "sampled"
+
+
+def test_certify_walks_every_ladder_after_an_inconclusive_constraint(capsys, monkeypatch):
+    calls = count_solves(monkeypatch)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt"), "--mode", "certify"])
+    assert (payload["verdict"], code) == ("inconclusive", 2)
+    constraints = payload["constraints"]
+    assert [c["verdict"] for c in constraints] == ["inconclusive", "certified", "certified"]
+    assert all(c["relaxations"] for c in constraints)
+    assert len(calls) == sum(len(c["relaxations"]) for c in constraints)
 
 
 # analyze verdict of each constraint, with or without --archimedean

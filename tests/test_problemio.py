@@ -172,6 +172,20 @@ def test_parse_problem_error_columns_count_from_the_line_start(line, column):
     assert (err.value.line, err.value.column) == (2, column)
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("vars: x x\ng: x\n", "duplicate variable name 'x'", 1, 9),
+    ("  vars: x 1y\ng: x\n", "invalid variable name '1y'", 1, 11),
+    ("vars: x\n   g: x - x\n", "constraint is the zero polynomial", 2, 6),
+    ("  vars:\ng: x\n", "vars line names no variables", 1, 3),
+    ("\n  g: x\nvars: x\n", "vars line must precede constraints", 2, 3),
+    ("vars: x\n   let x\n", "unrecognized line 'let'", 2, 4),
+], ids=["duplicate-name", "invalid-name", "zero-constraint", "empty-vars", "g-before-vars", "unrecognized"])
+def test_parse_problem_points_at_the_rejected_token(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
 def test_parse_problem_keeps_tiny_coefficients():
     # the set under test is the one written: x^2 >= 1e-13, not x^2 >= 0
     spec = parse_problem("vars: x\ng: x^2 - 1e-13\n")
