@@ -40,11 +40,11 @@ def main() -> int:
         start = time.perf_counter()
         report = run(config, spec)
         elapsed = time.perf_counter() - start
-        solvers = [r["solver"] for c in report.constraints for r in c["relaxations"]]
+        solvers = [r["solver"] for c in report["constraints"] for r in c["relaxations"]]
         largest = max(solvers, key=lambda s: s["p"], default=None)
         size = f"{largest['blocks']} p={largest['p']}" if largest else "-"
         iterations = sum(s["iterations"] for s in solvers)
-        rows.append((path.stem, spec.n, spec.m, report.verdict, exit_code_for(report), elapsed,
+        rows.append((path.stem, spec.n, spec.m, report["verdict"], exit_code_for(report), elapsed,
                      size, iterations))
     width = max(len(r[0]) for r in rows)
     size_width = max(len(r[6]) for r in rows)

@@ -37,7 +37,6 @@ from .polynomials import (
 from .problemio import (
     ParseError,
     ProblemSpec,
-    Report,
     make_report,
     parse_polynomial,
     parse_problem,
@@ -77,7 +76,6 @@ __all__ = [
     "ProblemSpec",
     "QuadraticModuleCertificate",
     "RelaxationResult",
-    "Report",
     "SdpProblem",
     "SdpSolution",
     "VariableSpace",

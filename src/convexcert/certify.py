@@ -29,8 +29,10 @@ check: it re-expands the Gram matrices, measures the coefficientwise residual
 and takes each Gram matrix's least eigenvalue and norm from
 SosTerm.gram_spectrum. Each builder runs it once and keeps it as the
 certificate's ``check``, which holds the certificate's residual and least
-Gram eigenvalue and which callers judge at their own tolerance instead of
-expanding again.
+scale-relative Gram eigenvalue and which callers judge at their own
+tolerance instead of expanding again. A certificate's payload is its
+identity alone: the check and the record of the solve behind it are
+reported once each, by the caller, next to it.
 
 The first two identities live on the doubled space, and their data are
 invariant under the swap tau: (x, y) -> (y, x). Their builders name each
@@ -270,8 +272,9 @@ class Certificate:
 
     Each kind adds its header fields, its terms and its target rule, so that
     its identity reads target(spec) = sum over terms of weight * (b^T G b).
-    The residual and the least raw Gram eigenvalue are read off check, the
-    recheck its builder ran.
+    The residual is read off check, the recheck its builder ran.
+    solver_diagnostics is the record of the solve that produced the
+    certificate; the payload carries neither, only the identity.
     """
 
     kind: ClassVar[str]
@@ -282,13 +285,8 @@ class Certificate:
     def residual(self) -> float:
         return self.check.residual
 
-    @property
-    def min_gram_eigenvalue(self) -> float:
-        return min(self.check.gram_eigenvalues.values())
-
     def to_payload(self) -> dict:
-        return {"kind": self.kind, **self._kind_payload(), "residual": self.residual,
-                "min_gram_eigenvalue": self.min_gram_eigenvalue, "solver": self.solver_diagnostics}
+        return {"kind": self.kind, **self._kind_payload()}
 
 
 @dataclass
@@ -350,9 +348,11 @@ class CertificationFailure:
     solver_diagnostics: dict = field(default_factory=dict)
 
 
-def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution) -> dict:
+def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution, tol: float) -> dict:
+    """The record of one SOS solve at tolerance tol: status, shape, accuracy."""
     return {
-        "status": solution.status,
+        "solver_status": solution.status,
+        "solver_tol": tol,
         "blocks": [int(k) for k in problem.block_dims],
         "reduced_blocks": solution.diagnostics["reduced_blocks"],
         "p": len(problem.equalities),
@@ -378,7 +378,7 @@ def _solve_certificate(program: SosProgram) -> dict | CertificationFailure:
     """Solve a certificate program as stated; certificate fields or the failure."""
     problem = program.to_sdp()
     solution = sdp.solve(problem)
-    diagnostics = _solution_diagnostics(problem, solution)
+    diagnostics = _solution_diagnostics(problem, solution, sdp.DEFAULT_TOL)
     if solution.status != "optimal":
         reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
         return CertificationFailure(
@@ -389,11 +389,14 @@ def _solve_certificate(program: SosProgram) -> dict | CertificationFailure:
 
 @dataclass
 class CertificateCheck:
-    """Solver-independent recheck of a certificate's defining identity."""
+    """Solver-independent recheck of a certificate's defining identity.
+
+    min_gram_eigenvalue is the least of 0 and every Gram matrix's least
+    eigenvalue over max(1, |G|), the number passed judges.
+    """
 
     residual: float
     min_gram_eigenvalue: float
-    gram_eigenvalues: dict[str, float]
     residual_tol: float = DEFAULT_RESIDUAL_TOL
     eig_tol: float = DEFAULT_GRAM_EIG_TOL
 
@@ -557,7 +560,8 @@ def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck
     Re-expands every term weight * (b^T G b) over the monomials the identity
     reaches, through MonomialBasis.positions, sums the terms in order, and
     reports the coefficientwise residual against the target rebuilt from
-    spec (inf on a NaN), together with the minimum Gram eigenvalues.
+    spec (inf on a NaN), together with the least scale-relative Gram
+    eigenvalue.
     These two facts alone imply the midpoint inequality the certificate
     claims, so a passing check is a standalone proof up to the check's
     tolerances, which a caller may replace (dataclasses.replace). Reports,
@@ -573,11 +577,7 @@ def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck
         residual = float(np.max(np.where(np.isnan(total), np.inf, np.abs(total))))
     except Exception:
         residual = float("inf")
-    eigs: dict[str, float] = {}
-    min_eig = 0.0
-    for term in cert.terms:
-        val, norm = term.gram_spectrum()
-        eigs[term.label] = val
-        # scale-relative floor: eigenvalues are compared against eig_tol * max(1, |G|)
-        min_eig = min(min_eig, val / max(1.0, norm))
-    return CertificateCheck(residual=residual, min_gram_eigenvalue=min_eig, gram_eigenvalues=eigs)
+    spectra = [term.gram_spectrum() for term in cert.terms]
+    # scale-relative floor: eigenvalues are compared against eig_tol * max(1, |G|)
+    min_eig = min([0.0] + [val / max(1.0, norm) for val, norm in spectra])
+    return CertificateCheck(residual=residual, min_gram_eigenvalue=min_eig)

@@ -58,7 +58,6 @@ from .polynomials import ball_polynomial
 from .problemio import (
     ParseError,
     ProblemSpec,
-    Report,
     make_report,
     parse_problem,
     serialize_report,
@@ -128,16 +127,20 @@ def _with_ball(spec: ProblemSpec, radius: float) -> ProblemSpec:
 
 
 def _try_certificate(entry: dict, outcome, k: int, config: RunConfig) -> bool:
-    """Judge the builder's recheck at --tol-residual; True when it verified and certified the constraint."""
+    """Judge the builder's recheck at --tol-residual; True when it verified and certified the constraint.
+
+    A preordering attempt records its own solve; a quadratic-module one was
+    read off the relaxation of the same order, whose record holds that solve.
+    """
     record: dict = {"kind": "preordering" if config.stengle else "quadratic-module", "degree": k}
+    if config.stengle:
+        record["solver"] = outcome.solver_diagnostics
     entry["attempts"].append(record)
     if isinstance(outcome, certify.CertificationFailure):
-        record.update(status=outcome.solver_status, reason=outcome.reason,
-                      solver=outcome.solver_diagnostics)
+        record.update(status=outcome.solver_status, reason=outcome.reason)
         return False
     check = dataclasses.replace(outcome.check, residual_tol=config.tol_residual)
-    record.update(status="optimal", residual=check.residual, verified=check.passed,
-                  solver=outcome.solver_diagnostics)
+    record.update(status="optimal", residual=check.residual, verified=check.passed)
     if not check.passed:
         entry["notes"].append(
             f"certificate at order {k} failed verification "
@@ -321,9 +324,9 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
     }
 
 
-def run(config: RunConfig, spec: ProblemSpec) -> Report:
-    """The report of config.mode on spec, one order ladder per constraint, in
-    refute mode only up to the first entry that holds a witness."""
+def run(config: RunConfig, spec: ProblemSpec) -> dict:
+    """The report payload of config.mode on spec, one order ladder per
+    constraint, in refute mode only up to the first entry that holds a witness."""
     started = time.perf_counter()
     if config.dump_dir is not None:
         Path(config.dump_dir).mkdir(parents=True, exist_ok=True)
@@ -347,12 +350,12 @@ def run(config: RunConfig, spec: ProblemSpec) -> Report:
     )
 
 
-def exit_code_for(report: Report) -> int:
-    if "numerical-contradiction" in report.flags:
+def exit_code_for(report: dict) -> int:
+    if "numerical-contradiction" in report["flags"]:
         return EXIT_CONTRADICTION
-    if report.verdict in ("convex", "not convex"):
+    if report["verdict"] in ("convex", "not convex"):
         return EXIT_OK
-    if "unproven-nonconvexity-signal" in report.flags:
+    if "unproven-nonconvexity-signal" in report["flags"]:
         return EXIT_UNPROVEN_SIGNAL
     return EXIT_INCONCLUSIVE
 
@@ -405,10 +408,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"convexcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if config.out and not Path(config.out).parent.is_dir():  # fail before the first solve
-            raise OSError(f"{config.out}: {Path(config.out).parent} is not a directory")
+        if config.out:  # fail before the first solve
+            out = Path(config.out)
+            if not out.parent.is_dir():
+                raise OSError(f"{config.out}: {out.parent} is not a directory")
+            if out.is_dir():
+                raise OSError(f"{config.out}: is a directory")
         report = run(config, spec)
-        issues = validate_report_payload(report.payload())
+        issues = validate_report_payload(report)
         if issues:  # internal invariant violation, never expected
             raise RuntimeError(f"report failed its own schema: {issues}")
         text_out = serialize_report(report)

@@ -7,9 +7,9 @@ docs/formats.md: numeric literals, declared variable names, ``+ - * ^``,
 parentheses, no implicit multiplication, exponents restricted to nonnegative
 integer literals.
 
-Reports are emitted as a single deterministic JSON document; floats are
-written with repr precision so that parse(serialize(report)) is the identity
-on every payload field.
+A report is the plain dict it serializes to, emitted as a single
+deterministic JSON document; floats are written with repr precision so that
+parse(serialize(report)) is the identity on every payload field.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .polynomials import Polynomial, VariableSpace
 
@@ -269,33 +269,6 @@ VERDICT_REFUTED = "refuted"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class Report:
-    """Structured outcome of a certification/refutation run."""
-
-    mode: str
-    verdict: str
-    flags: list[str]
-    problem: dict
-    parameters: dict
-    constraints: list[dict]
-    archimedean: dict | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        return {
-            "schema": SCHEMA_NAME,
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-            "problem": self.problem,
-            "parameters": self.parameters,
-            "constraints": self.constraints,
-            "archimedean": self.archimedean,
-            "diagnostics": self.diagnostics,
-        }
-
-
 def make_report(
     mode: str,
     spec: ProblemSpec,
@@ -303,8 +276,8 @@ def make_report(
     constraints: list[dict],
     archimedean: dict | None = None,
     diagnostics: dict | None = None,
-) -> Report:
-    """Assemble a report, deriving the overall verdict from the per-constraint ones.
+) -> dict:
+    """Assemble a report payload, deriving the overall verdict from the per-constraint ones.
 
     The overall verdict is "convex" only when every constraint is certified,
     "not convex" only when at least one validated witness is present, and
@@ -329,27 +302,27 @@ def make_report(
         verdict = "not convex"
     else:
         verdict = "inconclusive"
-    return Report(
-        mode=mode,
-        verdict=verdict,
-        flags=flags,
-        problem={
+    return {
+        "schema": SCHEMA_NAME,
+        "mode": mode,
+        "verdict": verdict,
+        "flags": flags,
+        "problem": {
             "n": spec.n,
             "m": spec.m,
             "variables": list(spec.names),
             "constraints": spec.constraint_strings(),
         },
-        parameters=parameters,
-        constraints=constraints,
-        archimedean=archimedean,
-        diagnostics=diagnostics or {},
-    )
+        "parameters": parameters,
+        "constraints": constraints,
+        "archimedean": archimedean,
+        "diagnostics": diagnostics or {},
+    }
 
 
-def serialize_report(report: Report | dict) -> str:
-    """Render a report as deterministic JSON, full float precision."""
-    payload = report.payload() if isinstance(report, Report) else report
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
+def serialize_report(report: dict) -> str:
+    """Render a report payload as deterministic JSON, full float precision."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=True)
 
 
 _REQUIRED_TOP_LEVEL = {
@@ -379,9 +352,14 @@ def validate_report_payload(payload: dict) -> list[str]:
         return issues
     if payload["schema"] != SCHEMA_NAME:
         issues.append(f"unknown schema {payload['schema']!r}")
+    if payload["mode"] not in ("certify", "refute", "analyze"):
+        issues.append(f"unknown mode {payload['mode']!r}")
     if payload["verdict"] not in _VALID_VERDICTS:
         issues.append(f"unknown verdict {payload['verdict']!r}")
-    certified_all = True
+    for flag in payload["flags"]:
+        if flag not in ("unproven-nonconvexity-signal", "numerical-contradiction"):
+            issues.append(f"unknown flag {flag!r}")
+    certified = 0
     any_witness = False
     for i, entry in enumerate(payload["constraints"]):
         if not isinstance(entry, dict):
@@ -390,10 +368,10 @@ def validate_report_payload(payload: dict) -> list[str]:
         verdict = entry.get("verdict")
         if verdict not in _VALID_CONSTRAINT_VERDICTS:
             issues.append(f"constraint {i} has unknown verdict {verdict!r}")
-        certified_all = certified_all and verdict == VERDICT_CERTIFIED
+        certified += verdict == VERDICT_CERTIFIED
         any_witness = any_witness or entry.get("witness") is not None
-    if payload["verdict"] == "convex" and not (certified_all and payload["constraints"]):
-        issues.append("verdict 'convex' requires every constraint to be certified")
+    if payload["verdict"] == "convex" and not (certified == len(payload["constraints"]) == payload["problem"].get("m")):
+        issues.append("verdict 'convex' requires problem.m entries, every one certified")
     if payload["verdict"] == "not convex" and not any_witness:
         issues.append("verdict 'not convex' requires at least one validated witness")
     return issues

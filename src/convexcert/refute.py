@@ -223,8 +223,7 @@ def solve_relaxation(spec: ProblemSpec, j: int, s: int) -> RelaxationResult:
     if status == "stalled" and all(r <= RELAXATION_TOL_CEILING for r in accuracy):  # a NaN fails
         status = "optimal"
         tol = min(tol * 10.0 ** ceil(log10(max(*accuracy, tol) / tol)), RELAXATION_TOL_CEILING)
-    solved = certify._solution_diagnostics(problem, solution)
-    diagnostics = {"solver_status": solved.pop("status"), "solver_tol": tol, **solved}
+    diagnostics = certify._solution_diagnostics(problem, solution, tol)
     if status != "optimal":
         return RelaxationResult(j=j, s=s, status=status, rho=None, z=None, diagnostics=diagnostics)
     return RelaxationResult(

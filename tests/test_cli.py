@@ -56,7 +56,7 @@ def test_interval_certify(tmp_path, capsys):
     assert payload["verdict"] == "convex"
     certs = [c["certificate"] for c in payload["constraints"] if c["certificate"]]
     assert len(certs) == 1
-    assert certs[0]["residual"] <= 1e-6
+    assert certs[0]["verification"]["residual"] <= 1e-6
     assert validate_report_payload(payload) == []
 
 
@@ -266,18 +266,23 @@ def test_unwritable_dump_dir_exits_64_before_any_solve(tmp_path, capsys, monkeyp
 
 
 def test_unwritable_out_exits_64_before_any_solve(tmp_path, capsys, monkeypatch):
-    # a missing directory, and a file in the place of one
+    # a missing directory, a file in the place of one, and an existing
+    # directory in the place of the report, named with and without a slash
     path = write_problem(tmp_path, INTERVAL)
     blocker = tmp_path / "file"
     blocker.write_text("")
+    directory = tmp_path / "dir"
+    directory.mkdir()
     solves = []
     monkeypatch.setattr(refute, "solve_relaxation", lambda *args: solves.append(args))
-    for out in (tmp_path / "missing" / "report.json", blocker / "report.json"):
+    for out in (tmp_path / "missing" / "report.json", blocker / "report.json", directory, f"{directory}/"):
         code = cli.main([path, "--mode", "certify", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 64
         assert captured.err.startswith("convexcert: cannot write: ") and str(out) in captured.err
-        assert captured.out == "" and solves == [] and not out.exists()
+        assert captured.out == "" and solves == []
+    assert not (tmp_path / "missing").exists() and blocker.read_text() == ""
+    assert list(directory.iterdir()) == []
 
 
 def test_halfspace_analyze(tmp_path, capsys):
@@ -422,9 +427,11 @@ def test_cubic_halfline_unbounded_advice(tmp_path, capsys):
 
 
 def test_attempts_carry_solver_diagnostics(tmp_path, capsys):
+    # a preordering attempt records its own solve
     path = write_problem(tmp_path, INTERVAL)
-    code, payload = run_cli(capsys, [path, "--mode", "certify"])
+    code, payload = run_cli(capsys, [path, "--mode", "certify", "--stengle"])
     attempt = payload["constraints"][0]["attempts"][0]
+    assert attempt["kind"] == "preordering"
     assert attempt["solver"]["iterations"] >= 1
     assert attempt["solver"]["relative_gap"] <= 1e-8
 
@@ -652,7 +659,7 @@ def test_runs_check_no_keys_of_their_own_polynomials(monkeypatch):
     for path in sorted(PROBLEMS.glob("*.txt")):
         spec = parse_problem(path.read_text())
         for config in configs:
-            assert cli.run(config, spec).verdict in ("convex", "not convex", "inconclusive")
+            assert cli.run(config, spec)["verdict"] in ("convex", "not convex", "inconclusive")
     assert checked == []
 
 
@@ -666,6 +673,21 @@ def test_archimedean_failed_recheck_is_not_affirmed(capsys):
     assert "archimedean" not in arch["note"]
     assert "failed verification" in arch["note"]
     assert f"{arch['residual']:.3e}" in arch["note"]
+
+
+def test_each_fact_is_reported_once(capsys):
+    # a certificate payload is its identity plus its one check; the solve
+    # behind it is recorded once, by its relaxation or, for the preordering,
+    # by its attempt, in the one solver record every solve shares
+    _code, stengle = run_cli(capsys, [str(PROBLEMS / "interval.txt"), "--mode", "certify", "--stengle"])
+    _code, disk = run_cli(capsys, [str(PROBLEMS / "disk.txt"), "--archimedean", "2"])
+    (preordering,), (qmodule,) = stengle["constraints"], disk["constraints"]
+    assert set(preordering["certificate"]) == {"kind", "constraint", "degree", "power", "sigma_terms", "h_terms",
+                                               "verification"}
+    assert set(qmodule["certificate"]) == {"kind", "constraint", "degree", "epsilon", "terms", "verification"}
+    assert [set(a) for a in qmodule["attempts"]] == [{"kind", "degree", "status", "residual", "verified"}]
+    (record_keys,) = {frozenset(r["solver"]) for r in qmodule["relaxations"]}
+    assert [frozenset(a["solver"]) for a in preordering["attempts"]] == [record_keys]
 
 
 def test_each_accepted_certificate_is_expanded_once(monkeypatch, capsys):
@@ -686,7 +708,6 @@ def test_each_accepted_certificate_is_expanded_once(monkeypatch, capsys):
     assert [a["verified"] for a in entry["attempts"]] == [True]
     cert = entry["certificate"]
     assert cert["kind"] == "quadratic-module"
-    assert cert["residual"] == cert["verification"]["residual"]
     # the quadratic-module certificate's sigma_0, sigma_1 and psi_1, then the
     # archimedean identity's sigma_0 and sigma_1
     assert sorted(expanded) == sorted([t["label"] for t in cert["terms"]] + ["sigma_0", "sigma_1"])
@@ -698,7 +719,7 @@ def test_each_accepted_certificate_is_expanded_once(monkeypatch, capsys):
     assert [a["verified"] for a in entry["attempts"]] == [True]
     cert = entry["certificate"]
     assert cert["kind"] == "preordering"
-    assert cert["residual"] == cert["verification"]["residual"] == entry["attempts"][0]["residual"]
+    assert cert["verification"]["residual"] == entry["attempts"][0]["residual"]
     assert sorted(expanded) == sorted(t["label"] for t in cert["sigma_terms"] + cert["h_terms"])
 
 
@@ -709,7 +730,7 @@ def test_certificates_are_swap_symmetric(name, capsys):
     n = payload["problem"]["n"]
     for entry in payload["constraints"]:
         cert = entry["certificate"]
-        assert cert["verification"]["passed"] and cert["residual"] <= 1e-6
+        assert cert["verification"]["passed"] and cert["verification"]["residual"] <= 1e-6
         terms = {t["label"]: t for t in cert["terms"]}
         for label, term in terms.items():
             basis = [tuple(e) for e in term["basis"]]

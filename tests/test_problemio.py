@@ -191,13 +191,13 @@ def test_parse_problem_keeps_tiny_coefficients():
     spec = parse_problem("vars: x\ng: x^2 - 1e-13\n")
     assert spec.constraints[0].terms == {(0,): -1e-13, (2,): 1.0}
     report = make_report("analyze", spec, {}, [])
-    assert report.payload()["problem"]["constraints"] == ["-1e-13 + x^2"]
+    assert report["problem"]["constraints"] == ["-1e-13 + x^2"]
 
 
 def test_constraint_string_keeps_a_coefficient_next_to_one():
     # only an exact 1 is left unprinted, so the report's string parses back to the set under test
     spec = parse_problem("vars: x\ng: 1.0000000000000002*x - 1\n")
-    text = make_report("analyze", spec, {}, []).payload()["problem"]["constraints"][0]
+    text = make_report("analyze", spec, {}, [])["problem"]["constraints"][0]
     assert text == "-1.0 + 1.0000000000000002*x"
     assert parse_polynomial(text, spec.space, spec.names).terms == spec.constraints[0].terms
 
@@ -230,8 +230,7 @@ def _tiny_report(spec):
 def test_report_round_trip():
     spec = parse_problem("vars: x1\ng: 1 - x1^2")
     report = _tiny_report(spec)
-    payload = report.payload()
-    assert json.loads(serialize_report(report)) == payload
+    assert json.loads(serialize_report(report)) == report
 
 
 def test_report_float_precision_survives():
@@ -256,17 +255,17 @@ def test_report_verdict_invariants():
         {**base, "index": 1, "verdict": "certified"},
         {**base, "index": 2, "verdict": "certified"},
     ]
-    assert make_report("certify", spec, {}, both_certified).verdict == "convex"
+    assert make_report("certify", spec, {}, both_certified)["verdict"] == "convex"
     one_missing = [
         {**base, "index": 1, "verdict": "certified"},
         {**base, "index": 2, "verdict": "inconclusive"},
     ]
-    assert make_report("certify", spec, {}, one_missing).verdict == "inconclusive"
+    assert make_report("certify", spec, {}, one_missing)["verdict"] == "inconclusive"
     witnessed = [
         {**base, "index": 1, "verdict": "refuted", "witness": {"atoms": []}},
         {**base, "index": 2, "verdict": "inconclusive"},
     ]
-    assert make_report("refute", spec, {}, witnessed).verdict == "not convex"
+    assert make_report("refute", spec, {}, witnessed)["verdict"] == "not convex"
 
 
 def test_report_contradiction_flagged():
@@ -282,8 +281,8 @@ def test_report_contradiction_flagged():
         "unproven_signal": False,
     }
     report = make_report("analyze", spec, {}, [entry])
-    assert "numerical-contradiction" in report.flags
-    assert report.verdict == "inconclusive"
+    assert "numerical-contradiction" in report["flags"]
+    assert report["verdict"] == "inconclusive"
 
 
 def test_empty_inconclusive_report_schema():
@@ -299,25 +298,37 @@ def test_empty_inconclusive_report_schema():
         "unproven_signal": False,
     }
     report = make_report("analyze", spec, {}, [entry])
-    assert report.verdict == "inconclusive"
-    assert validate_report_payload(report.payload()) == []
+    assert report["verdict"] == "inconclusive"
+    assert validate_report_payload(report) == []
 
 
 def test_report_with_no_entries_is_inconclusive():
     spec = parse_problem("vars: x1\ng: 1 - x1^2")
     report = make_report("analyze", spec, {}, [])
-    assert report.verdict == "inconclusive"
-    payload = report.payload()
-    assert payload["constraints"] == []
-    assert validate_report_payload(payload) == []
+    assert report["verdict"] == "inconclusive"
+    assert report["constraints"] == []
+    assert validate_report_payload(report) == []
 
 
 def test_validate_report_catches_bad_verdict():
     spec = parse_problem("vars: x1\ng: 1 - x1^2")
-    payload = _tiny_report(spec).payload()
+    payload = _tiny_report(spec)
     payload["verdict"] = "maybe"
     assert validate_report_payload(payload)
     payload["verdict"] = "not convex"  # no witness present anywhere
+    assert validate_report_payload(payload)
+
+
+@pytest.mark.parametrize("change", [
+    {"verdict": "convex"},  # problem.m is 2 and the one entry is certified
+    {"mode": "nonsense"},
+    {"flags": ["bogus-flag"]},
+])
+def test_validate_report_checks_the_documented_schema(change):
+    spec = parse_problem("vars: x1 x2\ng: 1 - x1^2\ng: 1 - x2^2")
+    payload = _tiny_report(spec)
+    assert validate_report_payload(payload) == []
+    payload.update(change)
     assert validate_report_payload(payload)
 
 
