@@ -7,7 +7,9 @@ and exits 1 if any differs or a documented problem is missing, else 0.
 Next to each verdict it prints the size of the largest relaxation that was
 solved (its PSD block sizes and equality count p, from the report's
 relaxations[].solver records) and the solver iterations over all
-relaxations, so a change in SDP size shows in the log.
+relaxations, so a change in SDP size shows in the log. A problem that solves
+no relaxation, as one whose constraints are all certified in closed form,
+prints `-` and 0.
 """
 
 import sys

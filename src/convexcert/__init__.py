@@ -16,6 +16,7 @@ from .certify import (
     QuadraticModuleCertificate,
     archimedean_check,
     certify_stengle,
+    closed_form_certificate,
     qmodule_certificate,
     verify_certificate,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "archimedean_check",
     "build_moment_sdp",
     "certify_stengle",
+    "closed_form_certificate",
     "coeff_linf_distance",
     "dump_sdp",
     "extract_atoms",

@@ -10,7 +10,11 @@ Gram-matrix SDPs along three routes:
   degree d, by refute.solve_relaxation as g_j((x+y)/2) - rho = ... for the
   largest rho, whose dual is the moment relaxation; qmodule_certificate
   reads the certificate off the Gram blocks of that solve, which carry one
-  exactly when rho >= 0 (an eps-relaxed one exactly when rho >= -eps);
+  exactly when rho >= 0 (an eps-relaxed one exactly when rho >= -eps).
+  A concave quadratic or affine g_j needs no solve: closed_form_certificate
+  writes its degree-1 certificate down, sigma_j = psi_j = 1/2 and sigma_0
+  the quadratic form of the midpoint gap, once an exact LDL^T has shown
+  the negated Hessian PSD;
 * the preordering identity
   sigma_j * g_j((x+y)/2) = g_j((x+y)/2)^(2p) + h_j
   with sigma_j, h_j in the preordering of the doubled constraint list
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import ceil
 from typing import TYPE_CHECKING, ClassVar
 
@@ -274,11 +279,14 @@ class Certificate:
     its identity reads target(spec) = sum over terms of weight * (b^T G b).
     The residual is read off check, the recheck its builder ran.
     solver_diagnostics is the record of the solve that produced the
-    certificate; the payload carries neither, only the identity.
+    certificate; the payload carries neither, only the identity. source
+    names how a certificate that ran no solve was built ("closed-form"),
+    and the payload carries it then.
     """
 
     kind: ClassVar[str]
     solver_diagnostics: dict = field(default_factory=dict)
+    source: str | None = None
     check: CertificateCheck | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -286,7 +294,10 @@ class Certificate:
         return self.check.residual
 
     def to_payload(self) -> dict:
-        return {"kind": self.kind, **self._kind_payload()}
+        payload = {"kind": self.kind, **self._kind_payload()}
+        if self.source is not None:
+            payload["source"] = self.source
+        return payload
 
 
 @dataclass
@@ -344,7 +355,6 @@ class ArchimedeanCertificate(Certificate):
 @dataclass
 class CertificationFailure:
     reason: str  # "no certificate at this degree" | "inconclusive"
-    solver_status: str
     solver_diagnostics: dict = field(default_factory=dict)
 
 
@@ -381,9 +391,7 @@ def _solve_certificate(program: SosProgram) -> dict | CertificationFailure:
     diagnostics = _solution_diagnostics(problem, solution, sdp.DEFAULT_TOL)
     if solution.status != "optimal":
         reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
-        return CertificationFailure(
-            reason=reason, solver_status=solution.status, solver_diagnostics=diagnostics
-        )
+        return CertificationFailure(reason=reason, solver_diagnostics=diagnostics)
     return _certificate_fields(program, solution.X, diagnostics)
 
 
@@ -455,6 +463,65 @@ def qmodule_certificate(result: RelaxationResult, spec: ProblemSpec) -> Quadrati
         blocks[0][0, 0] += result.rho  # the first block, sigma_0's even one, starts with the constant monomial
     fields = _certificate_fields(result.program, blocks, result.diagnostics)
     return _checked(QuadraticModuleCertificate(j=result.j, d=result.s, **fields), spec)
+
+
+def _is_psd(matrix: list[list[Fraction]]) -> bool:
+    """Exact LDL^T test of a symmetric rational matrix, which it overwrites.
+
+    A negative pivot rejects, and so does a zero pivot with a nonzero entry
+    left in its row.
+    """
+    n = len(matrix)
+    for p in range(n):
+        pivot, row = matrix[p][p], matrix[p]
+        if pivot < 0 or (pivot == 0 and any(row[p + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for r in range(p + 1, n):
+            factor = matrix[r][p] / pivot
+            for c in range(p + 1, n):
+                matrix[r][c] -= factor * row[c]
+    return True
+
+
+def closed_form_certificate(spec: ProblemSpec, j: int) -> QuadraticModuleCertificate | None:
+    """The degree-1 certificate of a concave quadratic or affine g_j, or None.
+
+    With 2Q the Hessian of g_j and m = (x+y)/2,
+    g_j(m) = 1/2 g_j(x) + 1/2 g_j(y) + 1/4 (x-y)^T (-Q) (x-y),
+    a quadratic-module identity with sigma_j = psi_j = 1/2 and sigma_0 the
+    last term, whose Gram matrix over (1, x, y) is
+    [[0, 0, 0], [0, -Q/4, Q/4], [0, Q/4, -Q/4]]. It holds exactly when
+    -Q is PSD, which an exact LDL^T of -Q in rationals decides; the entries
+    are exact in binary unless they underflow. None when deg g_j > 2 or -Q
+    is not PSD. The certificate runs no solve: its solver_diagnostics are
+    empty.
+    """
+    g = spec.constraints[_constraint_index(spec, j)]
+    if g.degree > 2:
+        return None
+    n = spec.n
+    neg_q = [[Fraction(0)] * n for _ in range(n)]
+    q = np.zeros((n, n))
+    for exps, coeff in g.terms.items():
+        if sum(exps) == 2:
+            i, k = [v for v, e in enumerate(exps) for _ in range(e)]  # x_i x_k, with k = i for x_i^2
+            half = Fraction(coeff) / (1 if i == k else 2)
+            neg_q[i][k] = neg_q[k][i] = -half
+            q[i, k] = q[k, i] = float(half)
+    if not _is_psd(neg_q):
+        return None
+    lifted = spec.space.lift()
+    one = (0,) * lifted.arity
+    sigma_0 = np.zeros((2 * n + 1, 2 * n + 1))  # over monomial_basis(lifted, 1): 1, x1..xn, y1..yn
+    sigma_0[1:, 1:] = np.block([[-q, q], [q, -q]]) / 4.0
+    terms = [
+        SosTerm("sigma_0", Polynomial.constant(lifted, 1.0), monomial_basis(lifted, 1).elements, sigma_0),
+        SosTerm(f"sigma_{j}", lift(g, "x"), (one,), np.full((1, 1), 0.5)),
+        SosTerm(f"psi_{j}", lift(g, "y"), (one,), np.full((1, 1), 0.5)),
+    ]
+    return _checked(QuadraticModuleCertificate(j=j, d=1, terms=terms, source="closed-form"), spec)
 
 
 def _stengle_target(spec: ProblemSpec, j: int, p: int) -> Polynomial:

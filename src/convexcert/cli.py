@@ -1,7 +1,12 @@
 """Command-line orchestration: certify, refute, or analyze a problem file.
 
-Every mode walks one order ladder per constraint g_j, refute mode only up
-to the first refuted one (below). At each order k the degree-k
+Without --stengle, a concave quadratic or affine g_j is settled before any
+ladder by certify.closed_form_certificate, which runs no solve: certify and
+analyze take its certificate when its recheck passes at --tol-residual
+(the entry then has no relaxations), and refute skips the constraint, as a
+concave g_j has rho >= 0 at every order. Every other constraint, and every
+constraint under --stengle, walks one order ladder, refute mode only up
+to the first refuted constraint (below). At each order k the degree-k
 quadratic-module program of g_j is solved once, in the Gram form of
 refute.solve_relaxation, and the mode decides only which conclusions may be
 drawn from that one solve:
@@ -27,7 +32,7 @@ Refute mode walks no further ladder once a constraint ends with a validated
 witness, whatever its source: one violating member pair settles "not
 convex", and refute certifies nothing. Each later constraint still gets an
 entry, inconclusive with no relaxations and a note naming the refuting
-constraint. Certify and analyze walk every ladder.
+constraint. Certify and analyze walk every ladder the closed form leaves.
 
 With --stengle the preordering certificate replaces the quadratic-module
 one, solved at each order before the Gram solve, which certify mode skips
@@ -130,17 +135,23 @@ def _try_certificate(entry: dict, outcome, k: int, config: RunConfig) -> bool:
     """Judge the builder's recheck at --tol-residual; True when it verified and certified the constraint.
 
     A preordering attempt records its own solve; a quadratic-module one was
-    read off the relaxation of the same order, whose record holds that solve.
+    read off the relaxation of the same order, whose record holds that solve,
+    or built in closed form, which ran no solve: its record names that
+    source instead of a solver status.
     """
     record: dict = {"kind": "preordering" if config.stengle else "quadratic-module", "degree": k}
     if config.stengle:
         record["solver"] = outcome.solver_diagnostics
     entry["attempts"].append(record)
     if isinstance(outcome, certify.CertificationFailure):
-        record.update(status=outcome.solver_status, reason=outcome.reason)
+        record.update(status=outcome.solver_diagnostics["solver_status"], reason=outcome.reason)
         return False
     check = dataclasses.replace(outcome.check, residual_tol=config.tol_residual)
-    record.update(status="optimal", residual=check.residual, verified=check.passed)
+    if outcome.source is None:
+        record["status"] = "optimal"
+    else:
+        record["source"] = outcome.source
+    record.update(residual=check.residual, verified=check.passed)
     if not check.passed:
         entry["notes"].append(
             f"certificate at order {k} failed verification "
@@ -208,9 +219,25 @@ def _entry(j: int, *notes: str) -> dict:
 
 
 def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
-    """Constraint j's report entry: one Gram solve per order, conclusions by mode."""
+    """Constraint j's report entry: one Gram solve per order, conclusions by mode.
+
+    Without --stengle a concave quadratic or affine g_j walks no ladder:
+    certify and analyze keep its closed-form certificate when it passes (and
+    walk the ladder when it does not), and refute notes that no midpoint
+    violation is left to find.
+    """
     entry = _entry(j)
     notes = entry["notes"]
+    closed_form = None if config.stengle else certify.closed_form_certificate(spec, j)
+    if closed_form is not None:
+        if config.mode == "refute":
+            notes.append(
+                f"g{j} is concave: its closed-form certificate gives rho >= 0 at every order, "
+                "which leaves no room for a midpoint violation"
+            )
+            return entry
+        if _try_certificate(entry, closed_form, closed_form.d, config):
+            return entry
     start, cap = _order_ladder(config, spec)
     stengle = config.stengle and config.mode != "refute"
     sampled: refute.NonconvexityWitness | None = None  # the kept member pair, if any
@@ -304,7 +331,7 @@ def _archimedean_payload(config: RunConfig, spec: ProblemSpec) -> dict | None:
         return {
             "bound": config.archimedean,
             "holds": False,
-            "status": outcome.solver_status,
+            "status": outcome.solver_diagnostics["solver_status"],
             "note": "no bounding identity found at this degree; compactness not established",
         }
     check = dataclasses.replace(outcome.check, residual_tol=config.tol_residual)

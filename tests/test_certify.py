@@ -12,6 +12,7 @@ from convexcert.certify import (
     _qmodule_program,
     archimedean_check,
     certify_stengle,
+    closed_form_certificate,
     verify_certificate,
 )
 from convexcert.moments import monomial_basis
@@ -464,3 +465,43 @@ def test_residual_equals_the_dict_expansion_bit_for_bit():
                 assert verify_certificate(cert, spec).residual == _dict_residual(cert, spec), path.stem
                 checked += 1
     assert checked >= 50  # 64 at the time of writing: 39 quadratic-module, 21 preordering, 4 archimedean
+
+
+@pytest.mark.parametrize("text", [
+    "vars: x\ng: x^2 - 1e-10\n",  # convex, not concave
+    "vars: x1 x2\ng: x1*x2 - 1\n",  # indefinite
+    "vars: x1 x2\ng: x1*x2 - x2^2\n",  # zero first pivot, nonzero entry left in its row
+    "vars: x1\ng: x1^3\n",  # degree 3
+    # -Q = [[1, 1 + 2^-52], [1 + 2^-52, 1]] has determinant -2^-51 - 2^-104: an eigenvalue
+    # test at any float tolerance would accept it, the rational LDL^T does not
+    "vars: x1 x2\ng: 1 - x1^2 - 2.0000000000000004*x1*x2 - x2^2\n",
+], ids=["convex", "indefinite", "zero-pivot", "cubic", "barely-indefinite"])
+def test_closed_form_takes_only_concave_quadratics(text):
+    assert closed_form_certificate(parse_problem(text), 1) is None
+
+
+def test_closed_form_of_an_affine_constraint_has_no_sigma_0():
+    spec = parse_problem("vars: x1\ng: x1\n")
+    cert = closed_form_certificate(spec, 1)
+    assert (cert.j, cert.d, cert.source, cert.solver_diagnostics) == (1, 1, "closed-form", {})
+    assert [t.label for t in cert.terms] == ["sigma_0", "sigma_1", "psi_1"]
+    sigma_0, sigma_1, psi_1 = cert.terms
+    assert sigma_0.basis == monomial_basis(spec.space.lift(), 1).elements and not sigma_0.gram.any()
+    assert (sigma_1.weight, psi_1.weight) == (lift(spec.constraints[0], "x"), lift(spec.constraints[0], "y"))
+    assert sigma_1.gram.tolist() == psi_1.gram.tolist() == [[0.5]]
+    assert (cert.check.residual, cert.check.passed) == (0.0, True)
+    assert cert.to_payload()["source"] == "closed-form"
+
+
+def test_closed_form_of_a_rank_deficient_concave_quadratic():
+    # g2 = 1 - (x1 + x2)^2: -Q = [[1, 1], [1, 1]], whose second pivot is 0 with
+    # nothing left in its row; sigma_0 is (x1 - y1 + x2 - y2)^2 / 4
+    spec = parse_problem("vars: x1 x2\ng: x1\ng: 1 - (x1 + x2)^2\n")
+    cert = closed_form_certificate(spec, 2)
+    assert [t.label for t in cert.terms] == ["sigma_0", "sigma_2", "psi_2"]
+    quarter = np.full((2, 2), 0.25)
+    expected = np.zeros((5, 5))
+    expected[1:, 1:] = np.block([[quarter, -quarter], [-quarter, quarter]])
+    assert np.array_equal(cert.terms[0].gram, expected)
+    assert (cert.check.residual, cert.check.passed) == (0.0, True)
+    assert cert.check.min_gram_eigenvalue == pytest.approx(0.0, abs=1e-15)

@@ -23,6 +23,11 @@ from conftest import (
 )
 
 
+# the whole line: convex, and g1 is convex, not concave, so it takes the Gram
+# path; its order-1 bound is rho = 1 > 0
+LINE = "vars: x1\ng: 1 + x1^2\n"
+
+
 def write_problem(tmp_path, text, name="problem.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -202,14 +207,16 @@ def test_sampled_report_deterministic_under_rerun(tmp_path, capsys):
 
 
 def test_redundant_constraint_certified(tmp_path, capsys):
-    # g2 = 2 - x1^2 stays positive on [-1, 1], so its order-1 bound is rho = 1 > 0
-    path = write_problem(tmp_path, "vars: x1\ng: 1 - x1^2\ng: 2 - x1^2\n")
+    # g2 = 1 + x1^2 stays positive everywhere, so its order-1 bound is rho = 1 > 0;
+    # it is not concave, so the certificate comes off the Gram solve
+    path = write_problem(tmp_path, "vars: x1\ng: 1 - x1^2\ng: 1 + x1^2\n")
     code, payload = run_cli(capsys, [path, "--mode", "certify"])
     assert code == 0
     g2 = payload["constraints"][1]
     assert g2["relaxations"][0]["rho"] == pytest.approx(1.0, abs=1e-6)
     assert g2["certificate"]["epsilon"] == 0.0
     assert g2["certificate"]["verification"]["passed"] is True
+    assert "source" not in g2["certificate"]
 
 
 def test_malformed_file_exits_64(tmp_path, capsys):
@@ -229,12 +236,15 @@ def test_non_finite_coefficient_exits_64(tmp_path, capsys):
 
 
 def test_overflowing_coefficient_gives_a_sound_verdict(tmp_path, capsys):
-    # an interval, so convex; any verdict but "nonconvex" is sound
+    # an interval, so convex: its concave g takes the closed form, which
+    # overflows nowhere (warnings are errors here, and numpy raises on overflow)
     path = write_problem(tmp_path, "vars: x\ng: 1e300 - x^2\n")
-    with np.errstate(all="ignore"):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         code, payload = run_cli(capsys, [path])
-    assert code in (0, 2)
-    assert payload["verdict"] != "nonconvex"
+    assert (payload["verdict"], code) == ("convex", 0)
+    (entry,) = payload["constraints"]
+    assert entry["certificate"]["source"] == "closed-form"
+    assert entry["certificate"]["verification"]["residual"] == 0.0
 
 
 def test_missing_file_exits_64(tmp_path, capsys):
@@ -305,11 +315,12 @@ def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, PARABOLA)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
-    # g1: order 1, where a sampled member pair attains rho; g2 and g3: certified
-    # from their order-1 solve
-    assert len(calls) == 3
-    assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 3
-    g1 = payload["constraints"][0]
+    # g1: order 1, where a sampled member pair attains rho; g2 and g3: concave,
+    # certified in closed form with no solve
+    assert len(calls) == 1
+    assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 1
+    g1, g2, g3 = payload["constraints"]
+    assert [(g["certificate"]["source"], g["relaxations"]) for g in (g2, g3)] == [("closed-form", [])] * 2
     (record,) = g1["relaxations"]
     witness = g1["witness"]
     assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
@@ -359,7 +370,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_dump_sdp_writes_instances(tmp_path, capsys):
-    path = write_problem(tmp_path, INTERVAL)
+    path = write_problem(tmp_path, LINE)
     for mode, expected_code in (("certify", 0), ("refute", 2), ("analyze", 0)):
         dump_dir = tmp_path / mode
         code, payload = run_cli(capsys, [path, "--mode", mode, "--dump-sdp", str(dump_dir)])
@@ -437,7 +448,7 @@ def test_attempts_carry_solver_diagnostics(tmp_path, capsys):
 
 
 def test_relaxations_record_sdp_sizes(tmp_path, capsys):
-    path = write_problem(tmp_path, INTERVAL)
+    path = write_problem(tmp_path, LINE)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
     solver = payload["constraints"][0]["relaxations"][0]["solver"]
@@ -570,8 +581,9 @@ def test_refute_examines_no_constraint_after_the_first_witness(name, capsys, mon
 
 
 def test_refute_walks_every_ladder_up_to_the_refuted_constraint(tmp_path, capsys):
-    # the interval g1 leaves no room for a violation; g2 cuts it into two pieces
-    path = write_problem(tmp_path, "vars: x1\ng: 4 - x1^2\ng: x1^2 - 1\n")
+    # the interval g1 leaves no room for a violation; g2 cuts it into two pieces.
+    # g1 is a quartic, so its ladder is walked, not skipped as a concave quadratic's
+    path = write_problem(tmp_path, "vars: x1\ng: 5 - x1^4\ng: x1^2 - 1\n")
     code, payload = run_cli(capsys, [path, "--mode", "refute"])
     assert (payload["verdict"], code) == ("not convex", 0)
     g1, g2 = payload["constraints"]
@@ -580,12 +592,14 @@ def test_refute_walks_every_ladder_up_to_the_refuted_constraint(tmp_path, capsys
     assert g2["witness"]["source"] == "sampled"
 
 
-def test_certify_walks_every_ladder_after_an_inconclusive_constraint(capsys, monkeypatch):
+def test_certify_walks_every_ladder_after_an_inconclusive_constraint(tmp_path, capsys, monkeypatch):
+    # two intervals, as in two_interval, but with a quartic g2, which takes the Gram path
     calls = count_solves(monkeypatch)
-    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt"), "--mode", "certify"])
+    path = write_problem(tmp_path, "vars: x1\ng: x1^2 - 1\ng: 5 - x1^4\n")
+    code, payload = run_cli(capsys, [path, "--mode", "certify"])
     assert (payload["verdict"], code) == ("inconclusive", 2)
     constraints = payload["constraints"]
-    assert [c["verdict"] for c in constraints] == ["inconclusive", "certified", "certified"]
+    assert [c["verdict"] for c in constraints] == ["inconclusive", "certified"]
     assert all(c["relaxations"] for c in constraints)
     assert len(calls) == sum(len(c["relaxations"]) for c in constraints)
 
@@ -675,19 +689,27 @@ def test_archimedean_failed_recheck_is_not_affirmed(capsys):
     assert f"{arch['residual']:.3e}" in arch["note"]
 
 
-def test_each_fact_is_reported_once(capsys):
+def test_each_fact_is_reported_once(tmp_path, capsys):
     # a certificate payload is its identity plus its one check; the solve
     # behind it is recorded once, by its relaxation or, for the preordering,
-    # by its attempt, in the one solver record every solve shares
+    # by its attempt, in the one solver record every solve shares. A
+    # closed-form certificate ran no solve: its attempt names its source
+    # instead of a solver status, and its entry has no relaxation
     _code, stengle = run_cli(capsys, [str(PROBLEMS / "interval.txt"), "--mode", "certify", "--stengle"])
+    _code, line = run_cli(capsys, [write_problem(tmp_path, LINE), "--archimedean", "2"])
     _code, disk = run_cli(capsys, [str(PROBLEMS / "disk.txt"), "--archimedean", "2"])
-    (preordering,), (qmodule,) = stengle["constraints"], disk["constraints"]
+    (preordering,), (qmodule,), (closed,) = stengle["constraints"], line["constraints"], disk["constraints"]
     assert set(preordering["certificate"]) == {"kind", "constraint", "degree", "power", "sigma_terms", "h_terms",
                                                "verification"}
     assert set(qmodule["certificate"]) == {"kind", "constraint", "degree", "epsilon", "terms", "verification"}
     assert [set(a) for a in qmodule["attempts"]] == [{"kind", "degree", "status", "residual", "verified"}]
     (record_keys,) = {frozenset(r["solver"]) for r in qmodule["relaxations"]}
     assert [frozenset(a["solver"]) for a in preordering["attempts"]] == [record_keys]
+    assert set(closed["certificate"]) == {"kind", "constraint", "degree", "epsilon", "terms", "source",
+                                          "verification"}
+    assert closed["attempts"] == [{"kind": "quadratic-module", "degree": 1, "source": "closed-form",
+                                   "residual": 0.0, "verified": True}]
+    assert closed["relaxations"] == []
 
 
 def test_each_accepted_certificate_is_expanded_once(monkeypatch, capsys):
@@ -753,3 +775,53 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["verdict"] == "not convex"
+
+
+# an ellipsoid cut by two half-spaces, shaped as the certify-convex instances
+ELLIPSOID = """vars: x1 x2 x3
+g: 1 - (0.8*x1 + 0.3*x2 - 0.1)^2 - (x2 - 0.2*x3 + 0.1)^2 - (0.5*x3 + 0.2*x1)^2
+g: 0.6*x1 - 0.8*x2 + 0.3
+g: x3 + 0.4
+"""
+
+
+def test_concave_quadratics_are_certified_with_no_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sdp.solve called")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    for path, mode in ((str(PROBLEMS / "disk.txt"), "analyze"), (write_problem(tmp_path, ELLIPSOID), "certify")):
+        code, payload = run_cli(capsys, [path, "--mode", mode, "--max-degree", "3"])
+        assert (payload["verdict"], code) == ("convex", 0)
+        for entry in payload["constraints"]:
+            assert entry["relaxations"] == []
+            assert entry["certificate"]["source"] == "closed-form"
+            assert entry["certificate"]["verification"]["passed"] is True
+            assert [a["verified"] for a in entry["attempts"]] == [True]
+        assert validate_report_payload(payload) == []
+
+
+def test_refute_skips_the_ladder_of_a_concave_quadratic(capsys, monkeypatch):
+    calls = count_solves(monkeypatch)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "box.txt"), "--mode", "refute"])
+    assert (payload["verdict"], code) == ("inconclusive", 2)
+    assert calls == []
+    for j, entry in enumerate(payload["constraints"], start=1):
+        assert (entry["verdict"], entry["certificate"], entry["relaxations"], entry["attempts"]) == (
+            "inconclusive", None, [], [])
+        assert entry["notes"] == [f"g{j} is concave: its closed-form certificate gives rho >= 0 at every order, "
+                                  "which leaves no room for a midpoint violation"]
+
+
+@pytest.mark.parametrize("mode", ["certify", "refute", "analyze"])
+def test_stengle_never_takes_the_closed_form(mode, capsys, monkeypatch):
+    def no_closed_form(*args):
+        raise AssertionError("closed form tried")
+
+    monkeypatch.setattr(certify, "closed_form_certificate", no_closed_form)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "interval.txt"), "--mode", mode, "--stengle"])
+    (entry,) = payload["constraints"]
+    if mode == "refute":  # --stengle has no part in refute mode: the ladder of today
+        assert (code, entry["relaxations"][0]["order"]) == (2, 1)
+    else:
+        assert (code, entry["certificate"]["kind"]) == (0, "preordering")
