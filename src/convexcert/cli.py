@@ -1,15 +1,15 @@
 """Command-line orchestration: certify, refute, or analyze a problem file.
 
-Without --stengle, a concave quadratic or affine g_j is settled before any
-ladder by certify.closed_form_certificate, which runs no solve: certify and
-analyze take its certificate when its recheck passes at --tol-residual
-(the entry then has no relaxations), and refute skips the constraint, as a
-concave g_j has rho >= 0 at every order. Every other constraint, and every
-constraint under --stengle, walks one order ladder, refute mode only up
-to the first refuted constraint (below). At each order k the degree-k
-quadratic-module program of g_j is solved once, in the Gram form of
-refute.solve_relaxation, and the mode decides only which conclusions may be
-drawn from that one solve:
+Without --stengle (which refute mode ignores), a concave quadratic or
+affine g_j is settled before any ladder by certify.closed_form_certificate,
+which runs no solve: certify and analyze take its certificate when its
+recheck passes at --tol-residual (the entry then has no relaxations), and
+refute skips the constraint, as a concave g_j has rho >= 0 at every order.
+Every other constraint, and in certify and analyze under --stengle every
+constraint, walks one order ladder, refute mode only up to the first refuted constraint (below).
+At each order k the degree-k quadratic-module program of g_j is solved
+once, in the Gram form of refute.solve_relaxation, and the mode decides
+only which conclusions may be drawn from that one solve:
 
 * bound rho >= -tol_feas: certify and analyze verify the solved Gram blocks
   as the quadratic-module certificate (a positive rho joins sigma_0 as a constant
@@ -18,15 +18,12 @@ drawn from that one solve:
   to find;
 * rho < -tol_feas: certify notes that -rho is the least epsilon for which
   the degree-k identity holds. Refute and analyze draw, at the first such
-  order, one seeded sample of member pairs (refute.sample_witness) and keep
-  its best polished pair. rho is a lower bound on g_j at the midpoint of
-  any two members, so a pair whose violation comes within
-  refute.SAMPLE_ATTAIN_RTOL * |rho| of rho is, up to that margin, as strong
-  a witness as any deeper order could give: the ladder stops there. Below
-  that, the order runs the flatness test, atom extraction and witness
-  validation, and later orders compare the same pair with their own rho.
-  A pair that attains no bound refutes the constraint only if the ladder
-  ends with no other witness.
+  order, one seeded sample of member pairs (refute.sample_witness). A
+  validated pair refutes the constraint and ends its ladder at that order,
+  as a certificate does; its witness names that order and its rho, a lower
+  bound on g_j at the midpoint of any two members. With no validated pair
+  (a thin set, or a sample with no member), that order and each later one
+  run the flatness test, atom extraction and witness validation.
 
 Refute mode walks no further ladder once a constraint ends with a validated
 witness, whatever its source: one violating member pair settles "not
@@ -117,10 +114,7 @@ class RunConfig:
 def _order_ladder(config: RunConfig, spec: ProblemSpec) -> tuple[int, int]:
     """First and last order: v = max_k ceil(deg g_k / 2) and v + 2 unless set."""
     v = refute.relaxation_orders(spec)
-    start = config.order if config.order is not None else v
-    if config.order is None and config.max_order is not None:
-        start = min(start, config.max_order)
-    start = max(start, v)
+    start = v if config.order is None else max(config.order, v)
     cap = config.max_order if config.max_order is not None else start + 2
     return start, max(start, cap)
 
@@ -221,14 +215,15 @@ def _entry(j: int, *notes: str) -> dict:
 def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
     """Constraint j's report entry: one Gram solve per order, conclusions by mode.
 
-    Without --stengle a concave quadratic or affine g_j walks no ladder:
-    certify and analyze keep its closed-form certificate when it passes (and
-    walk the ladder when it does not), and refute notes that no midpoint
-    violation is left to find.
+    Without --stengle, and in refute mode whatever --stengle says, a concave
+    quadratic or affine g_j walks no ladder: certify and analyze keep its
+    closed-form certificate when it passes (and walk the ladder when it does
+    not), and refute notes that no midpoint violation is left to find.
     """
     entry = _entry(j)
     notes = entry["notes"]
-    closed_form = None if config.stengle else certify.closed_form_certificate(spec, j)
+    stengle = config.stengle and config.mode != "refute"
+    closed_form = None if stengle else certify.closed_form_certificate(spec, j)
     if closed_form is not None:
         if config.mode == "refute":
             notes.append(
@@ -239,9 +234,7 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
         if _try_certificate(entry, closed_form, closed_form.d, config):
             return entry
     start, cap = _order_ladder(config, spec)
-    stengle = config.stengle and config.mode != "refute"
-    sampled: refute.NonconvexityWitness | None = None  # the kept member pair, if any
-    last_negative: tuple[int, float] | None = None  # (order, rho) of the last rho < -tol_feas
+    drawn = False  # one draw of member pairs per constraint
     for k in range(start, cap + 1):
         if stengle:
             try:
@@ -287,30 +280,16 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
                 "is the least epsilon for which the degree-k identity holds"
             )
             continue
-        if last_negative is None:  # one draw per constraint, from the first negative bound's moments
+        if not drawn:  # at the first negative bound, from its moments
+            drawn = True
             sampled = refute.sample_witness(result, spec, seed=config.seed, tol_feas=config.tol_feas)
-        violation = sampled.atoms[0].violation if sampled is not None else None
-        record["sampled_violation"] = violation
-        last_negative = (k, result.rho)
-        if sampled is not None and refute.attains_bound(violation, result.rho):
-            notes.append(
-                f"sampled member pair attains rho={result.rho:.3e} at order {k} "
-                f"within {refute.SAMPLE_ATTAIN_RTOL:g} (midpoint violation {violation:.3e})"
-            )
-            _accept_witness(entry, sampled, "sampled", k, result.rho)
-            break
+            if sampled is not None:
+                _accept_witness(entry, sampled, "sampled", k, result.rho)
+                break
         witness = _moment_witness(entry, record, result, spec, config)
         if witness is not None:
             _accept_witness(entry, witness, "moments", k, result.rho)
             break
-    if sampled is not None and entry["verdict"] == "inconclusive":
-        order, rho = last_negative
-        notes.append(
-            f"no flat witness up to order {order}; the sampled member pair "
-            f"(midpoint violation {sampled.atoms[0].violation:.3e}, rho={rho:.3e}) "
-            "refutes the constraint"
-        )
-        _accept_witness(entry, sampled, "sampled", order, rho)
     return entry
 
 

@@ -36,13 +36,12 @@ A witness needs no flatness when a pair of members can be found directly.
 sample_witness draws seeded uniform points in a box sized from the order-1
 moments, keeps those strictly inside the set, scores g_j at every pairwise
 midpoint in one vectorised pass, and polishes the best pairs by log-barrier
-Newton steps, whose iterates stay strictly inside. The stopping rule is
-sound because rho is a lower bound on g_j((x+y)/2) over all member pairs:
-a pair whose violation reaches rho within SAMPLE_ATTAIN_RTOL * |rho|
-(attains_bound) is, up to that margin, the strongest witness any order can
-give, so climbing further gains nothing. The sampler needs numpy only; a
-set with empty interior leaves it without members, and then only flatness
-can help.
+Newton steps, whose iterates stay strictly inside. One validated pair
+refutes convexity outright, whatever the order whose moments sized the
+box, so a deeper relaxation has nothing to add to it; rho, a lower bound on
+g_j((x+y)/2) over all member pairs, stays at or below its violation. The
+sampler needs numpy only; a set with empty interior leaves it without
+members, and then only flatness can help.
 """
 
 from __future__ import annotations
@@ -67,11 +66,7 @@ EXTRACTION_MAX_ATTEMPTS = 5
 # 1e-6 now and then even when the atoms are right to 1e-6. A loose match costs
 # no soundness: validate_witness re-evaluates every atom directly.
 EXTRACTION_MATCH_TOL = 1e-4
-# Sampled witnesses (sample_witness). A sampled pair whose violation is within
-# SAMPLE_ATTAIN_RTOL * |rho| of the order's bound rho attains that bound: rho
-# is a lower bound on g_j at every member midpoint, so no deeper order can
-# give a witness stronger by more than that margin.
-SAMPLE_ATTAIN_RTOL = 1e-2
+# Sampled witnesses (sample_witness).
 SAMPLE_POINTS = 400
 SAMPLE_POLISHED = 4
 SAMPLE_CHUNK = 8192  # midpoints scored per vectorised pass, to keep temporaries small
@@ -391,11 +386,6 @@ def validate_witness(
 
 
 # -- witnesses from sampled member pairs ----------------------------------------
-
-
-def attains_bound(violation: float, rho: float) -> bool:
-    """Whether a midpoint violation reaches the bound rho within SAMPLE_ATTAIN_RTOL."""
-    return violation <= rho + SAMPLE_ATTAIN_RTOL * abs(rho)
 
 
 def _polish(system: PolynomialSystem, pairs: np.ndarray, scale: float) -> np.ndarray:

@@ -77,6 +77,11 @@ def test_parabola_certify_only_inconclusive(tmp_path, capsys):
     assert g1["attempts"] == []
     assert [r["order"] for r in g1["relaxations"]] == [1, 2]
     assert all(r["status"] == "optimal" and r["rho"] <= -0.5 for r in g1["relaxations"])
+    # a --max-order below v = ceil(deg g / 2) is raised to v, as the first order is
+    path = write_problem(tmp_path, "vars: x\ng: 1 - x^4\n", name="quartic.txt")
+    code, payload = run_cli(capsys, [path, "--mode", "certify", "--max-order", "1"])
+    assert (payload["parameters"]["order"], payload["parameters"]["max_order"]) == (2, 2)
+    assert [r["order"] for r in payload["constraints"][0]["relaxations"]] == [2]
 
 
 def test_parabola_refute(tmp_path, capsys):
@@ -102,8 +107,8 @@ def test_interval_refute_finds_nothing(tmp_path, capsys):
 
 
 def test_two_interval_refute_unproven_signal(tmp_path, capsys):
-    # rho = -1 at order 1 is exact, and a sampled member pair attains it, so the
-    # negative bound is proven and no signal is left unproven
+    # rho = -1 at order 1 is exact, and a validated sampled member pair ends the
+    # ladder there, so the negative bound is proven and no signal is left unproven
     path = write_problem(tmp_path, TWO_INTERVAL)
     code, payload = run_cli(capsys, [path, "--mode", "refute"])
     assert code == 0
@@ -117,8 +122,7 @@ def test_two_interval_refute_unproven_signal(tmp_path, capsys):
     assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
     (atom,) = witness["atoms"]
     assert atom["violation"] <= -0.9
-    assert atom["violation"] == record["sampled_violation"]
-    assert refute.attains_bound(atom["violation"], record["rho"])
+    assert record["rho"] <= atom["violation"]
     assert atom["feasibility_margin"] >= 0.0
     assert validate_report_payload(payload) == []
 
@@ -126,9 +130,17 @@ def test_two_interval_refute_unproven_signal(tmp_path, capsys):
 THIN = "vars: x1 x2\ng: x1^2 - 1\ng: 1 - x1^2\ng: 1 - x2^2\n"  # two segments x1 = +-1
 
 
-def test_thin_set_keeps_unproven_signal(tmp_path, capsys):
+def test_thin_set_keeps_unproven_signal(tmp_path, capsys, monkeypatch):
     # a uniform sample holds no member of a set with empty interior, so the
     # negative bound stays unproven when the moments are not flat either
+    draws = []
+    sample_witness = refute.sample_witness
+
+    def counted(result, *args, **kwargs):
+        draws.append(result.j)
+        return sample_witness(result, *args, **kwargs)
+
+    monkeypatch.setattr(refute, "sample_witness", counted)
     path = write_problem(tmp_path, THIN)
     code, payload = run_cli(capsys, [path, "--mode", "refute"])
     assert code == 3
@@ -137,26 +149,10 @@ def test_thin_set_keeps_unproven_signal(tmp_path, capsys):
     g1 = payload["constraints"][0]
     assert g1["unproven_signal"] is True and g1["witness"] is None
     negative = [r for r in g1["relaxations"] if r["rho"] is not None and r["rho"] < -1e-6]
-    assert negative and all(r["sampled_violation"] is None for r in negative)
-
-
-def test_unattained_sampled_pair_is_the_fallback_witness(tmp_path, capsys, monkeypatch):
-    # with the stop disabled, two_interval is flat at no order, so the kept pair
-    # refutes the constraint at the end of the ladder, named by the last order
-    monkeypatch.setattr(refute, "attains_bound", lambda violation, rho: False)
-    path = write_problem(tmp_path, TWO_INTERVAL)
-    code, payload = run_cli(capsys, [path, "--mode", "refute"])
-    assert code == 0
-    assert payload["verdict"] == "not convex"
-    assert payload["flags"] == []
-    g1 = payload["constraints"][0]
-    assert g1["unproven_signal"] is False
-    assert [r["order"] for r in g1["relaxations"]] == [1, 2, 3]
-    assert len({r["sampled_violation"] for r in g1["relaxations"]}) == 1  # one draw
-    last = g1["relaxations"][-1]
-    witness = g1["witness"]
-    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 3, last["rho"])
-    assert witness["atoms"][0]["violation"] == last["sampled_violation"] <= -0.9
+    assert len(negative) > 1 and all("flatness" in r for r in negative)
+    # one draw per constraint across all its orders: g1's, at its first negative
+    # bound (g2 and g3 are concave, skipped with no solve)
+    assert draws == [1]
 
 
 def test_moment_witness_clears_earlier_unproven_signal(capsys, monkeypatch):
@@ -174,17 +170,32 @@ def test_moment_witness_clears_earlier_unproven_signal(capsys, monkeypatch):
 
 
 def test_hyperbola_report_has_no_stale_unproven_signal(capsys):
-    # order 1 fails the flatness gate, order 2 is attained by the sampled pair
+    # order 1 is not flat, but its validated sampled pair ends the ladder
+    # before the flatness test runs, so no signal is raised at all
     code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt")])
     assert (payload["verdict"], code) == ("not convex", 0)
     assert payload["flags"] == []
     g1 = payload["constraints"][0]
     assert g1["unproven_signal"] is False
-    first, second = g1["relaxations"]
-    assert first["flatness"]["flat"] is False and "flatness" not in second
-    assert first["sampled_violation"] == second["sampled_violation"]
-    assert not refute.attains_bound(first["sampled_violation"], first["rho"])
-    assert (g1["witness"]["source"], g1["witness"]["order"]) == ("sampled", 2)
+    assert g1["notes"] == []
+    assert g1["witness"]["source"] == "sampled"
+
+
+def test_hyperbola_analyze_stops_at_the_drawing_order(capsys, monkeypatch):
+    # the order-1 draw validates a pair, so g1's ladder ends at order 1 with one
+    # solve (g2 and g3 are concave, certified in closed form); the witness names
+    # order 1 and its bound, which lies below the pair's violation
+    calls = count_solves(monkeypatch)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt"), "--mode", "analyze"])
+    assert (payload["verdict"], code) == ("not convex", 0)
+    assert len(calls) == 1
+    g1 = payload["constraints"][0]
+    (record,) = g1["relaxations"]
+    assert record["order"] == 1
+    assert "flatness" not in record and "sampled_violation" not in record
+    witness = g1["witness"]
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
+    assert record["rho"] <= witness["atoms"][0]["violation"] <= 0.99 * MIDPOINT_MINIMA["hyperbola"]
 
 
 def test_negative_seed_exits_64(tmp_path, capsys):
@@ -315,7 +326,7 @@ def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, PARABOLA)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
-    # g1: order 1, where a sampled member pair attains rho; g2 and g3: concave,
+    # g1: order 1, where a sampled member pair is validated; g2 and g3: concave,
     # certified in closed form with no solve
     assert len(calls) == 1
     assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 1
@@ -325,8 +336,7 @@ def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
     witness = g1["witness"]
     assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
     (atom,) = witness["atoms"]
-    assert refute.attains_bound(atom["violation"], record["rho"])
-    assert atom["violation"] <= -0.99 and math.dist(atom["midpoint"], (0.0, 1.0)) <= 1e-2
+    assert record["rho"] <= atom["violation"] <= -0.99 and math.dist(atom["midpoint"], (0.0, 1.0)) <= 1e-2
 
 
 def test_interval_analyze(tmp_path, capsys):
@@ -522,7 +532,7 @@ README_OUTCOMES = {
 # (source, order, atom count) of the first witness, as the README table states it
 README_WITNESSES = {
     "parabola": ("sampled", 1, 1),
-    "hyperbola": ("sampled", 2, 1),
+    "hyperbola": ("sampled", 1, 1),
     "two_interval": ("sampled", 1, 1),
 }
 # least value of g1 at the midpoint of two members (hyperbola: (2, 1/2) and (-1/2, -2))
@@ -541,17 +551,17 @@ def test_bundled_problem_analyze_outcome(path, capsys):
     assert (witness["source"], witness["order"], len(witness["atoms"])) == README_WITNESSES[path.stem]
     (record,) = [r for r in payload["constraints"][0]["relaxations"] if r["order"] == witness["order"]]
     assert witness["rho"] == record["rho"]
-    # the pair attains its order's bound, which lies below the true minimum
+    # the order's bound lies below the pair's violation and the true minimum
     atom = witness["atoms"][0]
-    assert refute.attains_bound(atom["violation"], witness["rho"])
+    assert witness["rho"] <= atom["violation"]
     assert witness["rho"] <= MIDPOINT_MINIMA[path.stem] + 1e-6
-    assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * (1.0 - refute.SAMPLE_ATTAIN_RTOL)
+    assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * 0.99
     assert atom["feasibility_margin"] >= 0.0
     assert "unproven-nonconvexity-signal" not in payload["flags"]
 
 
 # sdp.solve calls of a refute run: g1's orders only, since g1's witness settles the verdict
-REFUTE_SOLVES = {"parabola": 1, "hyperbola": 2, "two_interval": 1}
+REFUTE_SOLVES = {"parabola": 1, "hyperbola": 1, "two_interval": 1}
 
 
 @pytest.mark.parametrize("name", sorted(REFUTE_SOLVES))
@@ -656,7 +666,7 @@ def test_bundled_problem_archimedean_outcome(path, capsys):
     witness = payload["constraints"][0]["witness"]
     if witness is not None:
         for atom in witness["atoms"]:
-            assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * (1.0 - refute.SAMPLE_ATTAIN_RTOL)
+            assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * 0.99
 
 
 def test_runs_check_no_keys_of_their_own_polynomials(monkeypatch):
@@ -815,13 +825,20 @@ def test_refute_skips_the_ladder_of_a_concave_quadratic(capsys, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["certify", "refute", "analyze"])
 def test_stengle_never_takes_the_closed_form(mode, capsys, monkeypatch):
+    path = str(PROBLEMS / "interval.txt")
+    if mode == "refute":  # --stengle has no part in refute mode: the closed form skips g1, with no solve
+        calls = count_solves(monkeypatch)
+        code, payload = run_cli(capsys, [path, "--mode", mode, "--stengle"])
+        assert calls == []
+        plain_code, plain = run_cli(capsys, [path, "--mode", mode])
+        assert (code, payload["constraints"]) == (plain_code, plain["constraints"])
+        assert code == 2 and payload["constraints"][0]["relaxations"] == []
+        return
+
     def no_closed_form(*args):
         raise AssertionError("closed form tried")
 
     monkeypatch.setattr(certify, "closed_form_certificate", no_closed_form)
-    code, payload = run_cli(capsys, [str(PROBLEMS / "interval.txt"), "--mode", mode, "--stengle"])
+    code, payload = run_cli(capsys, [path, "--mode", mode, "--stengle"])
     (entry,) = payload["constraints"]
-    if mode == "refute":  # --stengle has no part in refute mode: the ladder of today
-        assert (code, entry["relaxations"][0]["order"]) == (2, 1)
-    else:
-        assert (code, entry["certificate"]["kind"]) == (0, "preordering")
+    assert (code, entry["certificate"]["kind"]) == (0, "preordering")

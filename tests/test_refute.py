@@ -16,7 +16,6 @@ from convexcert.refute import (
     build_moment_sdp,
     extract_atoms,
     rank_flatness_check,
-    attains_bound,
     relaxation_orders,
     sample_witness,
     solve_relaxation,
@@ -587,8 +586,8 @@ def test_sampled_pair_attains_the_exact_bound_at_any_scale(scale):
     first = _first_order_result(spec)
     witness = sample_witness(first, spec, seed=0)
     violation = witness.atoms[0].violation
-    assert not attains_bound(violation, first.rho)
-    assert attains_bound(violation, -1.5625 * scale * scale)
+    assert first.rho <= violation and 0.99 * first.rho < violation  # order 1's bound is loose
+    assert violation <= 0.99 * -1.5625 * scale * scale
 
 
 @pytest.mark.parametrize("text", [INTERVAL, DISK, BOX, ELLIPSOID],
@@ -620,8 +619,3 @@ def test_sample_witness_is_deterministic():
     first = sample_witness(result, spec, seed=5).to_payload()
     assert sample_witness(result, spec, seed=5).to_payload() == first
     assert sample_witness(result, spec, seed=6).to_payload() != first
-
-
-def test_attains_bound_is_relative():
-    assert attains_bound(-0.995, -1.0) and not attains_bound(-0.985, -1.0)
-    assert attains_bound(-0.995e-4, -1e-4) and not attains_bound(-0.985e-4, -1e-4)
