@@ -8,8 +8,9 @@ Next to each verdict it prints the size of the largest relaxation that was
 solved (its PSD block sizes and equality count p, from the report's
 relaxations[].solver records) and the solver iterations over all
 relaxations, so a change in SDP size shows in the log. A problem that solves
-no relaxation, as one whose constraints are all certified in closed form,
-prints `-` and 0.
+no relaxation prints `-` and 0: one whose constraints are all certified in
+closed form, and the three refuted ones (`hyperbola`, `parabola`,
+`two_interval`), whose member pair is sampled before any relaxation.
 """
 
 import sys

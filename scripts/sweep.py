@@ -11,7 +11,7 @@ and --archimedean 2. Each run goes through convexcert.cli.main of this
 checkout's src/, and its file holds the exit code and the report with every
 ``*_seconds`` timing removed, the only values docs/formats.md lets differ
 between reruns. OUT_DIR also gets the --dump-sdp files of hyperbola in
-analyze mode and the --help text. BLAS runs on one thread whatever the
+certify mode and the --help text. BLAS runs on one thread whatever the
 environment says.
 
 With --against, every file in OUT_DIR is compared byte for byte with the one
@@ -85,7 +85,8 @@ def sweep(out: Path) -> None:
         for path in sorted((ROOT / "problems").glob("*.txt")):
             for variant, flags in PROBLEM_FLAGS.items():
                 (out / f"problem-{path.stem}-{variant}.json").write_text(_run([str(path), *flags], scratch))
-        _run([str(ROOT / "problems" / "hyperbola.txt"), "--mode", "analyze",
+        # certify mode, which samples no member pair, so g1's ladder is solved and dumped
+        _run([str(ROOT / "problems" / "hyperbola.txt"), "--mode", "certify",
               "--dump-sdp", str(out / "dump-hyperbola")], scratch)
     help_text = io.StringIO()
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width

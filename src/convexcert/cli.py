@@ -5,8 +5,12 @@ affine g_j is settled before any ladder by certify.closed_form_certificate,
 which runs no solve: certify and analyze take its certificate when its
 recheck passes at --tol-residual (the entry then has no relaxations), and
 refute skips the constraint, as a concave g_j has rho >= 0 at every order.
-Every other constraint, and in certify and analyze under --stengle every
-constraint, walks one order ladder, refute mode only up to the first refuted constraint (below).
+Refute and analyze then sample every other constraint for a violating
+member pair before any solve (refute.sample_witness over the box radii of
+refute.SAMPLE_RADII); a validated pair refutes it with no relaxation, and
+its witness names no order and no rho. Every constraint left, and in
+certify under --stengle every constraint, walks one order ladder, refute
+mode only up to the first refuted constraint (below).
 At each order k the degree-k quadratic-module program of g_j is solved
 once, in the Gram form of refute.solve_relaxation, and the mode decides
 only which conclusions may be drawn from that one solve:
@@ -18,12 +22,14 @@ only which conclusions may be drawn from that one solve:
   to find;
 * rho < -tol_feas: certify notes that -rho is the least epsilon for which
   the degree-k identity holds. Refute and analyze draw, at the first such
-  order, one seeded sample of member pairs (refute.sample_witness). A
-  validated pair refutes the constraint and ends its ladder at that order,
-  as a certificate does; its witness names that order and its rho, a lower
-  bound on g_j at the midpoint of any two members. With no validated pair
-  (a thin set, or a sample with no member), that order and each later one
-  run the flatness test, atom extraction and witness validation.
+  order, once more, in the one box whose radius that order's moments give
+  (refute.moment_radius), which reaches sets too tiny or too far for the
+  fixed radii. A validated pair refutes the constraint and ends its ladder
+  at that order, as a certificate does; its witness names that order and
+  its rho, a lower bound on g_j at the midpoint of any two members. With no
+  validated pair (a thin set, or a sample with no member), that order and
+  each later one run the flatness test, atom extraction and witness
+  validation.
 
 Refute mode walks no further ladder once a constraint ends with a validated
 witness, whatever its source: one violating member pair settles "not
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -191,8 +198,9 @@ def _moment_witness(entry: dict, record: dict, result: refute.RelaxationResult,
 
 
 def _accept_witness(entry: dict, witness: refute.NonconvexityWitness, source: str,
-                    order: int, rho: float) -> None:
-    """Refute the constraint; order and rho name the relaxation the witness answers."""
+                    order: int | None, rho: float | None) -> None:
+    """Refute the constraint; order and rho name the relaxation the witness answers,
+    None for a pair sampled before any relaxation."""
     payload = witness.to_payload()
     payload.update(source=source, order=order, rho=rho)
     entry.update(verdict="refuted", witness=payload, unproven_signal=False)
@@ -219,6 +227,8 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
     quadratic or affine g_j walks no ladder: certify and analyze keep its
     closed-form certificate when it passes (and walk the ladder when it does
     not), and refute notes that no midpoint violation is left to find.
+    Refute and analyze walk no ladder either for a g_j refuted by a member
+    pair sampled before it.
     """
     entry = _entry(j)
     notes = entry["notes"]
@@ -233,8 +243,13 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
             return entry
         if _try_certificate(entry, closed_form, closed_form.d, config):
             return entry
+    if config.mode != "certify":
+        sampled = refute.sample_witness(spec, j, seed=config.seed, tol_feas=config.tol_feas)
+        if sampled is not None:
+            _accept_witness(entry, sampled, "sampled", None, None)
+            return entry
     start, cap = _order_ladder(config, spec)
-    drawn = False  # one draw of member pairs per constraint
+    drawn = False  # one more draw of member pairs, in a box sized from the moments
     for k in range(start, cap + 1):
         if stengle:
             try:
@@ -280,9 +295,11 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
                 "is the least epsilon for which the degree-k identity holds"
             )
             continue
-        if not drawn:  # at the first negative bound, from its moments
+        if not drawn:  # at the first negative bound
             drawn = True
-            sampled = refute.sample_witness(result, spec, seed=config.seed, tol_feas=config.tol_feas)
+            radius = refute.moment_radius(result)
+            sampled = None if radius is None else refute.sample_witness(
+                spec, j, (radius,), seed=config.seed, tol_feas=config.tol_feas)
             if sampled is not None:
                 _accept_witness(entry, sampled, "sampled", k, result.rho)
                 break
@@ -366,7 +383,9 @@ def exit_code_for(report: dict) -> int:
     return EXIT_INCONCLUSIVE
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; building it costs about ten times a parse."""
     parser = argparse.ArgumentParser(
         prog="convexcert",
         description="Certify convexity of a basic closed semi-algebraic set, or "

@@ -32,22 +32,25 @@ combination when the atoms fail to reproduce z. Witness validation
 re-evaluates every polynomial inequality directly, so an accepted witness
 stands on its own without trusting the solver.
 
-A witness needs no flatness when a pair of members can be found directly.
-sample_witness draws seeded uniform points in a box sized from the order-1
-moments, keeps those strictly inside the set, scores g_j at every pairwise
-midpoint in one vectorised pass, and polishes the best pairs by log-barrier
-Newton steps, whose iterates stay strictly inside. One validated pair
-refutes convexity outright, whatever the order whose moments sized the
-box, so a deeper relaxation has nothing to add to it; rho, a lower bound on
-g_j((x+y)/2) over all member pairs, stays at or below its violation. The
-sampler needs numpy only; a set with empty interior leaves it without
-members, and then only flatness can help.
+A witness needs no relaxation when a pair of members can be found directly.
+sample_witness draws seeded uniform points in boxes of given radii, keeps
+those strictly inside the set, scores g_j at every pairwise midpoint in one
+vectorised pass, and polishes the best pairs by log-barrier Newton steps,
+whose iterates stay strictly inside. One validated pair refutes convexity
+outright, so the CLI draws before any solve, over the fixed radii of
+SAMPLE_RADII, and only a constraint with no such pair reaches the
+relaxations. Their first negative bound sizes one more box from the
+order-1 moments (moment_radius), for sets too tiny or too far for the fixed
+radii; rho, a lower bound on g_j((x+y)/2) over all member pairs, stays at
+or below the violation of any pair. The sampler needs numpy only; a set
+with empty interior leaves it without members, and then only flatness can
+help.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log10
+from math import ceil, log10, sqrt
 
 import numpy as np
 
@@ -67,6 +70,7 @@ EXTRACTION_MAX_ATTEMPTS = 5
 # no soundness: validate_witness re-evaluates every atom directly.
 EXTRACTION_MATCH_TOL = 1e-4
 # Sampled witnesses (sample_witness).
+SAMPLE_RADII = (1.0, 4.0, 16.0, 64.0)  # box radii of the draw before any relaxation
 SAMPLE_POINTS = 400
 SAMPLE_POLISHED = 4
 SAMPLE_CHUNK = 8192  # midpoints scored per vectorised pass, to keep temporaries small
@@ -439,60 +443,72 @@ def _polish(system: PolynomialSystem, pairs: np.ndarray, scale: float) -> np.nda
     return w
 
 
+def moment_radius(result: RelaxationResult) -> float | None:
+    """2 * sqrt(max_i E[w_i^2]), the second moments read off the diagonal of
+    the order-1 moment matrix of result; None when that is not finite and positive.
+
+    It is the box radius of the draw that follows a relaxation, for sets too
+    tiny or too far for the radii of SAMPLE_RADII.
+    """
+    if result.z is None:
+        raise ValueError("relaxation result carries no moment sequence")
+    peak = float(np.max(np.diag(moment_matrix(result.z, 1))[1:]))  # largest E[w_i^2]
+    if not (np.isfinite(peak) and peak > 0.0):
+        return None
+    return 2.0 * sqrt(peak)
+
+
 def sample_witness(
-    result: RelaxationResult,
     spec: ProblemSpec,
+    j: int,
+    radii: tuple[float, ...] = SAMPLE_RADII,
     seed: int = 0,
     tol_feas: float = DEFAULT_FEASIBILITY_TOL,
 ) -> NonconvexityWitness | None:
     """The best member pair of a seeded sample, polished, as a one-atom witness.
 
-    SAMPLE_POINTS points are drawn uniformly from the box of radius
-    2 * sqrt(max_i E[w_i^2]) about the origin, the second moments read off
-    the diagonal of the order-1 moment matrix of result; the generator is
-    seeded with (seed, j). The points where every g_k is positive, evaluated
-    at the point itself with no tolerance, are the members. g_j is scored at
-    the midpoints of all member pairs in one vectorised pass (in chunks of
-    SAMPLE_CHUNK midpoints), and the SAMPLE_POLISHED best pairs are polished
-    by _polish with the scale |rho|. The best polished pair is kept when
-    validate_witness accepts it and it stays inside the set, so a sampled
-    witness has feasibility_margin >= 0.
+    One generator, seeded with (seed, j), serves every box radius R of
+    radii in turn. Per radius, SAMPLE_POINTS points are drawn uniformly from
+    [-R, R]^n; the points where every g_k is positive, evaluated at the point
+    itself with no tolerance, are the members. g_j is scored at the midpoints
+    of all member pairs in one vectorised pass (in chunks of SAMPLE_CHUNK
+    midpoints). When the best pair violates g_j, the SAMPLE_POLISHED best
+    pairs are polished by _polish with the scale |best violation|, and the
+    best polished pair is kept when validate_witness accepts it and it stays
+    inside the set, so a sampled witness has feasibility_margin >= 0. The
+    first radius that yields such a pair ends the draw.
 
-    Returns None when the sample holds fewer than two members (a thin set:
-    no polish is run) or no pair qualifies. Needs numpy only.
+    Returns None when no radius does: a sample with fewer than two members
+    (a thin set) or with no violating pair runs no polish. Needs numpy only.
     """
-    if result.z is None or result.rho is None:
-        raise ValueError("relaxation result carries no moment sequence")
-    n, j = spec.n, result.j
-    peak = float(np.max(np.diag(moment_matrix(result.z, 1))[1:]))  # largest E[w_i^2]
-    if not (np.isfinite(peak) and peak > 0.0):
-        return None
-    radius = 2.0 * np.sqrt(peak)
+    n = spec.n
+    g = spec.constraints[certify._constraint_index(spec, j)]
     rng = np.random.default_rng([seed, j])
-    points = rng.uniform(-radius, radius, size=(SAMPLE_POINTS, n))
     constraints = PolynomialSystem(spec.constraints)
-    members = points[np.all(constraints(points) > 0.0, axis=1)]
-    count = len(members)
-    if count < 2:
-        return None
-    objective = PolynomialSystem([spec.constraints[j - 1]])
-    scores = np.empty((count, count))
-    rows_per_chunk = max(1, SAMPLE_CHUNK // count)
-    for start in range(0, count, rows_per_chunk):
-        block = members[start:start + rows_per_chunk]
-        midpoints = 0.5 * (block[:, None, :] + members[None, :, :])
-        scores[start:start + len(block)] = objective(midpoints.reshape(-1, n)).reshape(len(block), count)
-    scores[np.tri(count, dtype=bool)] = np.inf  # each unordered pair once, no pair with itself
-    polished_count = min(SAMPLE_POLISHED, count * (count - 1) // 2)
-    best = np.argpartition(scores, polished_count - 1, axis=None)[:polished_count]
-    rows, cols = np.unravel_index(best, scores.shape)
-    pairs = np.hstack([members[rows], members[cols]])
-    lifted = [midpoint_substitute(spec.constraints[j - 1])]
-    lifted += [lift(g, side) for side in ("x", "y") for g in spec.constraints]
+    objective = PolynomialSystem([g])
+    lifted = [midpoint_substitute(g)] + [lift(gk, side) for side in ("x", "y") for gk in spec.constraints]
     system = PolynomialSystem(lifted)
-    polished = _polish(system, pairs, abs(result.rho))
-    pick = int(np.argmin(system(polished)[:, 0]))
-    witness = validate_witness([(polished[pick], 1.0)], spec, j, tol_feas=tol_feas)
-    if witness is None or witness.atoms[0].feasibility_margin < 0.0:
-        return None
-    return witness
+    for radius in radii:
+        points = rng.uniform(-radius, radius, size=(SAMPLE_POINTS, n))
+        members = points[np.all(constraints(points) > 0.0, axis=1)]
+        count = len(members)
+        if count < 2:
+            continue
+        scores = np.empty((count, count))
+        rows_per_chunk = max(1, SAMPLE_CHUNK // count)
+        for start in range(0, count, rows_per_chunk):  # columns left of start lie below the diagonal
+            block, right = members[start:start + rows_per_chunk], members[start:]
+            midpoints = 0.5 * (block[:, None, :] + right[None, :, :])
+            scores[start:start + len(block), start:] = objective(midpoints.reshape(-1, n)).reshape(len(block), -1)
+        scores[np.tri(count, dtype=bool)] = np.inf  # each unordered pair once, no pair with itself
+        if not np.any(scores < 0.0):
+            continue
+        polished_count = min(SAMPLE_POLISHED, count * (count - 1) // 2)
+        best = np.argpartition(scores, polished_count - 1, axis=None)[:polished_count]
+        rows, cols = np.unravel_index(best, scores.shape)
+        polished = _polish(system, np.hstack([members[rows], members[cols]]), -float(scores.flat[best].min()))
+        pick = int(np.argmin(system(polished)[:, 0]))
+        witness = validate_witness([(polished[pick], 1.0)], spec, j, tol_feas=tol_feas)
+        if witness is not None and witness.atoms[0].feasibility_margin >= 0.0:
+            return witness
+    return None

@@ -54,6 +54,19 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
+def count_draws(monkeypatch) -> list:
+    """Patch refute.sample_witness to record (j, number of radii) per call; returns the record."""
+    draws = []
+    original = refute.sample_witness
+
+    def counted(spec, j, radii=refute.SAMPLE_RADII, **kwargs):
+        draws.append((j, len(radii)))
+        return original(spec, j, radii, **kwargs)
+
+    monkeypatch.setattr(refute, "sample_witness", counted)
+    return draws
+
+
 def test_interval_certify(tmp_path, capsys):
     path = write_problem(tmp_path, INTERVAL)
     code, payload = run_cli(capsys, [path, "--mode", "certify"])
@@ -107,8 +120,8 @@ def test_interval_refute_finds_nothing(tmp_path, capsys):
 
 
 def test_two_interval_refute_unproven_signal(tmp_path, capsys):
-    # rho = -1 at order 1 is exact, and a validated sampled member pair ends the
-    # ladder there, so the negative bound is proven and no signal is left unproven
+    # a validated sampled member pair refutes g1 before any relaxation, so no
+    # negative bound is computed and no signal is left unproven
     path = write_problem(tmp_path, TWO_INTERVAL)
     code, payload = run_cli(capsys, [path, "--mode", "refute"])
     assert code == 0
@@ -116,13 +129,11 @@ def test_two_interval_refute_unproven_signal(tmp_path, capsys):
     assert "unproven-nonconvexity-signal" not in payload["flags"]
     g1 = payload["constraints"][0]
     assert g1["unproven_signal"] is False
-    (record,) = g1["relaxations"]
-    assert record["order"] == 1 and record["rho"] <= -0.95
+    assert g1["relaxations"] == []
     witness = g1["witness"]
-    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", None, None)
     (atom,) = witness["atoms"]
-    assert atom["violation"] <= -0.9
-    assert record["rho"] <= atom["violation"]
+    assert atom["violation"] <= 0.99 * MIDPOINT_MINIMA["two_interval"]
     assert atom["feasibility_margin"] >= 0.0
     assert validate_report_payload(payload) == []
 
@@ -133,14 +144,7 @@ THIN = "vars: x1 x2\ng: x1^2 - 1\ng: 1 - x1^2\ng: 1 - x2^2\n"  # two segments x1
 def test_thin_set_keeps_unproven_signal(tmp_path, capsys, monkeypatch):
     # a uniform sample holds no member of a set with empty interior, so the
     # negative bound stays unproven when the moments are not flat either
-    draws = []
-    sample_witness = refute.sample_witness
-
-    def counted(result, *args, **kwargs):
-        draws.append(result.j)
-        return sample_witness(result, *args, **kwargs)
-
-    monkeypatch.setattr(refute, "sample_witness", counted)
+    draws = count_draws(monkeypatch)
     path = write_problem(tmp_path, THIN)
     code, payload = run_cli(capsys, [path, "--mode", "refute"])
     assert code == 3
@@ -150,14 +154,16 @@ def test_thin_set_keeps_unproven_signal(tmp_path, capsys, monkeypatch):
     assert g1["unproven_signal"] is True and g1["witness"] is None
     negative = [r for r in g1["relaxations"] if r["rho"] is not None and r["rho"] < -1e-6]
     assert len(negative) > 1 and all("flatness" in r for r in negative)
-    # one draw per constraint across all its orders: g1's, at its first negative
-    # bound (g2 and g3 are concave, skipped with no solve)
-    assert draws == [1]
+    # g1 is drawn twice across all its orders: over the radius ladder before
+    # any solve, and in one box sized from the moments of its first negative
+    # bound (g2 and g3 are concave, skipped with no draw and no solve)
+    assert draws == [(1, len(refute.SAMPLE_RADII)), (1, 1)]
 
 
 def test_moment_witness_clears_earlier_unproven_signal(capsys, monkeypatch):
-    # without sampling, hyperbola fails the flatness gate at orders 1 and 2 and
-    # is refuted by extracted atoms at order 3; the earlier signal is then proven
+    # with both draws patched out, the one before the ladder and the one at the
+    # first negative bound, hyperbola fails the flatness gate at orders 1 and 2
+    # and is refuted by extracted atoms at order 3; the earlier signal is then proven
     monkeypatch.setattr(refute, "sample_witness", lambda *args, **kwargs: None)
     code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt")])
     assert (payload["verdict"], code) == ("not convex", 0)
@@ -182,20 +188,20 @@ def test_hyperbola_report_has_no_stale_unproven_signal(capsys):
 
 
 def test_hyperbola_analyze_stops_at_the_drawing_order(capsys, monkeypatch):
-    # the order-1 draw validates a pair, so g1's ladder ends at order 1 with one
-    # solve (g2 and g3 are concave, certified in closed form); the witness names
-    # order 1 and its bound, which lies below the pair's violation
+    # the draw before the ladder validates a pair, so g1's ladder is never
+    # walked (g2 and g3 are concave, certified in closed form): no solve, and
+    # the witness names no order and no bound
     calls = count_solves(monkeypatch)
     code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt"), "--mode", "analyze"])
     assert (payload["verdict"], code) == ("not convex", 0)
-    assert len(calls) == 1
+    assert calls == []
     g1 = payload["constraints"][0]
-    (record,) = g1["relaxations"]
-    assert record["order"] == 1
-    assert "flatness" not in record and "sampled_violation" not in record
+    assert g1["relaxations"] == []
     witness = g1["witness"]
-    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
-    assert record["rho"] <= witness["atoms"][0]["violation"] <= 0.99 * MIDPOINT_MINIMA["hyperbola"]
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", None, None)
+    (atom,) = witness["atoms"]
+    assert atom["violation"] <= 0.99 * MIDPOINT_MINIMA["hyperbola"]
+    assert atom["feasibility_margin"] >= 0.0
 
 
 def test_negative_seed_exits_64(tmp_path, capsys):
@@ -326,17 +332,17 @@ def test_parabola_analyze_one_solve_per_order(tmp_path, capsys, monkeypatch):
     path = write_problem(tmp_path, PARABOLA)
     code, payload = run_cli(capsys, [path, "--mode", "analyze"])
     assert code == 0
-    # g1: order 1, where a sampled member pair is validated; g2 and g3: concave,
-    # certified in closed form with no solve
-    assert len(calls) == 1
-    assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 1
+    # g1: a member pair sampled before any solve is validated; g2 and g3:
+    # concave, certified in closed form with no solve
+    assert calls == []
+    assert sum(len(c["relaxations"]) for c in payload["constraints"]) == 0
     g1, g2, g3 = payload["constraints"]
     assert [(g["certificate"]["source"], g["relaxations"]) for g in (g2, g3)] == [("closed-form", [])] * 2
-    (record,) = g1["relaxations"]
     witness = g1["witness"]
-    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", None, None)
     (atom,) = witness["atoms"]
-    assert record["rho"] <= atom["violation"] <= -0.99 and math.dist(atom["midpoint"], (0.0, 1.0)) <= 1e-2
+    assert atom["violation"] <= -0.99 and math.dist(atom["midpoint"], (0.0, 1.0)) <= 1e-2
+    assert atom["feasibility_margin"] >= 0.0
 
 
 def test_interval_analyze(tmp_path, capsys):
@@ -529,11 +535,12 @@ README_OUTCOMES = {
     "two_interval": ("not convex", 0),
     "cubic_halfline": ("inconclusive", 2),
 }
-# (source, order, atom count) of the first witness, as the README table states it
+# (source, order, g1's relaxation count) of the one-atom first witness, as the
+# README table states it: a pair sampled before any relaxation
 README_WITNESSES = {
-    "parabola": ("sampled", 1, 1),
-    "hyperbola": ("sampled", 1, 1),
-    "two_interval": ("sampled", 1, 1),
+    "parabola": ("sampled", None, 0),
+    "hyperbola": ("sampled", None, 0),
+    "two_interval": ("sampled", None, 0),
 }
 # least value of g1 at the midpoint of two members (hyperbola: (2, 1/2) and (-1/2, -2))
 MIDPOINT_MINIMA = {"parabola": -1.0, "hyperbola": -1.5625, "two_interval": -1.0}
@@ -548,32 +555,27 @@ def test_bundled_problem_analyze_outcome(path, capsys):
         assert witnesses == []
         return
     witness = witnesses[0]
-    assert (witness["source"], witness["order"], len(witness["atoms"])) == README_WITNESSES[path.stem]
-    (record,) = [r for r in payload["constraints"][0]["relaxations"] if r["order"] == witness["order"]]
-    assert witness["rho"] == record["rho"]
-    # the order's bound lies below the pair's violation and the true minimum
-    atom = witness["atoms"][0]
-    assert witness["rho"] <= atom["violation"]
-    assert witness["rho"] <= MIDPOINT_MINIMA[path.stem] + 1e-6
+    relaxations = payload["constraints"][0]["relaxations"]
+    assert (witness["source"], witness["order"], len(relaxations)) == README_WITNESSES[path.stem]
+    # no relaxation, so no bound; the pair comes within 1% of the true minimum
+    assert witness["rho"] is None
+    (atom,) = witness["atoms"]
     assert atom["violation"] <= MIDPOINT_MINIMA[path.stem] * 0.99
     assert atom["feasibility_margin"] >= 0.0
     assert "unproven-nonconvexity-signal" not in payload["flags"]
 
 
-# sdp.solve calls of a refute run: g1's orders only, since g1's witness settles the verdict
-REFUTE_SOLVES = {"parabola": 1, "hyperbola": 1, "two_interval": 1}
-
-
-@pytest.mark.parametrize("name", sorted(REFUTE_SOLVES))
+@pytest.mark.parametrize("name", sorted(README_WITNESSES))
 def test_refute_examines_no_constraint_after_the_first_witness(name, capsys, monkeypatch):
+    # sdp.solve runs for g1's orders only, since g1's witness settles the verdict
     calls = count_solves(monkeypatch)
     code, payload = run_cli(capsys, [str(PROBLEMS / f"{name}.txt"), "--mode", "refute"])
     assert (payload["verdict"], code, payload["flags"]) == ("not convex", 0, [])
-    assert len(calls) == REFUTE_SOLVES[name]
     first, *rest = payload["constraints"]
     assert len(first["relaxations"]) == len(calls)
     witness = first["witness"]
-    assert (witness["source"], witness["order"], len(witness["atoms"])) == README_WITNESSES[name]
+    assert (witness["source"], witness["order"], len(calls)) == README_WITNESSES[name]
+    assert len(witness["atoms"]) == 1
     assert rest == [
         {
             "index": j,
@@ -590,6 +592,54 @@ def test_refute_examines_no_constraint_after_the_first_witness(name, capsys, mon
     assert validate_report_payload(payload) == []
 
 
+@pytest.mark.parametrize("mode", ["refute", "analyze"])
+@pytest.mark.parametrize("name", sorted(README_WITNESSES))
+def test_bundled_nonconvex_problems_need_no_solve(name, mode, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sdp.solve called")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    code, payload = run_cli(capsys, [str(PROBLEMS / f"{name}.txt"), "--mode", mode])
+    assert (payload["verdict"], code, payload["flags"]) == ("not convex", 0, [])
+    witness = payload["constraints"][0]["witness"]
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", None, None)
+    assert validate_report_payload(payload) == []
+
+
+# hyperbola scaled to S^2 g(x/S) at S = 1e2: no member lies in a box of refute.SAMPLE_RADII
+FAR_HYPERBOLA = "vars: x1 x2\ng: x1*x2 - 10000.0\ng: 40000.0 - x1^2\ng: 40000.0 - x2^2\n"
+
+
+def test_far_set_is_refuted_by_the_draw_at_the_first_negative_bound(tmp_path, capsys, monkeypatch):
+    calls = count_solves(monkeypatch)
+    draws = count_draws(monkeypatch)
+    code, payload = run_cli(capsys, [write_problem(tmp_path, FAR_HYPERBOLA), "--mode", "refute"])
+    assert (payload["verdict"], code, payload["flags"]) == ("not convex", 0, [])
+    assert draws == [(1, len(refute.SAMPLE_RADII)), (1, 1)] and len(calls) == 1
+    g1 = payload["constraints"][0]
+    (record,) = g1["relaxations"]
+    assert record["order"] == 1 and "flatness" not in record
+    witness = g1["witness"]
+    assert (witness["source"], witness["order"], witness["rho"]) == ("sampled", 1, record["rho"])
+    (atom,) = witness["atoms"]
+    assert record["rho"] <= atom["violation"] <= 0.99 * MIDPOINT_MINIMA["hyperbola"] * 1e4
+    assert atom["feasibility_margin"] >= 0.0
+
+
+def test_convex_constraint_keeps_its_ladder_after_a_failed_draw(capsys, monkeypatch):
+    # x1^3 >= 0 is convex, so no radius yields a violating pair, and with no
+    # negative bound there is no second draw; every order still runs
+    calls = count_solves(monkeypatch)
+    draws = count_draws(monkeypatch)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "cubic_halfline.txt"), "--mode", "analyze"])
+    assert (payload["verdict"], code) == ("inconclusive", 2)
+    (g1,) = payload["constraints"]
+    assert [(r["order"], r["status"]) for r in g1["relaxations"]] == [
+        (k, "inconclusive-unbounded") for k in (2, 3, 4)
+    ]
+    assert len(calls) == 3 and draws == [(1, len(refute.SAMPLE_RADII))]
+
+
 def test_refute_walks_every_ladder_up_to_the_refuted_constraint(tmp_path, capsys):
     # the interval g1 leaves no room for a violation; g2 cuts it into two pieces.
     # g1 is a quartic, so its ladder is walked, not skipped as a concave quadratic's
@@ -598,8 +648,9 @@ def test_refute_walks_every_ladder_up_to_the_refuted_constraint(tmp_path, capsys
     assert (payload["verdict"], code) == ("not convex", 0)
     g1, g2 = payload["constraints"]
     assert g1["verdict"] == "inconclusive" and g1["relaxations"]
-    assert g2["verdict"] == "refuted" and g2["relaxations"]
-    assert g2["witness"]["source"] == "sampled"
+    # g2's pair is sampled before its ladder, so g2 runs no relaxation
+    assert g2["verdict"] == "refuted" and g2["relaxations"] == []
+    assert (g2["witness"]["source"], g2["witness"]["order"]) == ("sampled", None)
 
 
 def test_certify_walks_every_ladder_after_an_inconclusive_constraint(tmp_path, capsys, monkeypatch):

@@ -11,10 +11,12 @@ from convexcert.polynomials import VariableSpace
 from convexcert.problemio import parse_problem
 from convexcert.refute import (
     RELAXATION_TOL_CEILING,
+    SAMPLE_RADII,
     ExtractionError,
     RelaxationResult,
     build_moment_sdp,
     extract_atoms,
+    moment_radius,
     rank_flatness_check,
     relaxation_orders,
     sample_witness,
@@ -562,19 +564,25 @@ def _first_order_result(spec, j=1):
     return result
 
 
+def _both_draws(result):
+    """The radii of the draw before any relaxation, and of the one sized from result's moments."""
+    return [SAMPLE_RADII, (moment_radius(result),)]
+
+
 @pytest.mark.parametrize("name", ["hyperbola", "parabola", "two_interval"])
 def test_sampled_pair_lies_inside_the_set(name):
     spec = parse_problem((PROBLEMS / f"{name}.txt").read_text())
     result = _first_order_result(spec)
-    witness = sample_witness(result, spec, seed=0)
-    (atom,) = witness.atoms
-    assert atom.weight == 1.0
-    # every g_k >= 0 at both points, evaluated exactly, with no tolerance
-    assert atom.feasibility_margin >= 0.0
-    for g in spec.constraints:
-        assert g.evaluate(np.array(atom.x)) >= 0.0 and g.evaluate(np.array(atom.y)) >= 0.0
-    assert result.rho <= atom.violation + 1e-6  # rho is a lower bound
-    assert atom.violation <= -10 * witness.tol_feas
+    for radii in _both_draws(result):
+        witness = sample_witness(spec, 1, radii, seed=0)
+        (atom,) = witness.atoms
+        assert atom.weight == 1.0
+        # every g_k >= 0 at both points, evaluated exactly, with no tolerance
+        assert atom.feasibility_margin >= 0.0
+        for g in spec.constraints:
+            assert g.evaluate(np.array(atom.x)) >= 0.0 and g.evaluate(np.array(atom.y)) >= 0.0
+        assert result.rho <= atom.violation + 1e-6  # rho is a lower bound
+        assert atom.violation <= -10 * witness.tol_feas
 
 
 @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
@@ -584,7 +592,7 @@ def test_sampled_pair_attains_the_exact_bound_at_any_scale(scale):
     s2 = repr(scale * scale)
     spec = parse_problem(f"vars: x1 x2\ng: x1*x2 - {s2}\ng: 4*{s2} - x1^2\ng: 4*{s2} - x2^2\n")
     first = _first_order_result(spec)
-    witness = sample_witness(first, spec, seed=0)
+    witness = sample_witness(spec, 1, (moment_radius(first),), seed=0)
     violation = witness.atoms[0].violation
     assert first.rho <= violation and 0.99 * first.rho < violation  # order 1's bound is loose
     assert violation <= 0.99 * -1.5625 * scale * scale
@@ -595,9 +603,9 @@ def test_sampled_pair_attains_the_exact_bound_at_any_scale(scale):
 def test_convex_sets_yield_no_sampled_witness(text):
     spec = parse_problem(text)
     for j in range(1, spec.m + 1):
-        result = _first_order_result(spec, j)
+        radii = SAMPLE_RADII + (moment_radius(_first_order_result(spec, j)),)
         for seed in range(3):
-            assert sample_witness(result, spec, seed=seed) is None
+            assert sample_witness(spec, j, radii, seed=seed) is None
 
 
 def test_set_without_sampled_members_skips_the_polish(monkeypatch):
@@ -609,13 +617,14 @@ def test_set_without_sampled_members_skips_the_polish(monkeypatch):
         raise AssertionError("polished a pair of a set with no sampled member")
 
     monkeypatch.setattr(refute, "_polish", no_polish)
+    radii = SAMPLE_RADII + (moment_radius(result),)
     for seed in range(3):
-        assert sample_witness(result, spec, seed=seed) is None
+        assert sample_witness(spec, 1, radii, seed=seed) is None
 
 
 def test_sample_witness_is_deterministic():
     spec = parse_problem((PROBLEMS / "hyperbola.txt").read_text())
-    result = _first_order_result(spec)
-    first = sample_witness(result, spec, seed=5).to_payload()
-    assert sample_witness(result, spec, seed=5).to_payload() == first
-    assert sample_witness(result, spec, seed=6).to_payload() != first
+    for radii in _both_draws(_first_order_result(spec)):
+        first = sample_witness(spec, 1, radii, seed=5).to_payload()
+        assert sample_witness(spec, 1, radii, seed=5).to_payload() == first
+        assert sample_witness(spec, 1, radii, seed=6).to_payload() != first
