@@ -24,7 +24,7 @@ only which conclusions may be drawn from that one solve:
   the degree-k identity holds. Refute and analyze draw, at the first such
   order, once more, in the one box whose radius that order's moments give
   (refute.moment_radius), which reaches sets too tiny or too far for the
-  fixed radii. A validated pair refutes the constraint and ends its ladder
+  fixed radii; it continues the generator of the draw before the ladder. A validated pair refutes the constraint and ends its ladder
   at that order, as a certificate does; its witness names that order and
   its rho, a lower bound on g_j at the midpoint of any two members. With no
   validated pair (a thin set, or a sample with no member), that order and
@@ -61,6 +61,8 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import certify, refute, sdp
 from .polynomials import ball_polynomial
@@ -243,8 +245,9 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
             return entry
         if _try_certificate(entry, closed_form, closed_form.d, config):
             return entry
+    rng = np.random.default_rng([config.seed, j])  # one stream for both draws of g_j
     if config.mode != "certify":
-        sampled = refute.sample_witness(spec, j, seed=config.seed, tol_feas=config.tol_feas)
+        sampled = refute.sample_witness(spec, j, seed=rng, tol_feas=config.tol_feas)
         if sampled is not None:
             _accept_witness(entry, sampled, "sampled", None, None)
             return entry
@@ -299,7 +302,7 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
             drawn = True
             radius = refute.moment_radius(result)
             sampled = None if radius is None else refute.sample_witness(
-                spec, j, (radius,), seed=config.seed, tol_feas=config.tol_feas)
+                spec, j, (radius,), seed=rng, tol_feas=config.tol_feas)
             if sampled is not None:
                 _accept_witness(entry, sampled, "sampled", k, result.rho)
                 break

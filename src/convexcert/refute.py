@@ -70,7 +70,7 @@ EXTRACTION_MAX_ATTEMPTS = 5
 # no soundness: validate_witness re-evaluates every atom directly.
 EXTRACTION_MATCH_TOL = 1e-4
 # Sampled witnesses (sample_witness).
-SAMPLE_RADII = (1.0, 4.0, 16.0, 64.0)  # box radii of the draw before any relaxation
+SAMPLE_RADII = (1.0, 4.0)  # box radii of the draw before any relaxation
 SAMPLE_POINTS = 400
 SAMPLE_POLISHED = 4
 SAMPLE_CHUNK = 8192  # midpoints scored per vectorised pass, to keep temporaries small
@@ -462,14 +462,16 @@ def sample_witness(
     spec: ProblemSpec,
     j: int,
     radii: tuple[float, ...] = SAMPLE_RADII,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     tol_feas: float = DEFAULT_FEASIBILITY_TOL,
 ) -> NonconvexityWitness | None:
     """The best member pair of a seeded sample, polished, as a one-atom witness.
 
-    One generator, seeded with (seed, j), serves every box radius R of
-    radii in turn. Per radius, SAMPLE_POINTS points are drawn uniformly from
-    [-R, R]^n; the points where every g_k is positive, evaluated at the point
+    One generator serves every box radius R of radii in turn: a new one
+    seeded with (seed, j) for an int seed, or seed itself when it is a
+    Generator, whose stream the draw continues, so a later call sharing it
+    draws fresh points. Per radius, SAMPLE_POINTS points are drawn
+    uniformly from [-R, R]^n; the points where every g_k is positive, evaluated at the point
     itself with no tolerance, are the members. g_j is scored at the midpoints
     of all member pairs in one vectorised pass (in chunks of SAMPLE_CHUNK
     midpoints). When the best pair violates g_j, the SAMPLE_POLISHED best
@@ -483,7 +485,7 @@ def sample_witness(
     """
     n = spec.n
     g = spec.constraints[certify._constraint_index(spec, j)]
-    rng = np.random.default_rng([seed, j])
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng([seed, j])
     constraints = PolynomialSystem(spec.constraints)
     objective = PolynomialSystem([g])
     lifted = [midpoint_substitute(g)] + [lift(gk, side) for side in ("x", "y") for gk in spec.constraints]

@@ -626,6 +626,23 @@ def test_far_set_is_refuted_by_the_draw_at_the_first_negative_bound(tmp_path, ca
     assert atom["feasibility_margin"] >= 0.0
 
 
+def test_both_draws_of_a_constraint_share_one_generator(tmp_path, capsys, monkeypatch):
+    # the draw at the first negative bound continues the stream of the one
+    # before the ladder, so it never repeats that draw's points
+    seeds = []
+    original = refute.sample_witness
+
+    def recorded(spec, j, radii=refute.SAMPLE_RADII, seed=0, **kwargs):
+        seeds.append(seed)
+        return original(spec, j, radii, seed=seed, **kwargs)
+
+    monkeypatch.setattr(refute, "sample_witness", recorded)
+    code, payload = run_cli(capsys, [write_problem(tmp_path, FAR_HYPERBOLA), "--mode", "refute"])
+    assert (payload["verdict"], code) == ("not convex", 0)
+    first, second = seeds
+    assert isinstance(first, np.random.Generator) and second is first
+
+
 def test_convex_constraint_keeps_its_ladder_after_a_failed_draw(capsys, monkeypatch):
     # x1^3 >= 0 is convex, so no radius yields a violating pair, and with no
     # negative bound there is no second draw; every order still runs

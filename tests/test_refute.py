@@ -628,3 +628,11 @@ def test_sample_witness_is_deterministic():
         first = sample_witness(spec, 1, radii, seed=5).to_payload()
         assert sample_witness(spec, 1, radii, seed=5).to_payload() == first
         assert sample_witness(spec, 1, radii, seed=6).to_payload() != first
+
+
+def test_a_shared_generator_continues_its_stream():
+    spec = parse_problem((PROBLEMS / "parabola.txt").read_text())
+    rng = np.random.default_rng([5, 1])
+    first = sample_witness(spec, 1, (1.0,), seed=rng).to_payload()
+    assert sample_witness(spec, 1, (1.0,), seed=5).to_payload() == first  # an int seeds (seed, j)
+    assert sample_witness(spec, 1, (1.0,), seed=rng).to_payload() != first  # fresh points
