@@ -24,9 +24,10 @@ only which conclusions may be drawn from that one solve:
   the degree-k identity holds. Refute and analyze draw, at the first such
   order, once more, in the one box whose radius that order's moments give
   (refute.moment_radius), which reaches sets too tiny or too far for the
-  fixed radii; it continues the generator of the draw before the ladder. A validated pair refutes the constraint and ends its ladder
-  at that order, as a certificate does; its witness names that order and
-  its rho, a lower bound on g_j at the midpoint of any two members. With no
+  fixed radii; it continues the generator of the draw before the ladder.
+  A validated pair refutes the constraint and ends its ladder at that
+  order, as a certificate does; its witness names that order and its rho,
+  a lower bound on g_j at the midpoint of any two members. With no
   validated pair (a thin set, or a sample with no member), that order and
   each later one run the flatness test, atom extraction and witness
   validation.

@@ -7,7 +7,7 @@ and the two embeddings of an n-variable polynomial into the doubled (x, y)
 space.
 
 Point evaluation has one kernel, _monomials: Polynomial.evaluate, the
-PolynomialSystem of the sampler, the polish and witness validation, and the
+PolynomialSystem of the sampler and witness validation, and the
 Vandermonde matrices of MomentSequence.from_atoms and extract_atoms use it.
 
 Term summation has one helper too, _summed: it sums (exponents, coefficient)
@@ -21,7 +21,6 @@ Polynomials are immutable and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product, starmap
 from math import comb, inf
 from numbers import Integral, Real
@@ -300,8 +299,8 @@ def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 
     The one code that raises coordinates to powers. The powers come from a
     table built by repeated multiplication, several times faster than a power
-    per entry for the thousands of points the sampler and the polish score,
-    and within a few ulps of it.
+    per entry for the thousands of midpoints the sampler scores, and within
+    a few ulps of it.
     """
     powers = np.empty((int(exponents.max(initial=0)) + 1,) + points.shape)
     powers[0] = 1.0
@@ -315,11 +314,7 @@ class PolynomialSystem:
 
     The union of their supports becomes one exponent matrix E (T x d) and
     their coefficients one matrix C (P x T), so the values at N points are
-    one product of the (N, T) monomial values with C^T. Derivatives take the
-    same form: d/dw_i of w^e is e_i w^(e - e_i), so every gradient and
-    Hessian entry is a fixed combination of monomials, and values, gradients
-    and Hessians together are one monomial table times one coefficient
-    matrix, set up on first use.
+    one product of the (N, T) monomial values with C^T.
     """
 
     def __init__(self, polynomials: Sequence[Polynomial]):
@@ -338,49 +333,12 @@ class PolynomialSystem:
         self.exponents = exps
         self.coefficients = coeffs
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponents (U, d) and coefficients (U, (1 + d + d^2) P) of values and derivatives."""
-        exps, coeffs = self.exponents, self.coefficients
-        d = self.space.arity
-        # slot b of (value, d/dw_i, d^2/dw_i dw_l): shifted exponents (b, T, d) and
-        # factors (b, T); d/dw_i has factor e_i, d^2/dw_i dw_l has e_i (e_l - [i == l]),
-        # and a shift that would go negative comes with a zero factor
-        eye = np.eye(d, dtype=np.int64)
-        shifts = np.concatenate([np.zeros((1, d), dtype=np.int64), eye,
-                                 (eye[:, None, :] + eye[None, :, :]).reshape(d * d, d)])
-        factors = np.concatenate([
-            np.ones((1, len(exps)), dtype=np.int64),
-            exps.T,
-            (exps.T[:, None, :] * (exps.T[None, :, :] - eye[:, :, None])).reshape(d * d, -1),
-        ])
-        shifted = np.maximum(exps[None] - shifts[:, None, :], 0)
-        table_exps, inverse = np.unique(shifted.reshape(-1, d), axis=0, return_inverse=True)
-        slots = len(shifts)
-        table = np.zeros((len(table_exps), slots, len(coeffs)))
-        np.add.at(table, (inverse.reshape(slots, -1), np.arange(slots)[:, None]),
-                  factors[:, :, None] * coeffs.T[None])
-        return table_exps, table.reshape(len(table_exps), slots * len(coeffs))
-
-    def _points(self, points) -> np.ndarray:
+    def __call__(self, points) -> np.ndarray:
+        """Values at each of N points: shape (N, P)."""
         array = np.asarray(points, dtype=float)
         if array.ndim != 2 or array.shape[1] != self.space.arity:
             raise ValueError(f"points have shape {array.shape}, expected (N, {self.space.arity})")
-        return array
-
-    def __call__(self, points) -> np.ndarray:
-        """Values at each of N points: shape (N, P)."""
-        return _monomials(self._points(points), self.exponents) @ self.coefficients.T
-
-    def derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values (N, P), gradients (N, P, d) and Hessians (N, P, d, d) at N points."""
-        array = self._points(points)
-        n, d, count = len(array), self.space.arity, len(self.coefficients)
-        table_exps, table_coeffs = self._table
-        table = (_monomials(array, table_exps) @ table_coeffs).reshape(n, -1, count)
-        grads = table[:, 1:d + 1].transpose(0, 2, 1)
-        hessians = table[:, d + 1:].reshape(n, d, d, count).transpose(0, 3, 1, 2)
-        return table[:, 0], grads, hessians
+        return _monomials(array, self.exponents) @ self.coefficients.T
 
 
 def ball_polynomial(space: VariableSpace, bound: float) -> Polynomial:

@@ -35,14 +35,14 @@ stands on its own without trusting the solver.
 A witness needs no relaxation when a pair of members can be found directly.
 sample_witness draws seeded uniform points in boxes of given radii, keeps
 those strictly inside the set, scores g_j at every pairwise midpoint in one
-vectorised pass, and polishes the best pairs by log-barrier Newton steps,
-whose iterates stay strictly inside. One validated pair refutes convexity
-outright, so the CLI draws before any solve, over the fixed radii of
-SAMPLE_RADII, and only a constraint with no such pair reaches the
-relaxations. Their first negative bound sizes one more box from the
-order-1 moments (moment_radius), for sets too tiny or too far for the fixed
-radii; rho, a lower bound on g_j((x+y)/2) over all member pairs, stays at
-or below the violation of any pair. The sampler needs numpy only; a set
+vectorised pass, and offers the least-scoring pair, as drawn, to
+validate_witness. One validated pair refutes convexity outright, so the
+CLI draws before any solve, over the fixed radii of SAMPLE_RADII, and only
+a constraint with no such pair reaches the relaxations. Their first
+negative bound sizes one more box from the order-1 moments
+(moment_radius), for sets too tiny or too far for the fixed radii; rho, a
+lower bound on g_j((x+y)/2) over all member pairs, stays at or below the
+violation of any pair. The sampler needs numpy only; a set
 with empty interior leaves it without members, and then only flatness can
 help.
 """
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import certify, sdp
 from .moments import MomentSequence, localizing_matrix, monomial_basis, moment_matrix
-from .polynomials import Polynomial, PolynomialSystem, _monomials, lift, midpoint_substitute
+from .polynomials import Polynomial, PolynomialSystem, _monomials
 from .problemio import ProblemSpec
 
 RANK_SINGULAR_THRESHOLD = 1e-6
@@ -72,15 +72,7 @@ EXTRACTION_MATCH_TOL = 1e-4
 # Sampled witnesses (sample_witness).
 SAMPLE_RADII = (1.0, 4.0)  # box radii of the draw before any relaxation
 SAMPLE_POINTS = 400
-SAMPLE_POLISHED = 4
 SAMPLE_CHUNK = 8192  # midpoints scored per vectorised pass, to keep temporaries small
-POLISH_STAGES = 2
-POLISH_SHRINK = 1e-2  # mu per stage, relative to |rho| per constraint: 1e-2, then 1e-4
-POLISH_NEWTON_STEPS = 6
-POLISH_LINE_SEARCH = 20
-POLISH_ARMIJO = 1e-4
-POLISH_DECREMENT = 1.0  # a stage ends once every squared Newton decrement is <= this * mu
-POLISH_EIG_FLOOR = 1e-12
 
 
 class ExtractionError(RuntimeError):
@@ -392,57 +384,6 @@ def validate_witness(
 # -- witnesses from sampled member pairs ----------------------------------------
 
 
-def _polish(system: PolynomialSystem, pairs: np.ndarray, scale: float) -> np.ndarray:
-    """Log-barrier Newton steps from strictly feasible pairs toward a local minimiser.
-
-    system's first polynomial is the objective g_j((x+y)/2), the others the
-    constraints g_k(x) and g_k(y), all positive at the pairs. Each stage
-    minimises objective - mu * sum log(constraint) for one mu, the stages
-    shrinking mu by POLISH_SHRINK from scale * POLISH_SHRINK per constraint,
-    which bounds the barrier's own gap by about scale * POLISH_SHRINK^stages
-    at a local minimiser. A step is Newton's with the Hessian's eigenvalues
-    taken in absolute value (floored), so it descends where the barrier
-    function is not convex. Its length is the longest of 1, 1/2, 1/4, ...
-    that stays strictly feasible and meets the Armijo test; all lengths of
-    all pairs are evaluated in one pass. Iterates stay strictly inside the
-    set and approach a minimiser on its boundary, or at a corner of it, to
-    about mu.
-    """
-    count = system.coefficients.shape[0] - 1
-    lengths = 0.5 ** np.arange(POLISH_LINE_SEARCH)
-    rows = np.arange(len(pairs))
-    w = pairs.copy()
-    for mu in scale / count * POLISH_SHRINK ** np.arange(1, POLISH_STAGES + 1):
-        for _step in range(POLISH_NEWTON_STEPS):
-            values, grads, hessians = system.derivatives(w)
-            inverse = 1.0 / values[:, 1:]
-            scaled = grads[:, 1:] * inverse[:, :, None]  # grad g_k / g_k
-            gradient = grads[:, 0] - mu * scaled.sum(axis=1)
-            hessian = hessians[:, 0] - mu * (
-                np.einsum("kp,kpil->kil", inverse, hessians[:, 1:])
-                - np.einsum("kpi,kpl->kil", scaled, scaled)
-            )
-            eigvals, eigvecs = np.linalg.eigh(hessian)
-            magnitude = np.abs(eigvals)
-            floor = POLISH_EIG_FLOOR * (1.0 + magnitude.max(axis=1, keepdims=True))
-            along = np.einsum("kji,kj->ki", eigvecs, gradient) / np.maximum(magnitude, floor)
-            direction = -np.einsum("kij,kj->ki", eigvecs, along)
-            slope = np.einsum("ki,ki->k", gradient, direction)
-            barrier = values[:, 0] - mu * np.log(values[:, 1:]).sum(axis=1)
-            trials = w[:, None, :] + lengths[None, :, None] * direction[:, None, :]
-            tried = system(trials.reshape(-1, w.shape[1])).reshape(len(w), len(lengths), -1)
-            inside = np.all(tried[..., 1:] > 0, axis=-1)
-            logs = np.log(np.where(inside[..., None], tried[..., 1:], 1.0)).sum(axis=-1)
-            accepted = inside & (tried[..., 0] - mu * logs
-                                 <= barrier[:, None] + POLISH_ARMIJO * lengths * slope[:, None])
-            moved = accepted.any(axis=1)
-            first = np.argmax(accepted, axis=1)
-            w = np.where(moved[:, None], trials[rows, first], w)
-            if np.all(-slope <= POLISH_DECREMENT * mu):
-                break
-    return w
-
-
 def moment_radius(result: RelaxationResult) -> float | None:
     """2 * sqrt(max_i E[w_i^2]), the second moments read off the diagonal of
     the order-1 moment matrix of result; None when that is not finite and positive.
@@ -465,31 +406,30 @@ def sample_witness(
     seed: int | np.random.Generator = 0,
     tol_feas: float = DEFAULT_FEASIBILITY_TOL,
 ) -> NonconvexityWitness | None:
-    """The best member pair of a seeded sample, polished, as a one-atom witness.
+    """The best member pair of a seeded sample, as drawn, as a one-atom witness.
 
     One generator serves every box radius R of radii in turn: a new one
     seeded with (seed, j) for an int seed, or seed itself when it is a
     Generator, whose stream the draw continues, so a later call sharing it
     draws fresh points. Per radius, SAMPLE_POINTS points are drawn
-    uniformly from [-R, R]^n; the points where every g_k is positive, evaluated at the point
-    itself with no tolerance, are the members. g_j is scored at the midpoints
-    of all member pairs in one vectorised pass (in chunks of SAMPLE_CHUNK
-    midpoints). When the best pair violates g_j, the SAMPLE_POLISHED best
-    pairs are polished by _polish with the scale |best violation|, and the
-    best polished pair is kept when validate_witness accepts it and it stays
-    inside the set, so a sampled witness has feasibility_margin >= 0. The
-    first radius that yields such a pair ends the draw.
+    uniformly from [-R, R]^n; the points where every g_k is positive,
+    evaluated at the point itself with no tolerance, are the members. g_j is
+    scored at the midpoints of all member pairs in one vectorised pass (in
+    chunks of SAMPLE_CHUNK midpoints). When some pair violates g_j, the
+    least-scoring pair (a NaN score never wins) is kept when validate_witness
+    accepts it and it stays inside the set, so a sampled witness has
+    feasibility_margin >= 0. The first radius that yields such a pair ends
+    the draw.
 
     Returns None when no radius does: a sample with fewer than two members
-    (a thin set) or with no violating pair runs no polish. Needs numpy only.
+    (a thin set) or with no violating pair validates nothing. Needs numpy
+    only.
     """
     n = spec.n
     g = spec.constraints[certify._constraint_index(spec, j)]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng([seed, j])
     constraints = PolynomialSystem(spec.constraints)
     objective = PolynomialSystem([g])
-    lifted = [midpoint_substitute(g)] + [lift(gk, side) for side in ("x", "y") for gk in spec.constraints]
-    system = PolynomialSystem(lifted)
     for radius in radii:
         points = rng.uniform(-radius, radius, size=(SAMPLE_POINTS, n))
         members = points[np.all(constraints(points) > 0.0, axis=1)]
@@ -505,12 +445,9 @@ def sample_witness(
         scores[np.tri(count, dtype=bool)] = np.inf  # each unordered pair once, no pair with itself
         if not np.any(scores < 0.0):
             continue
-        polished_count = min(SAMPLE_POLISHED, count * (count - 1) // 2)
-        best = np.argpartition(scores, polished_count - 1, axis=None)[:polished_count]
-        rows, cols = np.unravel_index(best, scores.shape)
-        polished = _polish(system, np.hstack([members[rows], members[cols]]), -float(scores.flat[best].min()))
-        pick = int(np.argmin(system(polished)[:, 0]))
-        witness = validate_witness([(polished[pick], 1.0)], spec, j, tol_feas=tol_feas)
+        row, col = np.unravel_index(np.nanargmin(scores), scores.shape)
+        pair = np.concatenate([members[row], members[col]])
+        witness = validate_witness([(pair, 1.0)], spec, j, tol_feas=tol_feas)
         if witness is not None and witness.atoms[0].feasibility_margin >= 0.0:
             return witness
     return None

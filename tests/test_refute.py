@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -577,25 +578,53 @@ def test_sampled_pair_lies_inside_the_set(name):
         witness = sample_witness(spec, 1, radii, seed=0)
         (atom,) = witness.atoms
         assert atom.weight == 1.0
-        # every g_k >= 0 at both points, evaluated exactly, with no tolerance
-        assert atom.feasibility_margin >= 0.0
+        # every g_k > 0 at both points, evaluated exactly, with no tolerance
+        assert atom.feasibility_margin > 0.0
         for g in spec.constraints:
-            assert g.evaluate(np.array(atom.x)) >= 0.0 and g.evaluate(np.array(atom.y)) >= 0.0
+            assert g.evaluate(np.array(atom.x)) > 0.0 and g.evaluate(np.array(atom.y)) > 0.0
         assert result.rho <= atom.violation + 1e-6  # rho is a lower bound
         assert atom.violation <= -10 * witness.tol_feas
 
 
+def _exact_value(terms, point):
+    """sum of coeff * prod(w_i ** e_i) over a term map, every float read as an exact rational."""
+    w = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for exps, coeff in terms.items():
+        term = Fraction(coeff)
+        for wi, e in zip(w, exps):
+            term *= wi**e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("name", ["hyperbola", "parabola", "two_interval"])
+def test_sampled_witnesses_hold_in_exact_arithmetic(name):
+    # both points strictly inside the set and the midpoint strictly outside,
+    # with no rounding anywhere, for both draws at seeds 0-4
+    spec = parse_problem((PROBLEMS / f"{name}.txt").read_text())
+    for radii in _both_draws(_first_order_result(spec)):
+        for seed in range(5):
+            (atom,) = sample_witness(spec, 1, radii, seed=seed).atoms
+            for point in (atom.x, atom.y):
+                assert all(_exact_value(g.terms, point) > 0 for g in spec.constraints)
+            midpoint = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(atom.x, atom.y)]
+            assert _exact_value(spec.constraints[0].terms, midpoint) < 0
+
+
 @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
-def test_sampled_pair_attains_the_exact_bound_at_any_scale(scale):
+def test_moment_sized_draw_refutes_at_any_scale(scale):
     # the box comes from the moments, so scaling the hyperbola scales the pair;
-    # the order-1 draw attains the order-2 bound, which is the true minimum
+    # the order-1 draw yields a pair between the order-2 bound, which is the
+    # true minimum, and half of it, with both points strictly inside
     s2 = repr(scale * scale)
     spec = parse_problem(f"vars: x1 x2\ng: x1*x2 - {s2}\ng: 4*{s2} - x1^2\ng: 4*{s2} - x2^2\n")
     first = _first_order_result(spec)
     witness = sample_witness(spec, 1, (moment_radius(first),), seed=0)
-    violation = witness.atoms[0].violation
-    assert first.rho <= violation and 0.99 * first.rho < violation  # order 1's bound is loose
-    assert violation <= 0.99 * -1.5625 * scale * scale
+    (atom,) = witness.atoms
+    assert first.rho <= atom.violation and 0.99 * first.rho < atom.violation  # order 1's bound is loose
+    assert -1.5625 * scale * scale <= atom.violation <= 0.5 * -1.5625 * scale * scale
+    assert atom.feasibility_margin > 0.0
 
 
 @pytest.mark.parametrize("text", [INTERVAL, DISK, BOX, ELLIPSOID],
@@ -608,15 +637,15 @@ def test_convex_sets_yield_no_sampled_witness(text):
             assert sample_witness(spec, j, radii, seed=seed) is None
 
 
-def test_set_without_sampled_members_skips_the_polish(monkeypatch):
+def test_set_without_sampled_members_validates_nothing(monkeypatch):
     spec = parse_problem(THIN)
     result = _first_order_result(spec)
     assert result.rho < -0.5
 
-    def no_polish(*args):
-        raise AssertionError("polished a pair of a set with no sampled member")
+    def no_validation(*args, **kwargs):
+        raise AssertionError("validated a pair of a set with no sampled member")
 
-    monkeypatch.setattr(refute, "_polish", no_polish)
+    monkeypatch.setattr(refute, "validate_witness", no_validation)
     radii = SAMPLE_RADII + (moment_radius(result),)
     for seed in range(3):
         assert sample_witness(spec, 1, radii, seed=seed) is None
