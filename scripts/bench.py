@@ -17,7 +17,11 @@ records:
   presolve proves infeasible, through refute.solve_relaxation: blocks, the
   blocks left by the presolve's facial reduction (null where the solver does
   not report them), p, iterations, status and the median seconds of 3 solves
-  per order.
+  per order, after one untimed solve that loads what a first solve imports;
+- start-up: the median of 10 fresh interpreters' ``import convexcert``, the
+  median of 10 whole ``python -m convexcert.cli problems/hyperbola.txt --mode
+  refute`` processes (each run through runpy, as ``-m`` runs it), and whether
+  each of those processes had scipy in ``sys.modules`` at exit.
 
 BLAS is pinned to one thread, as perfbench/run.py pins it.
 """
@@ -40,6 +44,15 @@ LAYER_WORKLOAD = "refute-nonconvex"
 LAYER_SEED = 7
 LADDERS = {"hyperbola": (2, 3, 4), "cubic_halfline": (2, 3, 4)}
 LADDER_REPEATS = 3
+STARTUP_RUNS = 10
+IMPORT_SNIPPET = "import time; t = time.perf_counter(); import convexcert; print(time.perf_counter() - t)"
+# `python -m convexcert.cli ARGS`, reporting at exit whether scipy was loaded
+CLI_SNIPPET = """import runpy, sys
+try:
+    runpy.run_module("convexcert.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("scipy" in sys.modules, file=sys.stderr)
+"""
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -60,6 +73,7 @@ def _ladder(root: Path, problem: str, orders: tuple[int, ...]) -> list[dict]:
     from convexcert.problemio import parse_problem
 
     spec = parse_problem((root / "problems" / f"{problem}.txt").read_text())
+    refute.solve_relaxation(spec, 1, orders[0])  # untimed: a first solve that factors loads scipy.linalg
     rows = []
     for s in orders:
         seconds = []
@@ -72,6 +86,26 @@ def _ladder(root: Path, problem: str, orders: tuple[int, ...]) -> list[dict]:
                      "iterations": diag["iterations"], "status": result.status,
                      "seconds": statistics.median(seconds), "seconds_runs": seconds})
     return rows
+
+
+def _startup(root: Path) -> dict:
+    """Fresh-interpreter import time, and whole-process time of one sampled refutation."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    imports = []
+    for _ in range(STARTUP_RUNS):
+        done = subprocess.run([sys.executable, "-c", IMPORT_SNIPPET], cwd=root, env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        imports.append(float(done.stdout.strip().splitlines()[-1]))
+    argv = [sys.executable, "-c", CLI_SNIPPET, "problems/hyperbola.txt", "--mode", "refute"]
+    processes, scipy_loaded = [], []
+    for _ in range(STARTUP_RUNS):
+        start = time.perf_counter()
+        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True)
+        processes.append(time.perf_counter() - start)
+        scipy_loaded.append(done.stderr.strip().splitlines()[-1] == "True")
+    return {"import_s": statistics.median(imports), "import_s_runs": imports,
+            "cli_process_s": statistics.median(processes), "cli_process_s_runs": processes,
+            "scipy_loaded_at_exit": any(scipy_loaded), "scipy_loaded_at_exit_runs": scipy_loaded}
 
 
 def _commit(root: Path) -> str:
@@ -104,6 +138,9 @@ def main(argv=None) -> int:
                            "runs": [run["metrics"] for run in runs]}
         print(f"{name:<17} " + " ".join(f"{m}={v:.4g}" for m, v in medians.items()), flush=True)
     layers = _run(root, LAYER_WORKLOAD, LAYER_SEED, seconds, 1)
+    startup = _startup(root)
+    print(f"startup import={startup['import_s']:.3f}s cli_process={startup['cli_process_s']:.3f}s "
+          f"scipy_loaded_at_exit={startup['scipy_loaded_at_exit']}", flush=True)
     ladders = {problem: _ladder(root, problem, orders) for problem, orders in LADDERS.items()}
     for problem, ladder in ladders.items():
         for row in ladder:
@@ -121,6 +158,7 @@ def main(argv=None) -> int:
         "settings": {"seed": SEED, "seconds": seconds, "runs": RUNS},
         "workloads": workloads,
         "layers": {"workload": LAYER_WORKLOAD, "seed": LAYER_SEED, **layers},
+        "startup": startup,
         **{f"{problem}_ladder": ladder for problem, ladder in ladders.items()},
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")

@@ -30,7 +30,12 @@ svec is taken. svec reads one triangle, and the rounding asymmetry of a
 congruence grows like |G|^2 near the boundary: left in, it makes the Newton
 system inconsistent and the iteration stalls. The Schur complement is
 factored and solved by LAPACK's dpotrf and dpotrs called directly; scipy's
-checking wrappers cost about ten times a small solve. The NT scaling takes
+checking wrappers cost about ten times a small solve. scipy.linalg is
+imported where it is called (the Schur branch of solve, _chol_jittered and
+_independent_rows), not at module level: it was about two thirds of the time
+of importing the package, and closed-form certificates, sampled witnesses
+and solves that the facial reduction settles never factor a matrix or
+eliminate a row. The NT scaling takes
 G^-1 from the same SVD as G, with no matrix inverse. The step length is
 taken in the NT-scaled space, where X and S are both diag(d): it is the
 smallest of 1 / -lambda_min over D^-1/2 G^-1 dX G^-T D^-1/2 and
@@ -111,8 +116,6 @@ from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -477,6 +480,8 @@ def _independent_rows(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int
     p = a.shape[0]
     if p == 0:
         return [], [], False
+    from scipy.linalg import qr
+
     norms = np.linalg.norm(a, axis=1)
     _, r, piv = qr(a.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r)) if r.size else np.array([])
@@ -511,6 +516,8 @@ class _NumericalFailure(Exception):
 
 def _chol_jittered(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of mat, with a growing diagonal perturbation where it needs one."""
+    from scipy.linalg.lapack import dpotrf
+
     n = mat.shape[0]
     scale = max(float(np.trace(mat)) / n, 1e-300)
     jitter = 0.0
@@ -768,6 +775,8 @@ def solve(
             )
 
             if p:
+                from scipy.linalg.lapack import dpotrs
+
                 m_schur = util @ util.T
                 factor = _chol_jittered(m_schur)
 

@@ -858,6 +858,44 @@ def test_module_entry_point_runs_without_warnings():
     assert json.loads(done.stdout)["verdict"] == "not convex"
 
 
+# In one fresh interpreter: import the package, then run three problems; after
+# each step, record whether scipy is loaded and what the run concluded.
+SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+import convexcert, convexcert.cli
+steps = [["import", None, None, "scipy" in sys.modules]]
+for name, args in json.loads(sys.argv[1]):
+    out = sys.argv[2] + "/" + name + ".json"
+    code = convexcert.cli.main([sys.argv[3] + "/" + name + ".txt", *args, "--out", out])
+    report = json.loads(Path(out).read_text())
+    first = report["constraints"][0]
+    evidence = first["witness"]["source"] if first["witness"] else first["certificate"].get("source", "gram")
+    steps.append([name, code, [report["verdict"], evidence], "scipy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_is_loaded_only_by_a_solve_that_factors(tmp_path):
+    # a sampled witness and a closed-form certificate solve nothing; the
+    # preordering certificate of interval runs a Gram program, which does
+    src = str(Path(convexcert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [["hyperbola", ["--mode", "refute"]], ["disk", ["--mode", "certify"]],
+            ["interval", ["--mode", "certify", "--stengle"]]]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", SCIPY_PROBE, json.dumps(runs), str(tmp_path), str(PROBLEMS)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [
+        ["import", None, None, False],
+        ["hyperbola", 0, ["not convex", "sampled"], False],
+        ["disk", 0, ["convex", "closed-form"], False],
+        ["interval", 0, ["convex", "gram"], True],
+    ]
+
+
 # an ellipsoid cut by two half-spaces, shaped as the certify-convex instances
 ELLIPSOID = """vars: x1 x2 x3
 g: 1 - (0.8*x1 + 0.3*x2 - 0.1)^2 - (x2 - 0.2*x3 + 0.1)^2 - (0.5*x3 + 0.2*x1)^2
