@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Run the 65-run regression sweep in one process and write one JSON file per run.
+"""Run the 71-run regression sweep in one process and write one JSON file per run.
 
     python3 scripts/sweep.py OUT_DIR
     python3 scripts/sweep.py OUT_DIR --against OTHER_DIR
 
 The runs are the seed-1 instances of the corpus, certify-convex and
 refute-nonconvex workloads of perfbench.workloads, each with its own flags,
-and every problems/*.txt under certify, refute, analyze, certify --stengle
-and --archimedean 2. Each run goes through convexcert.cli.main of this
-checkout's src/, and its file holds the exit code and the report with every
-``*_seconds`` timing removed, the only values docs/formats.md lets differ
-between reruns. OUT_DIR also gets the --dump-sdp files of hyperbola in
-certify mode and the --help text. BLAS runs on one thread whatever the
-environment says.
+every problems/*.txt under certify, refute, analyze, certify --stengle and
+--archimedean 2, and the six EXTRA_RUNS, literal problems that reach the Gram
+and moment paths no other run reaches. Each run goes through
+convexcert.cli.main of this checkout's src/, and its file holds the exit code
+and the report with every ``*_seconds`` timing removed, the only values
+docs/formats.md lets differ between reruns. OUT_DIR also gets the --dump-sdp
+files of hyperbola in certify mode and the --help text. BLAS runs on one
+thread whatever the environment says.
 
 With --against, every file in OUT_DIR is compared byte for byte with the one
 of the same name in OTHER_DIR (say, a sweep of another checkout); the script
@@ -52,6 +53,21 @@ PROBLEM_FLAGS = {
     "stengle": ("--mode", "certify", "--stengle"),
     "archimedean": ("--archimedean", "2"),
 }
+# name -> (problem text, flags): a quadratic-module certificate read off a
+# Gram solve (whole_line), the draw sized from the moments (far_hyperbola),
+# a failed flatness test (thin), an accepted extraction (tiny_two_interval),
+# extracted atoms outside the set (tiny_parabola) and the preordering ladder
+# in analyze mode (interval)
+EXTRA_RUNS = {
+    "whole_line": ("vars: x1\ng: 1 + x1^2\n", ("--mode", "analyze")),
+    "far_hyperbola": ("vars: x1 x2\ng: x1*x2 - 10000.0\ng: 40000.0 - x1^2\ng: 40000.0 - x2^2\n",
+                      ("--mode", "refute")),
+    "thin": ("vars: x1 x2\ng: x1^2 - 1\ng: 1 - x1^2\ng: 1 - x2^2\n", ("--mode", "refute")),
+    "tiny_two_interval": ("vars: x1\ng: x1^2 - 1e-05\ng: 4e-05 - x1^2\n", ("--mode", "refute")),
+    "tiny_parabola": ("vars: x1 x2\ng: x1^2 - 0.005011872336272725*x2\n"
+                      "g: 2.511886431509582e-05 - x1^2\ng: 2.511886431509582e-05 - x2^2\n", ("--mode", "refute")),
+    "interval": ("vars: x1\ng: 1 - x1^2\n", ("--mode", "analyze", "--stengle")),
+}
 
 
 def _untimed(value):
@@ -85,6 +101,10 @@ def sweep(out: Path) -> None:
         for path in sorted((ROOT / "problems").glob("*.txt")):
             for variant, flags in PROBLEM_FLAGS.items():
                 (out / f"problem-{path.stem}-{variant}.json").write_text(_run([str(path), *flags], scratch))
+        for name, (text, flags) in EXTRA_RUNS.items():
+            problem = scratch / "problem.txt"
+            problem.write_text(text)
+            (out / f"extra-{name}.json").write_text(_run([str(problem), *flags], scratch))
         # certify mode, which samples no member pair, so g1's ladder is solved and dumped
         _run([str(ROOT / "problems" / "hyperbola.txt"), "--mode", "certify",
               "--dump-sdp", str(out / "dump-hyperbola")], scratch)

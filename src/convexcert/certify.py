@@ -33,10 +33,11 @@ check: it re-expands the Gram matrices, measures the coefficientwise residual
 and takes each Gram matrix's least eigenvalue and norm from
 SosTerm.gram_spectrum. Each builder runs it once and keeps it as the
 certificate's ``check``, which holds the certificate's residual and least
-scale-relative Gram eigenvalue and which callers judge at their own
-tolerance instead of expanding again. A certificate's payload is its
-identity alone: the check and the record of the solve behind it are
-reported once each, by the caller, next to it.
+scale-relative Gram eigenvalue: callers judge the residual at their own
+tolerance and the eigenvalue at the fixed DEFAULT_GRAM_EIG_TOL, instead of
+expanding again. A certificate's payload is its identity alone: the check
+and the record of the solve behind it are reported once each, by the
+caller, next to it.
 
 The first two identities live on the doubled space, and their data are
 invariant under the swap tau: (x, y) -> (y, x). Their builders name each
@@ -373,26 +374,21 @@ def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution, to
     }
 
 
-def _certificate_fields(program: SosProgram, x_blocks: list[np.ndarray], diagnostics: dict) -> dict:
-    """Constructor fields of solved Gram blocks."""
-    return {"terms": program.recover(x_blocks), "solver_diagnostics": diagnostics}
-
-
 def _checked(cert: Certificate, spec: ProblemSpec) -> Certificate:
     """cert with its one recheck kept as cert.check."""
     cert.check = verify_certificate(cert, spec)
     return cert
 
 
-def _solve_certificate(program: SosProgram) -> dict | CertificationFailure:
-    """Solve a certificate program as stated; certificate fields or the failure."""
+def _solve_certificate(program: SosProgram) -> tuple[list[SosTerm], dict] | CertificationFailure:
+    """Solve a certificate program as stated; its recovered terms and the solve's record, or the failure."""
     problem = program.to_sdp()
     solution = sdp.solve(problem)
     diagnostics = _solution_diagnostics(problem, solution, sdp.DEFAULT_TOL)
     if solution.status != "optimal":
         reason = "no certificate at this degree" if solution.status == "infeasible" else "inconclusive"
         return CertificationFailure(reason=reason, solver_diagnostics=diagnostics)
-    return _certificate_fields(program, solution.X, diagnostics)
+    return program.recover(solution.X), diagnostics
 
 
 @dataclass
@@ -400,17 +396,17 @@ class CertificateCheck:
     """Solver-independent recheck of a certificate's defining identity.
 
     min_gram_eigenvalue is the least of 0 and every Gram matrix's least
-    eigenvalue over max(1, |G|), the number passed judges.
+    eigenvalue over max(1, |G|). passed judges the residual at residual_tol
+    and that eigenvalue at the fixed floor -DEFAULT_GRAM_EIG_TOL.
     """
 
     residual: float
     min_gram_eigenvalue: float
     residual_tol: float = DEFAULT_RESIDUAL_TOL
-    eig_tol: float = DEFAULT_GRAM_EIG_TOL
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.residual_tol and self.min_gram_eigenvalue >= -self.eig_tol
+        return self.residual <= self.residual_tol and self.min_gram_eigenvalue >= -DEFAULT_GRAM_EIG_TOL
 
     def to_payload(self) -> dict:
         return {
@@ -461,8 +457,9 @@ def qmodule_certificate(result: RelaxationResult, spec: ProblemSpec) -> Quadrati
     if result.rho > 0:
         blocks[0] = blocks[0].copy()
         blocks[0][0, 0] += result.rho  # the first block, sigma_0's even one, starts with the constant monomial
-    fields = _certificate_fields(result.program, blocks, result.diagnostics)
-    return _checked(QuadraticModuleCertificate(j=result.j, d=result.s, **fields), spec)
+    cert = QuadraticModuleCertificate(j=result.j, d=result.s, terms=result.program.recover(blocks),
+                                      solver_diagnostics=result.diagnostics)
+    return _checked(cert, spec)
 
 
 def _is_psd(matrix: list[list[Fraction]]) -> bool:
@@ -582,13 +579,13 @@ def certify_stengle(
             f"preordering certification refused for m={spec.m} > {STENGLE_M_MAX}: "
             f"it would require 2^{2 * spec.m + 1} SOS blocks; the quadratic-module certificate has no such limit"
         )
-    fields = _solve_certificate(_stengle_program(spec, j, d, p))
-    if isinstance(fields, CertificationFailure):
-        return fields
-    terms = fields.pop("terms")
-    sigma_terms = [t for t in terms if t.label.startswith("sigma_J")]
-    h_terms = [t for t in terms if t.label.startswith("h_J")]
-    return _checked(PreorderingCertificate(j=j, d=d, p=p, sigma_terms=sigma_terms, h_terms=h_terms, **fields), spec)
+    solved = _solve_certificate(_stengle_program(spec, j, d, p))
+    if isinstance(solved, CertificationFailure):
+        return solved
+    terms, diagnostics = solved  # sigma_J, with h_J next
+    cert = PreorderingCertificate(j=j, d=d, p=p, sigma_terms=terms[0::2], h_terms=terms[1::2],
+                                  solver_diagnostics=diagnostics)
+    return _checked(cert, spec)
 
 
 def _archimedean_target(spec: ProblemSpec, bound: float) -> Polynomial:
@@ -615,10 +612,11 @@ def archimedean_check(
     Success shows the module is archimedean (the set is compact), in which
     case eps-relaxed certification is complete for convex inputs.
     """
-    fields = _solve_certificate(_archimedean_program(spec, bound, d))
-    if isinstance(fields, CertificationFailure):
-        return fields
-    return _checked(ArchimedeanCertificate(bound=bound, d=d, **fields), spec)
+    solved = _solve_certificate(_archimedean_program(spec, bound, d))
+    if isinstance(solved, CertificationFailure):
+        return solved
+    terms, diagnostics = solved
+    return _checked(ArchimedeanCertificate(bound=bound, d=d, terms=terms, solver_diagnostics=diagnostics), spec)
 
 
 def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck:
@@ -631,8 +629,9 @@ def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck
     eigenvalue.
     These two facts alone imply the midpoint inequality the certificate
     claims, so a passing check is a standalone proof up to the check's
-    tolerances, which a caller may replace (dataclasses.replace). Reports,
-    never raises, on bad data.
+    residual tolerance, which a caller may replace (dataclasses.replace),
+    and the fixed eigenvalue floor DEFAULT_GRAM_EIG_TOL. Reports, never
+    raises, on bad data.
     """
     try:
         target = cert.target(spec)
@@ -645,6 +644,6 @@ def verify_certificate(cert: Certificate, spec: ProblemSpec) -> CertificateCheck
     except Exception:
         residual = float("inf")
     spectra = [term.gram_spectrum() for term in cert.terms]
-    # scale-relative floor: eigenvalues are compared against eig_tol * max(1, |G|)
+    # scale-relative: each least eigenvalue over max(1, |G|), judged against DEFAULT_GRAM_EIG_TOL
     min_eig = min([0.0] + [val / max(1.0, norm) for val, norm in spectra])
     return CertificateCheck(residual=residual, min_gram_eigenvalue=min_eig)

@@ -170,33 +170,40 @@ def _try_certificate(entry: dict, outcome, k: int, config: RunConfig) -> bool:
 
 def _moment_witness(entry: dict, record: dict, result: refute.RelaxationResult,
                     spec: ProblemSpec, config: RunConfig) -> refute.NonconvexityWitness | None:
-    """Flatness, extraction and validation; the witness, or None with a note saying why."""
-    k, notes = result.s, entry["notes"]
+    """Flatness, extraction and validation; the witness, or None with a note saying why.
+
+    An atom outside the set as evaluated (feasibility_margin < 0), which a
+    sampled pair never is, is dropped, and the weights of the rest renormalized.
+    """
+    k, witness = result.s, None
     flatness = refute.rank_flatness_check(result, spec)
     record["flatness"] = flatness.to_payload()
     if not flatness.flat:
-        entry["unproven_signal"] = True
-        reason = "rank-ambiguous spectrum" if flatness.ambiguous else (
-            f"ranks {flatness.rank_s} vs {flatness.rank_sv} differ"
-        )
-        notes.append(
-            f"relaxation suggests non-convexity at order {k} (rho={result.rho:.3e}) "
-            f"but the flatness gate failed: {reason}"
-        )
-        return None
-    try:
-        atoms = refute.extract_atoms(result, flatness.t, seed=config.seed)
-    except refute.ExtractionError as exc:
-        entry["unproven_signal"] = True
-        notes.append(f"flat at order {k} but atom extraction failed: {exc}")
-        return None
-    witness = refute.validate_witness(atoms, spec, result.j, tol_feas=config.tol_feas)
+        reason = ("rank-ambiguous spectrum" if flatness.ambiguous
+                  else f"ranks {flatness.rank_s} vs {flatness.rank_sv} differ")
+        note = (f"relaxation suggests non-convexity at order {k} (rho={result.rho:.3e}) "
+                f"but the flatness gate failed: {reason}")
+    else:
+        try:
+            atoms = refute.extract_atoms(result, flatness.t, seed=config.seed)
+        except refute.ExtractionError as exc:
+            note = f"flat at order {k} but atom extraction failed: {exc}"
+        else:
+            witness = refute.validate_witness(atoms, spec, result.j, tol_feas=config.tol_feas)
+            inside = [] if witness is None else [a for a in witness.atoms if a.feasibility_margin >= 0.0]
+            if witness is None:
+                note = f"extracted atoms at order {k} failed direct re-evaluation; no violation can be claimed"
+            elif not inside:
+                least = min(a.feasibility_margin for a in witness.atoms)
+                note = (f"extracted atoms at order {k} lie outside the set as evaluated (least feasibility "
+                        f"margin {least:.3e}); no violation can be claimed")
+                witness = None
+            elif len(inside) < len(witness.atoms):
+                total = sum(a.weight for a in inside)
+                witness.atoms = [dataclasses.replace(a, weight=a.weight / total) for a in inside]
     if witness is None:
         entry["unproven_signal"] = True
-        notes.append(
-            f"extracted atoms at order {k} failed direct re-evaluation; "
-            "no violation can be claimed"
-        )
+        entry["notes"].append(note)
     return witness
 
 

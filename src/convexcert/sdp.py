@@ -76,8 +76,7 @@ enough by a Schur-complement bound to make S positive definite on the
 indices of its round and of every later one. An improving ray is lifted
 like X. Rows are scaled by their full norms and the objective's norm is the
 full one, so the residuals and gap measured on the face are those of the
-full problem. When no row forces an index, the solve runs on the stacked
-data as they are.
+full problem.
 
 The blocks left after the presolve are then packed into members, the PSD
 blocks the iteration runs on. Whole size groups, the one of least total side
@@ -403,24 +402,20 @@ def _diagonal_face(a: np.ndarray, b: np.ndarray, layout: _Layout) -> tuple[np.nd
 class _Face:
     """The face the diagonal reduction leaves, and the lift of its blocks back to the full ones.
 
-    ``sizes`` holds the number of surviving indices of each block. When an
-    index is gone, ``kept`` lists the survivors of each block and ``live``
-    flags the svec entries between two of them; the blocks that keep an
-    index, in block order, make up the reduced problem, whose svec rows are
-    the ``live`` columns of the full ones.
+    ``kept`` lists the surviving indices of each block, ``sizes`` their
+    number, and ``live`` flags the svec entries between two of them; the
+    blocks that keep an index, in block order, make up the reduced problem,
+    whose svec rows are the ``live`` columns of the full ones.
     """
 
     def __init__(self, layout: _Layout, alive: np.ndarray, rounds: list[_Round], a: np.ndarray, c: np.ndarray):
-        self.layout = layout
-        self.whole = bool(alive.all())
-        self.sizes, self.alive, self.rounds = layout.dims, alive, rounds
-        if not self.whole:
-            self.kept = [np.flatnonzero(alive[at : at + k]) for at, k in zip(layout.index_starts, layout.dims)]
-            self.sizes = [len(idx) for idx in self.kept]
-            rows, cols = layout.entries
-            self.live = alive[rows] & alive[cols]
-            # off the face, S = C - A^T y is all the lift needs of the data
-            self.a_dead, self.c_dead = a[:, ~self.live], c[~self.live]
+        self.layout, self.alive, self.rounds = layout, alive, rounds
+        self.kept = [np.flatnonzero(alive[at : at + k]) for at, k in zip(layout.index_starts, layout.dims)]
+        self.sizes = [len(idx) for idx in self.kept]
+        rows, cols = layout.entries
+        self.live = alive[rows] & alive[cols]
+        # off the face, S = C - A^T y is all the lift needs of the data
+        self.a_dead, self.c_dead = a[:, ~self.live], c[~self.live]
 
     def lift(self, blocks: list[np.ndarray], y: np.ndarray | None = None, objective: bool = True) -> list[np.ndarray]:
         """Reduced blocks -> full blocks.
@@ -428,8 +423,6 @@ class _Face:
         Off the face the full blocks hold 0, or with y the slack C - A^T y
         (-A^T y without the objective, for a Farkas certificate).
         """
-        if self.whole:
-            return blocks
         vec = np.zeros(self.layout.total)
         if y is not None:
             vec[~self.live] = (self.c_dead if objective else 0.0) - self.a_dead.T @ y
@@ -589,7 +582,8 @@ def solve(
     if contradicting:
         certificate = {"type": "facial-reduction", "forcing_rows": forcing, "rows": contradicting}
     elif alive.any():
-        kept, dropped, inconsistent = _independent_rows(a_svec if face.whole else a_svec[:, face.live], b_full)
+        a_live = a_svec[:, face.live]
+        kept, dropped, inconsistent = _independent_rows(a_live, b_full)
         diagnostics["dropped_rows"] = dropped
         if inconsistent:
             certificate = {"type": "linear-inconsistency", "forcing_rows": forcing, "rows": dropped}
@@ -616,16 +610,14 @@ def solve(
     # residuals measured on the face are those of the full problem. From here
     # on the rows and the objective are full matrices in the flat layout of
     # the face.
-    a_svec = a_svec[kept]
-    row_scale = np.maximum(np.linalg.norm(a_svec, axis=1), 1e-300)
-    c = layout.unpack(c_svec)
-    norm_c = 1.0 + float(np.linalg.norm(c))
-    if not face.whole:
-        a_svec = a_svec[:, face.live]
-        layout = _Layout([k for k in face.sizes if k])
-        c = layout.unpack(c_svec[face.live])
-    a = layout.unpack(a_svec)
-    del a_svec  # else it would stay alive, beside a, through the whole solve
+    row_scale = np.maximum(np.linalg.norm(a_svec, axis=1)[kept], 1e-300)
+    norm_c = 1.0 + float(np.linalg.norm(layout.unpack(c_svec)))
+    del a_svec
+    a_live = a_live[kept]
+    layout = _Layout([k for k in face.sizes if k])
+    a = layout.unpack(a_live)
+    del a_live  # else it would stay alive, beside a, through the whole solve
+    c = layout.unpack(c_svec[face.live])
     a /= row_scale[:, None]
     b = b_full[kept] / row_scale
     p = a.shape[0]

@@ -231,6 +231,10 @@ def test_stengle_box_two_constraints(box_spec):
     assert verify_certificate(cert, box_spec).passed
     # degree-capped subsets of the 4 doubled constraints on each side
     assert len(cert.sigma_terms) == len(cert.h_terms) == 11
+    # the terms split by position, sigma_J and h_J of one subset J side by side
+    assert all(t.label.startswith("sigma_J") for t in cert.sigma_terms)
+    assert all(t.label.startswith("h_J") for t in cert.h_terms)
+    assert [t.label[len("sigma_J"):] for t in cert.sigma_terms] == [t.label[len("h_J"):] for t in cert.h_terms]
 
 
 def test_stengle_refuses_large_m():

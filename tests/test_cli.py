@@ -173,6 +173,43 @@ def test_moment_witness_clears_earlier_unproven_signal(capsys, monkeypatch):
     assert [r["flatness"]["flat"] for r in g1["relaxations"]] == [False, False, True]
     witness = g1["witness"]
     assert (witness["source"], witness["order"], len(witness["atoms"])) == ("moments", 3, 4)
+    assert all(atom["feasibility_margin"] >= 0.0 for atom in witness["atoms"])
+
+
+def test_extracted_atoms_outside_the_set_prove_nothing(tmp_path, capsys):
+    # parabola as S^2 g(x/S) at S = 10^-2.3: its draws find no pair, and the
+    # atoms extracted at orders 2 and 3 violate g_k by about 1e-10, within
+    # tol_feas but outside the set as evaluated, so the signal stays unproven
+    text = ("vars: x1 x2\ng: x1^2 - 0.005011872336272725*x2\n"
+            "g: 2.511886431509582e-05 - x1^2\ng: 2.511886431509582e-05 - x2^2\n")
+    code, payload = run_cli(capsys, [write_problem(tmp_path, text), "--mode", "refute"])
+    assert (payload["verdict"], code) == ("inconclusive", 3)
+    g1 = payload["constraints"][0]
+    assert g1["unproven_signal"] is True and g1["witness"] is None
+    outside = [note for note in g1["notes"] if "lie outside the set as evaluated" in note]
+    assert [note.split(" lie")[0] for note in outside] == ["extracted atoms at order 2", "extracted atoms at order 3"]
+    assert all("least feasibility margin -" in note for note in outside)
+
+
+def test_moment_witness_keeps_only_the_atoms_inside_the_set(capsys, monkeypatch):
+    # as above, with the first of the four order-3 atoms pushed outside the set:
+    # the other three refute g1, their weights renormalized
+    monkeypatch.setattr(refute, "sample_witness", lambda *args, **kwargs: None)
+    original = refute.validate_witness
+
+    def first_outside(*args, **kwargs):
+        witness = original(*args, **kwargs)
+        if witness is not None:
+            witness.atoms[0].feasibility_margin = -1e-12
+        return witness
+
+    monkeypatch.setattr(refute, "validate_witness", first_outside)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt")])
+    assert (payload["verdict"], code) == ("not convex", 0)
+    atoms = payload["constraints"][0]["witness"]["atoms"]
+    assert len(atoms) == 3
+    assert all(atom["feasibility_margin"] >= 0.0 for atom in atoms)
+    assert math.isclose(sum(atom["weight"] for atom in atoms), 1.0)
 
 
 def test_hyperbola_report_has_no_stale_unproven_signal(capsys):
