@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write a BENCH file: benchmark medians, the traced layer split and two relaxation ladders.
+"""Write a BENCH file: benchmark medians, the traced layer split, two relaxation ladders and the sampler.
 
     python3 scripts/bench.py --out BENCH.json
     python3 scripts/bench.py --root ../other-checkout --out other.json
@@ -21,7 +21,14 @@ records:
 - start-up: the median of 10 fresh interpreters' ``import convexcert``, the
   median of 10 whole ``python -m convexcert.cli problems/hyperbola.txt --mode
   refute`` processes (each run through runpy, as ``-m`` runs it), and whether
-  each of those processes had scipy in ``sys.modules`` at exit.
+  each of those processes had scipy in ``sys.modules`` at exit;
+- the sampler: for each constraint that refute mode samples (no closed-form
+  certificate, up to the first constraint a sampled pair refutes) in the
+  seed-1 refute-nonconvex instances, the bundled problems and two convex
+  literals that are not concave, refute.sample_witness at the CLI's seed 0:
+  the members of each radius it draws, the pairs of distinct members it
+  ranks, whether it returns a witness, and the median seconds of 20 calls
+  after one untimed call.
 
 BLAS is pinned to one thread, as perfbench/run.py pins it.
 """
@@ -45,6 +52,12 @@ LAYER_SEED = 7
 LADDERS = {"hyperbola": (2, 3, 4), "cubic_halfline": (2, 3, 4)}
 LADDER_REPEATS = 3
 STARTUP_RUNS = 10
+SAMPLER_REPEATS = 20
+# convex constraints that are not concave: the sampler draws every radius and finds no pair
+SAMPLER_LITERALS = {
+    "whole_line": "vars: x1\ng: 1 + x1^2\n",
+    "branch": "vars: x1 x2\ng: x1*x2 - 1\ng: x1\ng: x2\ng: 4 - x1\ng: 4 - x2\n",
+}
 IMPORT_SNIPPET = "import time; t = time.perf_counter(); import convexcert; print(time.perf_counter() - t)"
 # `python -m convexcert.cli ARGS`, reporting at exit whether scipy was loaded
 CLI_SNIPPET = """import runpy, sys
@@ -85,6 +98,49 @@ def _ladder(root: Path, problem: str, orders: tuple[int, ...]) -> list[dict]:
         rows.append({"s": s, "blocks": diag["blocks"], "reduced_blocks": diag.get("reduced_blocks"), "p": diag["p"],
                      "iterations": diag["iterations"], "status": result.status,
                      "seconds": statistics.median(seconds), "seconds_runs": seconds})
+    return rows
+
+
+def _sampler(root: Path) -> list[dict]:
+    """Each sampled constraint's draw and sample_witness time, in this process from the checkout's src/."""
+    sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root))
+    import numpy as np
+    from convexcert import certify, refute
+    from convexcert.polynomials import PolynomialSystem
+    from convexcert.problemio import parse_problem
+    from perfbench.workloads import refute_nonconvex
+
+    texts = {f"refute-nonconvex/{inst.ident}": inst.text for inst in refute_nonconvex(root, SEED)}
+    texts.update({path.stem: path.read_text() for path in sorted((root / "problems").glob("*.txt"))})
+    texts.update(SAMPLER_LITERALS)
+    rows = []
+    for name, text in texts.items():
+        spec = parse_problem(text)
+        for j in range(1, spec.m + 1):
+            if certify.closed_form_certificate(spec, j) is not None:
+                continue  # refute mode samples no concave quadratic or affine constraint
+            # the radii drawn: up to the first that yields a witness, as the draw continues one stream
+            drawn = next((k for k in range(1, len(refute.SAMPLE_RADII) + 1)
+                          if refute.sample_witness(spec, j, refute.SAMPLE_RADII[:k]) is not None),
+                         len(refute.SAMPLE_RADII))
+            rng = np.random.default_rng([0, j])
+            members = []
+            for radius in refute.SAMPLE_RADII[:drawn]:
+                points = rng.uniform(-radius, radius, size=(refute.SAMPLE_POINTS, spec.n))
+                members.append(int(np.all(PolynomialSystem(spec.constraints)(points) > 0.0, axis=1).sum()))
+            witness = refute.sample_witness(spec, j)  # untimed
+            seconds = []
+            for _ in range(SAMPLER_REPEATS):
+                start = time.perf_counter()
+                refute.sample_witness(spec, j)
+                seconds.append(time.perf_counter() - start)
+            rows.append({"problem": name, "j": j, "members": members,
+                         "pairs": sum(c * (c - 1) // 2 for c in members if c >= 2),
+                         "witness": witness is not None, "seconds": statistics.median(seconds),
+                         "seconds_runs": seconds})
+            if witness is not None:
+                break  # refute mode examines no later constraint
     return rows
 
 
@@ -141,6 +197,10 @@ def main(argv=None) -> int:
     startup = _startup(root)
     print(f"startup import={startup['import_s']:.3f}s cli_process={startup['cli_process_s']:.3f}s "
           f"scipy_loaded_at_exit={startup['scipy_loaded_at_exit']}", flush=True)
+    sampler = _sampler(root)
+    for row in sampler:
+        print(f"sampler {row['problem']} g{row['j']} members={row['members']} pairs={row['pairs']} "
+              f"witness={row['witness']} {row['seconds'] * 1e3:.3f}ms", flush=True)
     ladders = {problem: _ladder(root, problem, orders) for problem, orders in LADDERS.items()}
     for problem, ladder in ladders.items():
         for row in ladder:
@@ -159,6 +219,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "layers": {"workload": LAYER_WORKLOAD, "seed": LAYER_SEED, **layers},
         "startup": startup,
+        "sampler": {"seed": 0, "repeats": SAMPLER_REPEATS, "constraints": sampler},
         **{f"{problem}_ladder": ladder for problem, ladder in ladders.items()},
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")

@@ -7,7 +7,8 @@ and the two embeddings of an n-variable polynomial into the doubled (x, y)
 space.
 
 Point evaluation has one kernel, _monomials: Polynomial.evaluate, the
-PolynomialSystem of the sampler and witness validation, and the
+PolynomialSystem of the sampler's membership test and of witness
+validation, the sampler's pair scores through _midpoint_form, and the
 Vandermonde matrices of MomentSequence.from_atoms and extract_atoms use it.
 
 Term summation has one helper too, _summed: it sums (exponents, coefficient)
@@ -268,6 +269,26 @@ def midpoint_substitute(g: Polynomial) -> Polynomial:
     return Polynomial._of(g.space.lift(), chain.from_iterable(starmap(split, g.terms.items())))
 
 
+def _midpoint_form(g: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The polarized midpoint form of g: halves H (T', n) and a matrix M (T', T').
+
+    Each lifted exponent of midpoint_substitute(g) splits into its x half and
+    its y half, and its coefficient goes to M at (x half, y half). The
+    substitution is symmetric under the swap of x and y, so the x halves are
+    the y halves too, the rows of H, and M is symmetric. With
+    Phi = _monomials(points, H), (Phi M Phi^T)[a, b] =
+    g((points[a] + points[b])/2) for every pair of points at once.
+    """
+    n = g.space.n
+    terms = midpoint_substitute(g).terms
+    halves = sorted({e[:n] for e in terms}, key=grlex_key)
+    index = {h: i for i, h in enumerate(halves)}
+    form = np.zeros((len(halves), len(halves)))
+    for exps, coeff in terms.items():
+        form[index[exps[:n]], index[exps[n:]]] = coeff
+    return np.array(halves, dtype=np.int64).reshape(len(halves), n), form
+
+
 def lift(g: Polynomial, side: str) -> Polynomial:
     """Embed a base-space polynomial into the lifted space on the x or y block."""
     if g.space.lifted:
@@ -298,9 +319,9 @@ def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """prod_i points[:, i] ** exponents[:, i] for every point and exponent row: shape (N, T).
 
     The one code that raises coordinates to powers. The powers come from a
-    table built by repeated multiplication, several times faster than a power
-    per entry for the thousands of midpoints the sampler scores, and within
-    a few ulps of it.
+    table built by repeated multiplication, faster than a power per entry
+    and within a few ulps of it. The sampler evaluates no midpoint here: it
+    raises its members to the halves of _midpoint_form, once per member.
     """
     powers = np.empty((int(exponents.max(initial=0)) + 1,) + points.shape)
     powers[0] = 1.0

@@ -34,17 +34,17 @@ stands on its own without trusting the solver.
 
 A witness needs no relaxation when a pair of members can be found directly.
 sample_witness draws seeded uniform points in boxes of given radii, keeps
-those strictly inside the set, scores g_j at every pairwise midpoint in one
-vectorised pass, and offers the least-scoring pair, as drawn, to
-validate_witness. One validated pair refutes convexity outright, so the
-CLI draws before any solve, over the fixed radii of SAMPLE_RADII, and only
-a constraint with no such pair reaches the relaxations. Their first
-negative bound sizes one more box from the order-1 moments
-(moment_radius), for sets too tiny or too far for the fixed radii; rho, a
-lower bound on g_j((x+y)/2) over all member pairs, stays at or below the
-violation of any pair. The sampler needs numpy only; a set
-with empty interior leaves it without members, and then only flatness can
-help.
+those strictly inside the set, scores g_j at every pairwise midpoint with
+one matrix product through the polarized midpoint form, and offers the
+least-scoring pair, as drawn, to validate_witness. One validated pair
+refutes convexity outright, so the CLI draws before any solve, over the
+fixed radii of SAMPLE_RADII, and only a constraint with no such pair
+reaches the relaxations. Their first negative bound sizes one more box from
+the order-1 moments (moment_radius), for sets too tiny or too far for the
+fixed radii; rho, a lower bound on g_j((x+y)/2) over all member pairs,
+stays at or below the violation of any pair. The sampler needs numpy only;
+a set with empty interior leaves it without members, and then only
+flatness can help.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import certify, sdp
 from .moments import MomentSequence, localizing_matrix, monomial_basis, moment_matrix
-from .polynomials import Polynomial, PolynomialSystem, _monomials
+from .polynomials import Polynomial, PolynomialSystem, _midpoint_form, _monomials
 from .problemio import ProblemSpec
 
 RANK_SINGULAR_THRESHOLD = 1e-6
@@ -72,7 +72,6 @@ EXTRACTION_MATCH_TOL = 1e-4
 # Sampled witnesses (sample_witness).
 SAMPLE_RADII = (1.0, 4.0)  # box radii of the draw before any relaxation
 SAMPLE_POINTS = 400
-SAMPLE_CHUNK = 8192  # midpoints scored per vectorised pass, to keep temporaries small
 
 
 class ExtractionError(RuntimeError):
@@ -348,6 +347,11 @@ def validate_witness(
     weights are renormalized to sum to one. Returns None when nothing
     survives. Uses polynomial evaluation only, so an accepted witness is a
     standalone disproof of convexity at the stated tolerances.
+
+    An atom within tol_feas of the set is accepted: an extracted atom can
+    have feasibility_margin below 0 (the README's parabola example gives
+    -2.0e-10). Only the CLI also requires feasibility_margin >= 0, and a
+    library caller after a proof, not a tolerance claim, must check it too.
     """
     if not atoms:
         raise ValueError("no atoms supplied")
@@ -414,12 +418,17 @@ def sample_witness(
     draws fresh points. Per radius, SAMPLE_POINTS points are drawn
     uniformly from [-R, R]^n; the points where every g_k is positive,
     evaluated at the point itself with no tolerance, are the members. g_j is
-    scored at the midpoints of all member pairs in one vectorised pass (in
-    chunks of SAMPLE_CHUNK midpoints). When some pair violates g_j, the
-    least-scoring pair (a NaN score never wins) is kept when validate_witness
-    accepts it and it stays inside the set, so a sampled witness has
-    feasibility_margin >= 0. The first radius that yields such a pair ends
-    the draw.
+    scored at the midpoints of all member pairs with one matrix product,
+    Phi M Phi^T, where M is the polarized midpoint form of g_j
+    (polynomials._midpoint_form) and Phi holds each member's monomials of its
+    halves; no midpoint is formed. The scores only rank the pairs: a pair
+    of distinct members is one candidate, whichever of its two entries wins,
+    and is offered in draw order; no member pairs with itself, a NaN score
+    never wins, and a radius with no negative score moves on to the next
+    one, also when every score is NaN. The least-scoring pair is kept when
+    validate_witness, which evaluates it directly, accepts it and it stays
+    inside the set, so a sampled witness has feasibility_margin >= 0. The
+    first radius that yields such a pair ends the draw.
 
     Returns None when no radius does: a sample with fewer than two members
     (a thin set) or with no violating pair validates nothing. Needs numpy
@@ -429,23 +438,19 @@ def sample_witness(
     g = spec.constraints[certify._constraint_index(spec, j)]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng([seed, j])
     constraints = PolynomialSystem(spec.constraints)
-    objective = PolynomialSystem([g])
+    halves, form = _midpoint_form(g)
     for radius in radii:
         points = rng.uniform(-radius, radius, size=(SAMPLE_POINTS, n))
         members = points[np.all(constraints(points) > 0.0, axis=1)]
-        count = len(members)
-        if count < 2:
+        if len(members) < 2:
             continue
-        scores = np.empty((count, count))
-        rows_per_chunk = max(1, SAMPLE_CHUNK // count)
-        for start in range(0, count, rows_per_chunk):  # columns left of start lie below the diagonal
-            block, right = members[start:start + rows_per_chunk], members[start:]
-            midpoints = 0.5 * (block[:, None, :] + right[None, :, :])
-            scores[start:start + len(block), start:] = objective(midpoints.reshape(-1, n)).reshape(len(block), -1)
-        scores[np.tri(count, dtype=bool)] = np.inf  # each unordered pair once, no pair with itself
-        if not np.any(scores < 0.0):
+        phi = _monomials(members, halves)
+        scores = phi @ form @ phi.T  # scores[a, b] = g((members[a] + members[b])/2)
+        np.fill_diagonal(scores, np.inf)  # no point paired with itself
+        if not np.any(scores < 0.0):  # also when every score is NaN
             continue
-        row, col = np.unravel_index(np.nanargmin(scores), scores.shape)
+        scores[np.isnan(scores)] = np.inf  # a NaN score never wins; in place, unlike np.nanargmin
+        row, col = sorted(np.unravel_index(np.argmin(scores), scores.shape))  # the pair as drawn
         pair = np.concatenate([members[row], members[col]])
         witness = validate_witness([(pair, 1.0)], spec, j, tol_feas=tol_feas)
         if witness is not None and witness.atoms[0].feasibility_margin >= 0.0:

@@ -1,17 +1,22 @@
 import dataclasses
+import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexcert import refute, sdp
 from convexcert.certify import _qmodule_program
 from convexcert.moments import MomentSequence, moment_matrix, monomial_basis
-from convexcert.polynomials import VariableSpace
+from convexcert.polynomials import Polynomial, VariableSpace, _midpoint_form, _monomials
 from convexcert.problemio import parse_problem
 from convexcert.refute import (
     RELAXATION_TOL_CEILING,
+    SAMPLE_POINTS,
     SAMPLE_RADII,
     ExtractionError,
     RelaxationResult,
@@ -665,3 +670,131 @@ def test_a_shared_generator_continues_its_stream():
     first = sample_witness(spec, 1, (1.0,), seed=rng).to_payload()
     assert sample_witness(spec, 1, (1.0,), seed=5).to_payload() == first  # an int seeds (seed, j)
     assert sample_witness(spec, 1, (1.0,), seed=rng).to_payload() != first  # fresh points
+
+
+def _reference_pair(spec, j, radii=SAMPLE_RADII, seed=0):
+    """The pair sample_witness must return, found by a loop over every unordered member pair.
+
+    The same draw as the sampler's; each pair is scored by Polynomial.evaluate
+    at its midpoint, and the first least score wins, so a NaN never does. The
+    best negative pair of a radius is offered to validate_witness as the
+    sampler offers it; None when no radius yields an accepted one.
+    """
+    g = spec.constraints[j - 1]
+    rng = np.random.default_rng([seed, j])
+    for radius in radii:
+        points = rng.uniform(-radius, radius, size=(SAMPLE_POINTS, spec.n))
+        members = [p for p in points if all(gk.evaluate(p) > 0.0 for gk in spec.constraints)]
+        best, pair = 0.0, None
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                value = g.evaluate(0.5 * (members[a] + members[b]))
+                if value < best:
+                    best, pair = value, np.concatenate([members[a], members[b]])
+        if pair is None:
+            continue
+        witness = validate_witness([(pair, 1.0)], spec, j)
+        if witness is not None and witness.atoms[0].feasibility_margin >= 0.0:
+            return pair
+    return None
+
+
+def _refute_nonconvex_texts(seed):
+    """The problem texts of the benchmark's refute-nonconvex workload at seed, by instance id."""
+    path = PROBLEMS.parent / "perfbench" / "workloads.py"
+    source = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[source.name] = importlib.util.module_from_spec(source)  # dataclasses look it up
+    source.loader.exec_module(workloads)
+    return {inst.ident: inst.text for inst in workloads.refute_nonconvex(PROBLEMS.parent, seed)}
+
+
+REFUTE_TEXTS = {
+    **{name: (PROBLEMS / f"{name}.txt").read_text()
+       for name in ("hyperbola", "parabola", "two_interval", "cubic_halfline")},
+    **_refute_nonconvex_texts(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUTE_TEXTS))
+def test_sampled_pair_is_the_best_pair_by_direct_evaluation(name):
+    spec = parse_problem(REFUTE_TEXTS[name])
+    expected = _reference_pair(spec, 1)
+    witness = sample_witness(spec, 1, seed=0)
+    if expected is None:
+        assert witness is None
+    else:
+        (atom,) = witness.atoms
+        assert np.array_equal(np.concatenate([atom.x, atom.y]), expected)
+
+
+# magnitudes far from underflow, so that no product of them is subnormal
+def _floats(bound):
+    return st.floats(min_value=-bound, max_value=bound, allow_nan=False).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+def _base_polynomial(n):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4) for _ in range(n)]).filter(lambda e: sum(e) <= 4)
+    return st.dictionaries(exps, _floats(10), min_size=1, max_size=6).map(lambda d: Polynomial(VariableSpace(n), d))
+
+
+@st.composite
+def _polynomial_and_points(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    g = draw(_base_polynomial(n))
+    coords = _floats(3)
+    points = draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=5))
+    return g, np.array(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomial_and_points())
+def test_polarized_scores_match_midpoint_evaluation(case):
+    # Phi M Phi^T against g at every midpoint, exactly in rationals; the error
+    # is bounded by the scale sum_a |c_a| max|x|^|a| of the terms it sums
+    g, points = case
+    halves, form = _midpoint_form(g)
+    phi = _monomials(points, halves)
+    scores = phi @ form @ phi.T
+    peak = float(np.max(np.abs(points)))
+    scale = sum(abs(c) * peak ** sum(e) for e, c in g.terms.items())
+    for a in range(len(points)):
+        for b in range(len(points)):
+            midpoint = [(Fraction(u) + Fraction(v)) / 2 for u, v in zip(points[a], points[b])]
+            assert abs(Fraction(scores[a, b]) - _exact_value(g.terms, midpoint)) <= 1e-12 * scale
+
+
+def test_a_nan_score_never_wins(monkeypatch):
+    spec = parse_problem((PROBLEMS / "parabola.txt").read_text())
+    (atom,) = sample_witness(spec, 1, (1.0,), seed=0).atoms
+    best = np.array(atom.x)
+
+    def nan_for_the_best(points, exponents):
+        phi = _monomials(points, exponents)
+        phi[np.all(points == best, axis=1)] = np.nan  # every pair of that member scores NaN
+        return phi
+
+    monkeypatch.setattr(refute, "_monomials", nan_for_the_best)
+    (other,) = sample_witness(spec, 1, (1.0,), seed=0).atoms
+    assert best.tolist() not in (list(other.x), list(other.y))
+    assert other.violation >= atom.violation
+
+
+def test_an_all_nan_radius_moves_on_without_raising(monkeypatch):
+    spec = parse_problem((PROBLEMS / "parabola.txt").read_text())
+    calls = []
+
+    def nan_at_first(points, exponents):
+        calls.append(len(points))
+        phi = _monomials(points, exponents)
+        return phi * np.nan if len(calls) == 1 else phi
+
+    monkeypatch.setattr(refute, "_monomials", nan_at_first)
+    witness = sample_witness(spec, 1, (1.0, 1.0), seed=0)  # the second radius refutes
+    assert len(calls) == 2 and witness is not None
+
+    def no_validation(*args, **kwargs):
+        raise AssertionError("validated a pair scored NaN")
+
+    monkeypatch.setattr(refute, "_monomials", lambda points, exponents: np.full((len(points), len(exponents)), np.nan))
+    monkeypatch.setattr(refute, "validate_witness", no_validation)
+    assert sample_witness(spec, 1, seed=0) is None
