@@ -684,10 +684,9 @@ def solve(
     best_score = np.inf
 
     def _finish(status: str, iterations: int) -> SdpSolution:
-        # Fall back to the best measured iterate; report optimal when it
-        # already meets the requested tolerance despite the breakdown.
-        final = "optimal" if best_score <= tol else status
-        return _solution(best_state, final, iterations)
+        # Fall back to the best measured iterate; its score is above tol,
+        # since an iterate that meets tol returns optimal from the loop.
+        return _solution(best_state, status, iterations)
 
     slow_steps = 0
     iteration = 0

@@ -279,6 +279,12 @@ def test_malformed_file_exits_64(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 64
     assert "line" in err
+    # a misplaced token and a repeated variable name, each named by its position
+    for text, position in (("vars: x\ng: 2 x\n", "(line 2, column 6)"), ("vars: x x\ng: x\n", "(line 1, column 9)")):
+        code = cli.main([write_problem(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (64, "")
+        assert captured.err.count("\n") == 1 and position in captured.err
 
 
 def test_non_finite_coefficient_exits_64(tmp_path, capsys):
@@ -424,10 +430,10 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_dump_sdp_writes_instances(tmp_path, capsys):
     path = write_problem(tmp_path, LINE)
-    for mode, expected_code in (("certify", 0), ("refute", 2), ("analyze", 0)):
+    for mode, expected in (("certify", ("convex", 0)), ("refute", ("inconclusive", 2)), ("analyze", ("convex", 0))):
         dump_dir = tmp_path / mode
         code, payload = run_cli(capsys, [path, "--mode", mode, "--dump-sdp", str(dump_dir)])
-        assert code == expected_code  # refute: convex, so nothing to refute
+        assert (payload["verdict"], code) == expected  # refute: convex, so nothing to refute
         # one file per Gram solve, and it is the instance that was solved
         solves = [f"qmodule_g{c['index']}_d{r['order']}.sdp"
                   for c in payload["constraints"] for r in c["relaxations"]]
@@ -488,6 +494,19 @@ def test_cubic_halfline_unbounded_advice(tmp_path, capsys):
     g1 = payload["constraints"][0]
     assert any(r["status"] == "inconclusive-unbounded" for r in g1["relaxations"])
     assert any("--ball" in note for note in g1["notes"])
+
+
+def test_relaxation_neither_optimal_nor_unbounded_is_noted(tmp_path, capsys, monkeypatch):
+    def stalled(spec, j, k):
+        return refute.RelaxationResult(j=j, s=k, status="stalled", rho=None, z=None)
+
+    monkeypatch.setattr(refute, "solve_relaxation", stalled)
+    code, payload = run_cli(capsys, [write_problem(tmp_path, LINE)])
+    assert (payload["verdict"], code) == ("inconclusive", 2)
+    (g1,) = payload["constraints"]
+    assert [(r["order"], r["status"]) for r in g1["relaxations"]] == [(k, "stalled") for k in (1, 2, 3)]
+    assert g1["attempts"] == []
+    assert g1["notes"] == [f"relaxation at order {k} returned status stalled" for k in (1, 2, 3)]
 
 
 def test_attempts_carry_solver_diagnostics(tmp_path, capsys):
@@ -586,6 +605,11 @@ MIDPOINT_MINIMA = {"parabola": -1.0, "hyperbola": -1.5625, "two_interval": -1.0}
 DRAWN_VIOLATIONS = {"parabola": -0.75, "hyperbola": -1.2, "two_interval": -0.99}
 
 
+def test_readme_outcomes_name_exactly_the_bundled_problems():
+    # a documented problem with no file has no parametrized run to fail
+    assert set(README_OUTCOMES) == {path.stem for path in PROBLEMS.glob("*.txt")}
+
+
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.txt")), ids=lambda path: path.stem)
 def test_bundled_problem_analyze_outcome(path, capsys):
     code, payload = run_cli(capsys, [str(path)])
@@ -656,6 +680,7 @@ def test_far_set_is_refuted_by_the_draw_at_the_first_negative_bound(tmp_path, ca
     code, payload = run_cli(capsys, [write_problem(tmp_path, FAR_HYPERBOLA), "--mode", "refute"])
     assert (payload["verdict"], code, payload["flags"]) == ("not convex", 0, [])
     assert draws == [(1, len(refute.SAMPLE_RADII)), (1, 1)] and len(calls) == 1
+    assert [len(c["relaxations"]) for c in payload["constraints"]] == [1, 0, 0]
     g1 = payload["constraints"][0]
     (record,) = g1["relaxations"]
     assert record["order"] == 1 and "flatness" not in record
@@ -807,6 +832,20 @@ def test_archimedean_failed_recheck_is_not_affirmed(capsys):
     assert f"{arch['residual']:.3e}" in arch["note"]
 
 
+def test_certificate_failed_recheck_is_noted_at_each_order(tmp_path, capsys):
+    # each Gram certificate of 1 + x1^2 has a residual near 2e-10, above a 1e-300 recheck
+    code, payload = run_cli(capsys, [write_problem(tmp_path, LINE), "--tol-residual", "1e-300"])
+    assert (payload["verdict"], code) == ("inconclusive", 2)
+    (g1,) = payload["constraints"]
+    assert g1["certificate"] is None
+    attempts = g1["attempts"]
+    assert [(a["degree"], a["verified"]) for a in attempts] == [(k, False) for k in (1, 2, 3)]
+    assert [note.split(" (")[0] for note in g1["notes"]] == [
+        f"certificate at order {k} failed verification" for k in (1, 2, 3)
+    ]
+    assert all(f"(residual {a['residual']:.3e}, " in note for a, note in zip(attempts, g1["notes"]))
+
+
 def test_each_fact_is_reported_once(tmp_path, capsys):
     # a certificate payload is its identity plus its one check; the solve
     # behind it is recorded once, by its relaxation or, for the preordering,
@@ -847,7 +886,7 @@ def test_each_accepted_certificate_is_expanded_once(monkeypatch, capsys):
     (entry,) = payload["constraints"]
     assert [a["verified"] for a in entry["attempts"]] == [True]
     cert = entry["certificate"]
-    assert cert["kind"] == "quadratic-module"
+    assert (payload["verdict"], cert["kind"], cert["source"]) == ("convex", "quadratic-module", "closed-form")
     # the quadratic-module certificate's sigma_0, sigma_1 and psi_1, then the
     # archimedean identity's sigma_0 and sigma_1
     assert sorted(expanded) == sorted([t["label"] for t in cert["terms"]] + ["sigma_0", "sigma_1"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexcert.cli import exit_code_for
 from convexcert.polynomials import Polynomial, VariableSpace, coeff_linf_distance
 from convexcert.problemio import (
     ParseError,
@@ -179,7 +180,10 @@ def test_parse_problem_error_columns_count_from_the_line_start(line, column):
     ("  vars:\ng: x\n", "vars line names no variables", 1, 3),
     ("\n  g: x\nvars: x\n", "vars line must precede constraints", 2, 3),
     ("vars: x\n   let x\n", "unrecognized line 'let'", 2, 4),
-], ids=["duplicate-name", "invalid-name", "zero-constraint", "empty-vars", "g-before-vars", "unrecognized"])
+    ("vars: x\nvars: y\ng: x\n", "duplicate vars line", 2, 1),
+    ("# no vars line\n", "missing vars line", 2, 1),
+], ids=["duplicate-name", "invalid-name", "zero-constraint", "empty-vars", "g-before-vars", "unrecognized",
+        "duplicate-vars", "missing-vars"])
 def test_parse_problem_points_at_the_rejected_token(text, message, line, column):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
@@ -283,6 +287,7 @@ def test_report_contradiction_flagged():
     report = make_report("analyze", spec, {}, [entry])
     assert "numerical-contradiction" in report["flags"]
     assert report["verdict"] == "inconclusive"
+    assert exit_code_for(report) == 70
 
 
 def test_empty_inconclusive_report_schema():

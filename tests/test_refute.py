@@ -418,6 +418,34 @@ def test_extraction_failure_reported():
         extract_atoms(res, 3)
 
 
+def test_extraction_retries_a_combination_that_ties_two_atoms(monkeypatch):
+    # the two atoms differ along the normal of seed 0's first combination c, so
+    # c gives both one eigenvalue, whose eigenvectors mix the atoms and miss
+    # the moment match; the second combination separates them
+    c = np.random.default_rng(0).random(2)
+    c /= c.sum()
+    q = np.array([0.5, -0.25])
+    p = q + 0.8 * np.array([-c[1], c[0]])
+    res = synthetic_result(LIFTED1, 2, [p, q], [0.3, 0.7])
+    attempts = []
+    monomials = refute._monomials
+
+    def counted(points, exponents):
+        attempts.append(points)
+        return monomials(points, exponents)
+
+    monkeypatch.setattr(refute, "_monomials", counted)
+    atoms = extract_atoms(res, 2, seed=0)
+    assert len(attempts) == 2
+    assert _match_atoms(atoms, [p, q], [0.3, 0.7]) <= 1e-8
+    # with that one combination alone, the tie is never broken
+    attempts.clear()
+    monkeypatch.setattr(refute, "EXTRACTION_MAX_ATTEMPTS", 1)
+    with pytest.raises(ExtractionError, match="^extraction-failed: moment match residual .* above 1.000e-04$"):
+        extract_atoms(res, 2, seed=0)
+    assert len(attempts) == 1
+
+
 # -- witness validation --------------------------------------------------------------------
 
 

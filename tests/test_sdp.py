@@ -277,13 +277,28 @@ def test_inconsistent_duplicate_rows_infeasible():
 # -- random batteries ----------------------------------------------------------------------
 
 
-def test_random_strictly_feasible_battery():
+def _two_block_draws():
     rng = np.random.default_rng(2024)
-    for trial in range(12):
+    for _ in range(12):
         nblocks = int(rng.integers(1, 3))
         dims = [int(rng.integers(2, 8)) for _ in range(nblocks)]
         p = int(rng.integers(1, 2 * sum(dims)))
-        problem = random_strictly_feasible(rng, dims, p)
+        yield dims, random_strictly_feasible(rng, dims, p)
+
+
+def _three_block_draws():
+    # criterion 08's draw at sides 2..6: 1-3 blocks, small enough that the
+    # solver often merges them into one PSD block (sdp.MERGE_MAX_SIDE)
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        nblocks = int(rng.integers(1, 4))
+        dims = [int(rng.integers(2, 7)) for _ in range(nblocks)]
+        p = int(rng.integers(5, min(200, 3 * sum(dims)) + 1))
+        yield dims, random_strictly_feasible(rng, dims, p)
+
+
+def test_random_strictly_feasible_battery():
+    for trial, (dims, problem) in enumerate([*_two_block_draws(), *_three_block_draws()]):
         sol = solve(problem, tol=1e-8, max_iter=100)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
         assert sol.diagnostics["reduced_blocks"] == dims  # dense rows force nothing
