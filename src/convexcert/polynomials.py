@@ -40,6 +40,24 @@ def _summed(pairs: Iterable[tuple[Exponents, float]]) -> dict[Exponents, float]:
     return {k: v for k, v in total.items() if v != 0.0}
 
 
+def _pair_products(a: Mapping[Exponents, float], b: Mapping[Exponents, float]) -> Iterator[tuple[Exponents, float]]:
+    """The term products of a times b, a's terms outer, in map order; _summed makes them the product's map."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            yield tuple(x + y for x, y in zip(ea, eb)), ca * cb
+
+
+def _power(terms: Mapping[Exponents, float], k: int, one: Exponents) -> dict[Exponents, float]:
+    """The term map of terms**k by square-and-multiply; one is the constant key of the space."""
+    result = {one: 1.0}
+    while k:
+        if k & 1:
+            result = _summed(_pair_products(result, terms))
+        terms = _summed(_pair_products(terms, terms)) if k > 1 else terms
+        k >>= 1
+    return result
+
+
 def grlex_key(exponents: Exponents) -> tuple[int, tuple[int, ...]]:
     """Graded-lexicographic sort key with x1 > x2 > ... precedence."""
     return (sum(exponents), tuple(-e for e in exponents))
@@ -176,10 +194,7 @@ class Polynomial:
         if isinstance(other, Real):
             return Polynomial._of(self.space, ((e, c * float(other)) for e, c in self.terms.items()))
         self._check_space(other)
-        return Polynomial._of(self.space, (
-            (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
-            for ea, ca in self.terms.items() for eb, cb in other.terms.items()
-        ))
+        return Polynomial._of(self.space, _pair_products(self.terms, other.terms))
 
     def __rmul__(self, other: Real) -> "Polynomial":
         return self.__mul__(other)
@@ -187,15 +202,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, Integral) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.constant(self.space, 1.0)
-        base = self
-        k = int(exponent)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Polynomial._of(self.space, _power(self.terms, int(exponent), (0,) * self.space.arity).items())
 
     # -- evaluation ----------------------------------------------------------
 

@@ -7,9 +7,17 @@ docs/formats.md: numeric literals, declared variable names, ``+ - * ^``,
 parentheses, no implicit multiplication, exponents restricted to nonnegative
 integer literals.
 
-A report is the plain dict it serializes to, emitted as a single
-deterministic JSON document; floats are written with repr precision so that
-parse(serialize(report)) is the identity on every payload field.
+The parser descends over term maps ({exponents: coefficient}), not
+Polynomial objects, and builds each constraint with one Polynomial._of. Its
+maps equal, keys, key order and coefficient bits included, those that
+Polynomial's operators build from the same text: products and powers share
+the pair loop and square-and-multiply of polynomials.py, and a sum adds its
+terms in the order written, dropping a key the moment it cancels.
+
+A report is the plain dict it serializes to, emitted as one line of
+deterministic JSON with sorted keys, by CPython's C encoder; floats are
+written with repr precision so that parse(serialize(report)) is the identity
+on every payload field, NaN and infinities included.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .polynomials import Polynomial, VariableSpace
+from .polynomials import Exponents, Polynomial, VariableSpace, _pair_products, _power, _summed
 
 
 class ParseError(ValueError):
@@ -75,12 +83,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    line: int
-    column: int
+_Terms = dict[Exponents, float]
+_Token = tuple[str, str, int, int]  # kind (num | name | op | end), text, line, column
 
 
 def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
@@ -92,10 +96,10 @@ def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = match.lastgroup or ""
+        kind = match.lastgroup
         chunk = match.group()
         if kind != "ws":
-            tokens.append(_Token("op" if kind == "op" else kind, chunk, line, col))
+            tokens.append((kind, chunk, line, col))
         newlines = chunk.count("\n")
         if newlines:
             line += newlines
@@ -103,20 +107,29 @@ def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
         else:
             col += len(chunk)
         pos = match.end()
-    tokens.append(_Token("end", "", line, col))
+    tokens.append(("end", "", line, col))
     return tokens
 
 
 class _ExpressionParser:
     """Recursive descent over: expr := [+-] term (('+'|'-') term)*,
     term := factor ('*' factor)*, factor := atom ['^' INT],
-    atom := NUM | NAME | '(' expr ')'."""
+    atom := NUM | NAME | '(' expr ')'.
+
+    Every rule returns a term map, the map Polynomial's operators would build
+    for the same text: products and powers go through the pair loop and
+    square-and-multiply of Polynomial.__mul__ and __pow__, and an expr adds
+    its terms in the order written, dropping a key the moment it cancels,
+    as the chain of + and - does.
+    """
 
     def __init__(self, tokens: list[_Token], space: VariableSpace, names: list[str]):
         self.tokens = tokens
         self.pos = 0
-        self.space = space
-        self.index = {name: i for i, name in enumerate(names)}
+        self.one = (0,) * space.arity
+        self.variables = {
+            name: {tuple(int(i == j) for j in range(space.arity)): 1.0} for i, name in enumerate(names)
+        }
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -126,76 +139,67 @@ class _ExpressionParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> _Terms:
         result = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+        kind, text, line, column = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {text!r}", line, column)
         return result
 
-    def expr(self) -> Polynomial:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "op" and tok.text in "+-":
+    def expr(self) -> _Terms:
+        total: _Terms = {}
+        kind, text = self.peek()[:2]
+        negate = kind == "op" and text == "-"
+        if kind == "op" and text in "+-":
             self.advance()
-            negate = tok.text == "-"
-        result = self.term()
-        if negate:
-            result = -result
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                result = result - rhs if tok.text == "-" else result + rhs
-            else:
-                return result
+            for key, coeff in self.term().items():
+                value = total.get(key, 0.0) + (-coeff if negate else coeff)
+                if value == 0.0:
+                    del total[key]
+                else:
+                    total[key] = value
+            kind, text = self.peek()[:2]
+            if kind != "op" or text not in "+-":
+                return total
+            self.advance()
+            negate = text == "-"
 
-    def term(self) -> Polynomial:
+    def term(self) -> _Terms:
         result = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                result = result * self.factor()
-            else:
-                return result
+        while self.peek()[1] == "*":
+            self.advance()
+            result = _summed(_pair_products(result, self.factor()))
+        return result
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> _Terms:
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if self.peek()[1] == "^":
             self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "num" or not exp_tok.text.isdigit():
-                raise ParseError(
-                    "exponent must be a nonnegative integer literal",
-                    exp_tok.line,
-                    exp_tok.column,
-                )
+            kind, text, line, column = self.peek()
+            if kind != "num" or not text.isdigit():
+                raise ParseError("exponent must be a nonnegative integer literal", line, column)
             self.advance()
-            base = base ** int(exp_tok.text)
+            base = _power(base, int(text), self.one)
         return base
 
-    def atom(self) -> Polynomial:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Polynomial.constant(self.space, float(tok.text))
-        if tok.kind == "name":
-            idx = self.index.get(tok.text)
-            if idx is None:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
-            return Polynomial.variable(self.space, idx)
-        if tok.kind == "op" and tok.text == "(":
+    def atom(self) -> _Terms:
+        kind, text, line, column = self.advance()
+        if kind == "num":
+            return _summed([(self.one, float(text))])
+        if kind == "name":
+            variable = self.variables.get(text)
+            if variable is None:
+                raise ParseError(f"unknown variable {text!r}", line, column)
+            return variable  # no rule writes into a map it is given
+        if kind == "op" and text == "(":
             inner = self.expr()
-            closing = self.advance()
-            if closing.kind != "op" or closing.text != ")":
-                raise ParseError("expected ')'", closing.line, closing.column)
+            kind, text, line, column = self.advance()
+            if kind != "op" or text != ")":
+                raise ParseError("expected ')'", line, column)
             return inner
         raise ParseError(
-            f"expected a number, variable, or '(', got {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
+            f"expected a number, variable, or '(', got {text or 'end of input'!r}", line, column
         )
 
 
@@ -208,14 +212,15 @@ def parse_polynomial(
     """Parse a polynomial expression into canonical form over the given space."""
     resolved = space.variable_names(names)
     tokens = _tokenize(text, line_offset)
-    return _ExpressionParser(tokens, space, resolved).parse()
+    return Polynomial._of(space, _ExpressionParser(tokens, space, resolved).parse().items())
 
 
 def parse_problem(text: str) -> ProblemSpec:
     """Parse a problem definition file into a ProblemSpec."""
     names: list[str] | None = None
     pending: list[tuple[str, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
@@ -243,10 +248,11 @@ def parse_problem(text: str) -> ProblemSpec:
             pending.append((" " * (column - 1) + line[column - 1:], lineno, column))
         else:
             raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, 1 + indent)
+    last_line = max(1, len(lines))  # a final newline opens no further line
     if names is None:
-        raise ParseError("missing vars line", max(1, text.count("\n") + 1), 1)
+        raise ParseError("missing vars line", last_line, 1)
     if not pending:
-        raise ParseError("no g: constraint lines", max(1, text.count("\n") + 1), 1)
+        raise ParseError("no g: constraint lines", last_line, 1)
     space = VariableSpace(len(names))
     constraints = []
     for body, lineno, column in pending:
@@ -321,8 +327,12 @@ def make_report(
 
 
 def serialize_report(report: dict) -> str:
-    """Render a report payload as deterministic JSON, full float precision."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=True)
+    """Render a report payload as deterministic one-line JSON, full float precision.
+
+    Without indent, json.dumps takes CPython's C encoder; with one, or through
+    json.dump to a stream, it falls back to the pure-Python encoder.
+    """
+    return json.dumps(report, sort_keys=True, allow_nan=True)
 
 
 _REQUIRED_TOP_LEVEL = {

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,15 @@ HALFSPACE = "vars: x1\ng: x1\n"
 BOX = "vars: x1 x2\ng: 1 - x1^2\ng: 1 - x2^2\n"
 PARABOLA = "vars: x1 x2\ng: x1^2 - x2\ng: 1 - x1^2\ng: 1 - x2^2\n"
 TWO_INTERVAL = "vars: x1\ng: x1^2 - 1\ng: 4 - x1^2\n"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def workload_texts(name, seed):
+    """The problem texts of one of the benchmark's verdict workloads at seed, by instance id."""
+    source = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[source.name] = importlib.util.module_from_spec(source)  # dataclasses look it up
+    source.loader.exec_module(workloads)
+    return {inst.ident: inst.text for inst in getattr(workloads, name.replace("-", "_"))(ROOT, seed)}
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from convexcert.problemio import (
     serialize_report,
     validate_report_payload,
 )
+
+from conftest import ROOT, workload_texts
 
 X1 = VariableSpace(1)
 X2 = VariableSpace(2)
@@ -181,9 +185,12 @@ def test_parse_problem_error_columns_count_from_the_line_start(line, column):
     ("\n  g: x\nvars: x\n", "vars line must precede constraints", 2, 3),
     ("vars: x\n   let x\n", "unrecognized line 'let'", 2, 4),
     ("vars: x\nvars: y\ng: x\n", "duplicate vars line", 2, 1),
-    ("# no vars line\n", "missing vars line", 2, 1),
+    ("# no vars line\n", "missing vars line", 1, 1),
+    ("# no vars line", "missing vars line", 1, 1),
+    ("vars: x\n", "no g: constraint lines", 1, 1),
+    ("vars: x", "no g: constraint lines", 1, 1),
 ], ids=["duplicate-name", "invalid-name", "zero-constraint", "empty-vars", "g-before-vars", "unrecognized",
-        "duplicate-vars", "missing-vars"])
+        "duplicate-vars", "missing-vars", "missing-vars-no-newline", "no-constraints", "no-constraints-no-newline"])
 def test_parse_problem_points_at_the_rejected_token(text, message, line, column):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
@@ -214,6 +221,86 @@ def test_parse_problem_rejects_non_finite_coefficients(body):
     assert (err.value.line, err.value.column) == (3, 5)
 
 
+# -- the parser against the operator-built polynomials -----------------------------------
+
+_REFERENCE_TOKEN = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_]*|\S")
+
+
+def _operator_built(body, space, names):
+    """The polynomial of one well-formed constraint body, built with Polynomial's operators rule by rule."""
+    tokens = _REFERENCE_TOKEN.findall(body) + [""]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        negate = False
+        if tokens[pos] in ("+", "-"):
+            negate = take() == "-"
+        result = term()
+        if negate:
+            result = -result
+        while tokens[pos] in ("+", "-"):
+            sign = take()
+            rhs = term()
+            result = result - rhs if sign == "-" else result + rhs
+        return result
+
+    def term():
+        result = factor()
+        while tokens[pos] == "*":
+            take()
+            result = result * factor()
+        return result
+
+    def factor():
+        base = atom()
+        if tokens[pos] == "^":
+            take()
+            base = base ** int(take())
+        return base
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            inner = expr()
+            assert take() == ")"
+            return inner
+        if tok in names:
+            return Polynomial.variable(space, names.index(tok))
+        return Polynomial.constant(space, float(tok))
+
+    result = expr()
+    assert tokens[pos] == ""
+    return result
+
+
+REFERENCE_TEXTS = {
+    "problems": [path.read_text() for path in sorted((ROOT / "problems").glob("*.txt"))],
+    **{f"{name}-{seed}": list(workload_texts(name, seed).values())
+       for name in ("corpus", "certify-convex", "refute-nonconvex") for seed in (1, 2, 3)},
+    # terms that cancel, and one that comes back after it cancelled
+    "cancellations": [f"vars: x y\ng: {body}\n" for body in (
+        "x - x + x^2", "1e300*x^2 - 1e300*x^2 + x", "(x+y)^3 - (x-y)^3 - 2*y^3", "x + y - x + x")],
+}
+
+
+@pytest.mark.parametrize("source", sorted(REFERENCE_TEXTS))
+def test_parsed_terms_equal_the_operator_built_ones(source):
+    # keys, key order and coefficient bits, as Polynomial's operators build them
+    for text in REFERENCE_TEXTS[source]:
+        spec = parse_problem(text)
+        lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+        bodies = [line[len("g:"):] for line in lines if line.startswith("g:")]
+        assert len(bodies) == spec.m
+        for g, body in zip(spec.constraints, bodies):
+            expected = _operator_built(body, spec.space, list(spec.names))
+            assert [(k, c.hex()) for k, c in g.terms.items()] == [(k, c.hex()) for k, c in expected.terms.items()], body
+
+
 # -- reports ----------------------------------------------------------------------------
 
 
@@ -235,6 +322,11 @@ def test_report_round_trip():
     spec = parse_problem("vars: x1\ng: 1 - x1^2")
     report = _tiny_report(spec)
     assert json.loads(serialize_report(report)) == report
+    special = {"values": [math.nan, math.inf, -math.inf]}
+    text = serialize_report(special)
+    assert text == '{"values": [NaN, Infinity, -Infinity]}'
+    nan, inf, minus_inf = json.loads(text)["values"]
+    assert math.isnan(nan) and (inf, minus_inf) == (math.inf, -math.inf)
 
 
 def test_report_float_precision_survives():
@@ -342,4 +434,5 @@ def test_serialized_report_is_deterministic():
     a = serialize_report(_tiny_report(spec))
     b = serialize_report(_tiny_report(spec))
     assert a == b
-    json.loads(a)
+    assert "\n" not in a
+    assert json.loads(a) == _tiny_report(spec)

@@ -1,6 +1,4 @@
 import dataclasses
-import importlib.util
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from convexcert.refute import (
     validate_witness,
 )
 
-from conftest import BOX, DISK, INTERVAL, brute_force_midpoint_min
+from conftest import BOX, DISK, INTERVAL, brute_force_midpoint_min, workload_texts
 
 LIFTED1 = VariableSpace(1).lift()
 LIFTED2 = VariableSpace(2).lift()
@@ -727,19 +725,10 @@ def _reference_pair(spec, j, radii=SAMPLE_RADII, seed=0):
     return None
 
 
-def _refute_nonconvex_texts(seed):
-    """The problem texts of the benchmark's refute-nonconvex workload at seed, by instance id."""
-    path = PROBLEMS.parent / "perfbench" / "workloads.py"
-    source = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[source.name] = importlib.util.module_from_spec(source)  # dataclasses look it up
-    source.loader.exec_module(workloads)
-    return {inst.ident: inst.text for inst in workloads.refute_nonconvex(PROBLEMS.parent, seed)}
-
-
 REFUTE_TEXTS = {
     **{name: (PROBLEMS / f"{name}.txt").read_text()
        for name in ("hyperbola", "parabola", "two_interval", "cubic_halfline")},
-    **_refute_nonconvex_texts(1),
+    **workload_texts("refute-nonconvex", 1),
 }
 
 
