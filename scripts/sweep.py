@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the 71-run regression sweep in one process and write one JSON file per run.
+"""Run the 72-run regression sweep in one process and write one JSON file per run.
 
     python3 scripts/sweep.py OUT_DIR
     python3 scripts/sweep.py OUT_DIR --against OTHER_DIR
@@ -7,8 +7,8 @@
 The runs are the seed-1 instances of the corpus, certify-convex and
 refute-nonconvex workloads of perfbench.workloads, each with its own flags,
 every problems/*.txt under certify, refute, analyze, certify --stengle and
---archimedean 2, and the six EXTRA_RUNS, literal problems that reach the Gram
-and moment paths no other run reaches. Each run goes through
+--archimedean 2, and the seven EXTRA_RUNS, literal problems that reach the Gram
+and moment paths, and a refute stop, that no other run reaches. Each run goes through
 convexcert.cli.main of this checkout's src/, and its file holds the exit code
 and the report with every ``*_seconds`` timing removed, the only values
 docs/formats.md lets differ between reruns. OUT_DIR also gets the --dump-sdp
@@ -56,8 +56,9 @@ PROBLEM_FLAGS = {
 # name -> (problem text, flags): a quadratic-module certificate read off a
 # Gram solve (whole_line), the draw sized from the moments (far_hyperbola),
 # a failed flatness test (thin), an accepted extraction (tiny_two_interval),
-# extracted atoms outside the set (tiny_parabola) and the preordering ladder
-# in analyze mode (interval)
+# extracted atoms outside the set (tiny_parabola), the preordering ladder
+# in analyze mode (interval), and a refute stop at a nonnegative bound after
+# negative ones, which withdraws their signal (branch, convex: exit 2)
 EXTRA_RUNS = {
     "whole_line": ("vars: x1\ng: 1 + x1^2\n", ("--mode", "analyze")),
     "far_hyperbola": ("vars: x1 x2\ng: x1*x2 - 10000.0\ng: 40000.0 - x1^2\ng: 40000.0 - x2^2\n",
@@ -67,6 +68,8 @@ EXTRA_RUNS = {
     "tiny_parabola": ("vars: x1 x2\ng: x1^2 - 0.005011872336272725*x2\n"
                       "g: 2.511886431509582e-05 - x1^2\ng: 2.511886431509582e-05 - x2^2\n", ("--mode", "refute")),
     "interval": ("vars: x1\ng: 1 - x1^2\n", ("--mode", "analyze", "--stengle")),
+    "branch": ("vars: x1 x2\ng: x1*x2 - 1\ng: x1\ng: x2\ng: 4 - x1\ng: 4 - x2\n",
+               ("--mode", "refute", "--max-order", "4")),
 }
 
 

@@ -360,7 +360,11 @@ class CertificationFailure:
 
 
 def _solution_diagnostics(problem: sdp.SdpProblem, solution: sdp.SdpSolution, tol: float) -> dict:
-    """The record of one SOS solve at tolerance tol: status, shape, accuracy."""
+    """The record of one SOS solve at tolerance tol: status, shape, accuracy.
+
+    Its keys are problemio.SOLVER_RECORD_KEYS, which validate_report_payload
+    holds every solver record of a report to.
+    """
     return {
         "solver_status": solution.status,
         "solver_tol": tol,

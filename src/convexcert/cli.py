@@ -19,7 +19,8 @@ only which conclusions may be drawn from that one solve:
   as the quadratic-module certificate (a positive rho joins sigma_0 as a constant
   SOS term; a negative one stays in the constant coefficient, where the
   residual test judges it); refute stops, as no midpoint violation is left
-  to find;
+  to find. Such a bound withdraws the unproven signal of an earlier order
+  (below): the signal stands only on the last bound;
 * rho < -tol_feas: certify notes that -rho is the least epsilon for which
   the degree-k identity holds. Refute and analyze draw, at the first such
   order, once more, in the one box whose radius that order's moments give
@@ -289,6 +290,7 @@ def _walk_ladder(spec: ProblemSpec, j: int, config: RunConfig) -> dict:
             notes.append(f"relaxation at order {k} returned status {result.status}")
             continue
         if result.rho >= -config.tol_feas:
+            entry["unproven_signal"] = False  # withdrawn: the last bound decides the signal
             if config.mode == "refute":
                 notes.append(
                     f"lower bound rho={result.rho:.3e} at order {k} leaves no room for a "

@@ -349,9 +349,54 @@ _REQUIRED_TOP_LEVEL = {
 _VALID_VERDICTS = {"convex", "not convex", "inconclusive"}
 _VALID_CONSTRAINT_VERDICTS = {VERDICT_CERTIFIED, VERDICT_REFUTED, VERDICT_INCONCLUSIVE}
 
+# the keys of the record of one SOS solve, as certify._solution_diagnostics builds it
+SOLVER_RECORD_KEYS = frozenset({
+    "solver_status", "solver_tol", "blocks", "reduced_blocks", "p",
+    "iterations", "primal_residual", "dual_residual", "relative_gap",
+})
+
+
+def _listed(entry: dict, key: str) -> list:
+    value = entry.get(key)
+    return value if isinstance(value, list) else []
+
+
+def _entry_issues(i: int, entry: dict, mode, tol_feas) -> list[str]:
+    """What constraint entry i breaks of the rules its evidence keeps: solver
+    records, witness atoms in the set, and the signal its last bound implies."""
+    issues: list[str] = []
+    for key in ("relaxations", "attempts"):
+        for r, record in enumerate(_listed(entry, key)):
+            if isinstance(record, dict) and "solver" in record:
+                keys = set(record["solver"]) if isinstance(record["solver"], dict) else set()
+                if keys != SOLVER_RECORD_KEYS:
+                    issues.append(f"constraint {i} {key}[{r}].solver lacks {sorted(SOLVER_RECORD_KEYS - keys)} "
+                                  f"and has extra {sorted(keys - SOLVER_RECORD_KEYS, key=str)}")
+    witness = entry.get("witness")
+    if isinstance(witness, dict):
+        sampled = witness.get("source") == "sampled"  # drawn strictly inside the set
+        for a, atom in enumerate(_listed(witness, "atoms")):
+            margin = atom.get("feasibility_margin") if isinstance(atom, dict) else None
+            if not (isinstance(margin, (int, float)) and (margin > 0 if sampled else margin >= 0)):
+                issues.append(f"constraint {i} witness atom {a} has feasibility_margin {margin!r}, "
+                              f"{'not > 0 for a sampled atom' if sampled else 'not >= 0'}")
+    bounds = [r["rho"] for r in _listed(entry, "relaxations")
+              if isinstance(r, dict) and isinstance(r.get("rho"), (int, float))]
+    signal = False
+    if mode != "certify" and witness is None and entry.get("certificate") is None and bounds:
+        if not isinstance(tol_feas, (int, float)):
+            return issues + [f"constraint {i} has a bound but parameters.tol_feas is {tol_feas!r}"]
+        signal = not bounds[-1] >= -tol_feas  # a NaN bound counts as below
+    if bool(entry.get("unproven_signal")) != signal:
+        issues.append(f"constraint {i} has unproven_signal {entry.get('unproven_signal')!r}, but its "
+                      f"mode, evidence and last bound give {signal}")
+    return issues
+
 
 def validate_report_payload(payload: dict) -> list[str]:
-    """Check a payload against the documented schema; returns a list of issues."""
+    """Check a payload against the documented schema and the rules of its
+    evidence (see docs/formats.md); returns a list of issues, never raises
+    on a partial payload."""
     issues: list[str] = []
     for key, kind in _REQUIRED_TOP_LEVEL.items():
         if key not in payload:
@@ -380,6 +425,7 @@ def validate_report_payload(payload: dict) -> list[str]:
             issues.append(f"constraint {i} has unknown verdict {verdict!r}")
         certified += verdict == VERDICT_CERTIFIED
         any_witness = any_witness or entry.get("witness") is not None
+        issues += _entry_issues(i, entry, payload["mode"], payload["parameters"].get("tol_feas"))
     if payload["verdict"] == "convex" and not (certified == len(payload["constraints"]) == payload["problem"].get("m")):
         issues.append("verdict 'convex' requires problem.m entries, every one certified")
     if payload["verdict"] == "not convex" and not any_witness:

@@ -426,8 +426,8 @@ def sample_witness(
     and is offered in draw order; no member pairs with itself, a NaN score
     never wins, and a radius with no negative score moves on to the next
     one, also when every score is NaN. The least-scoring pair is kept when
-    validate_witness, which evaluates it directly, accepts it and it stays
-    inside the set, so a sampled witness has feasibility_margin >= 0. The
+    validate_witness, which evaluates it directly, accepts it and it lies
+    strictly inside the set, so a sampled witness has feasibility_margin > 0. The
     first radius that yields such a pair ends the draw.
 
     Returns None when no radius does: a sample with fewer than two members
@@ -453,6 +453,6 @@ def sample_witness(
         row, col = sorted(np.unravel_index(np.argmin(scores), scores.shape))  # the pair as drawn
         pair = np.concatenate([members[row], members[col]])
         witness = validate_witness([(pair, 1.0)], spec, j, tol_feas=tol_feas)
-        if witness is not None and witness.atoms[0].feasibility_margin >= 0.0:
+        if witness is not None and witness.atoms[0].feasibility_margin > 0.0:
             return witness
     return None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -210,6 +211,43 @@ def test_moment_witness_keeps_only_the_atoms_inside_the_set(capsys, monkeypatch)
     assert len(atoms) == 3
     assert all(atom["feasibility_margin"] >= 0.0 for atom in atoms)
     assert math.isclose(sum(atom["weight"] for atom in atoms), 1.0)
+
+
+def test_failed_extraction_keeps_the_signal(capsys, monkeypatch):
+    # as above, with extraction failing at order 3, the one flat order
+    monkeypatch.setattr(refute, "sample_witness", lambda *args, **kwargs: None)
+
+    def failing(*args, **kwargs):
+        raise refute.ExtractionError("no retry matched the moments")
+
+    monkeypatch.setattr(refute, "extract_atoms", failing)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt"), "--mode", "refute"])
+    assert (payload["verdict"], code) == ("inconclusive", 3)
+    g1 = payload["constraints"][0]
+    assert g1["unproven_signal"] is True and g1["witness"] is None
+    assert g1["notes"][-1] == "flat at order 3 but atom extraction failed: no retry matched the moments"
+
+
+def test_atoms_that_fail_direct_evaluation_keep_the_signal(capsys, monkeypatch):
+    # validate_witness refusing every pair refuses the sampled ones too, so
+    # hyperbola reaches extraction at order 3 and its atoms are refused there
+    monkeypatch.setattr(refute, "validate_witness", lambda *args, **kwargs: None)
+    code, payload = run_cli(capsys, [str(PROBLEMS / "hyperbola.txt"), "--mode", "refute"])
+    assert (payload["verdict"], code) == ("inconclusive", 3)
+    g1 = payload["constraints"][0]
+    assert g1["unproven_signal"] is True and g1["witness"] is None
+    assert g1["notes"][-1] == ("extracted atoms at order 3 failed direct re-evaluation; "
+                               "no violation can be claimed")
+
+
+def test_no_moment_radius_skips_the_second_draw(tmp_path, capsys, monkeypatch):
+    # with no radius read off the moments, the thin set is drawn only before the ladder
+    draws = count_draws(monkeypatch)
+    monkeypatch.setattr(refute, "moment_radius", lambda result: None)
+    code, payload = run_cli(capsys, [write_problem(tmp_path, THIN), "--mode", "refute"])
+    assert (payload["verdict"], code) == ("inconclusive", 3)
+    assert draws == [(1, len(refute.SAMPLE_RADII))]
+    assert "flatness gate failed" in payload["constraints"][0]["notes"][0]
 
 
 def test_hyperbola_report_has_no_stale_unproven_signal(capsys):
@@ -468,6 +506,20 @@ def test_stengle_mode(tmp_path, capsys):
     assert cert["kind"] == "preordering"
 
 
+def test_stengle_power_two(capsys):
+    # p = 2 in sigma * g_mid = g_mid^4 + h: no identity at degrees 1 and 2, one at 3
+    code, payload = run_cli(capsys, [str(PROBLEMS / "interval.txt"), "--mode", "certify", "--stengle",
+                                     "--stengle-p", "2"])
+    assert (payload["verdict"], code) == ("convex", 0)
+    (g1,) = payload["constraints"]
+    assert [(a["kind"], a["degree"], a["status"]) for a in g1["attempts"]] == [
+        ("preordering", 1, "infeasible"), ("preordering", 2, "infeasible"), ("preordering", 3, "optimal")]
+    cert = g1["certificate"]
+    assert (cert["kind"], cert["degree"], cert["power"]) == ("preordering", 3, 2)
+    assert cert["verification"]["passed"] and cert["verification"]["residual"] <= 1e-8
+    assert g1["attempts"][-1]["residual"] == cert["verification"]["residual"]
+
+
 def test_stengle_guard_surfaces_in_report(tmp_path, capsys):
     path = write_problem(tmp_path, "vars: x1\ng: x1\ng: 1 - x1\ng: 2 - x1\ng: 3 - x1\n")
     code, payload = run_cli(capsys, [path, "--mode", "certify", "--stengle"])
@@ -498,7 +550,9 @@ def test_cubic_halfline_unbounded_advice(tmp_path, capsys):
 
 def test_relaxation_neither_optimal_nor_unbounded_is_noted(tmp_path, capsys, monkeypatch):
     def stalled(spec, j, k):
-        return refute.RelaxationResult(j=j, s=k, status="stalled", rho=None, z=None)
+        solver = {"solver_status": "stalled", "solver_tol": 1e-9, "blocks": [2, 1, 1], "reduced_blocks": [2, 1, 1],
+                  "p": 3, "iterations": 100, "primal_residual": 1e-3, "dual_residual": 1e-3, "relative_gap": 1e-3}
+        return refute.RelaxationResult(j=j, s=k, status="stalled", rho=None, z=None, diagnostics=solver)
 
     monkeypatch.setattr(refute, "solve_relaxation", stalled)
     code, payload = run_cli(capsys, [write_problem(tmp_path, LINE)])
@@ -507,6 +561,49 @@ def test_relaxation_neither_optimal_nor_unbounded_is_noted(tmp_path, capsys, mon
     assert [(r["order"], r["status"]) for r in g1["relaxations"]] == [(k, "stalled") for k in (1, 2, 3)]
     assert g1["attempts"] == []
     assert g1["notes"] == [f"relaxation at order {k} returned status stalled" for k in (1, 2, 3)]
+
+
+BRANCH = "vars: x1 x2\ng: x1*x2 - 1\ng: x1\ng: x2\ng: 4 - x1\ng: 4 - x2\n"  # convex: x1*x2 >= 1 in the box
+
+
+def test_nonnegative_last_bound_withdraws_the_signal(tmp_path, capsys):
+    # the bounds of branch g1 climb from -0.571 and -4.41e-5 (orders 2 and 3,
+    # neither flat) to +8.85e-11 at order 4, where refute stops: that last
+    # bound leaves no room for a violation, so no signal is left and the exit is 2
+    code, payload = run_cli(capsys, [write_problem(tmp_path, BRANCH), "--mode", "refute", "--max-order", "4"])
+    assert (payload["verdict"], code, payload["flags"]) == ("inconclusive", 2, [])
+    g1 = payload["constraints"][0]
+    rhos = [r["rho"] for r in g1["relaxations"]]
+    assert rhos[0] is None and rhos[1] < rhos[2] < -1e-6 <= rhos[3]
+    assert g1["unproven_signal"] is False and g1["witness"] is None
+    assert "flatness gate failed" in g1["notes"][2]
+    assert g1["notes"][-1].startswith("lower bound rho=8.85")
+    # the report as it read while an earlier negative bound kept the signal
+    g1["unproven_signal"] = True
+    payload["flags"] = ["unproven-nonconvexity-signal"]
+    assert any("unproven_signal True" in issue for issue in validate_report_payload(payload))
+
+
+def test_nonnegative_bound_withdraws_the_signal_in_analyze(tmp_path, capsys, monkeypatch):
+    # 1 + x1^2 with its order-1 bound pushed to -0.5: that order raises the
+    # signal (no pair can violate a convex g1), order 2 reads the true bound
+    # 1 and withdraws it, though no certificate passes a 1e-300 recheck
+    original = refute.solve_relaxation
+
+    def first_negative(spec, j, k):
+        result = original(spec, j, k)
+        return dataclasses.replace(result, rho=-0.5) if k == 1 else result
+
+    monkeypatch.setattr(refute, "solve_relaxation", first_negative)
+    code, payload = run_cli(capsys, [write_problem(tmp_path, LINE), "--tol-residual", "1e-300"])
+    assert (payload["verdict"], code, payload["flags"]) == ("inconclusive", 2, [])
+    (g1,) = payload["constraints"]
+    assert [r["rho"] for r in g1["relaxations"]] == [-0.5, pytest.approx(1.0), pytest.approx(1.0)]
+    assert g1["unproven_signal"] is False
+    assert g1["notes"][0].startswith("relaxation suggests non-convexity at order 1 (rho=-5.000e-01) "
+                                     "but the flatness gate failed")
+    assert [note.split(" (")[0] for note in g1["notes"][1:]] == [
+        f"certificate at order {k} failed verification" for k in (2, 3)]
 
 
 def test_attempts_carry_solver_diagnostics(tmp_path, capsys):

@@ -429,6 +429,93 @@ def test_validate_report_checks_the_documented_schema(change):
     assert validate_report_payload(payload)
 
 
+TWO_INTERVAL_SPEC = "vars: x1\ng: x1^2 - 1\ng: 4 - x1^2"
+
+
+def _evidence_report(mode="refute", source="sampled", margin=0.75, rhos=(-1.0,), signal=False, witness=True):
+    """A report whose g1 entry carries one relaxation record per bound in rhos
+    and, when witness, a one-atom witness of the given source and margin."""
+    solver = {"solver_status": "optimal", "solver_tol": 1e-9, "blocks": [2, 1, 1], "reduced_blocks": [2, 1, 1],
+              "p": 3, "iterations": 9, "primal_residual": 1e-11, "dual_residual": 1e-11, "relative_gap": 1e-11}
+    atom = {"x": [-1.5], "y": [1.5], "weight": 1.0, "midpoint": [0.0], "violation": -1.0,
+            "feasibility_margin": margin}
+    entry = {
+        "index": 1,
+        "verdict": "refuted" if witness else "inconclusive",
+        "certificate": None,
+        "witness": {"kind": "midpoint-violation", "constraint": 1, "source": source, "order": len(rhos),
+                    "rho": rhos[-1], "tol_feas": 1e-6, "tol_strict": 1e-5, "atoms": [atom]} if witness else None,
+        "relaxations": [{"order": k, "status": "optimal", "rho": rho, "solver": dict(solver)}
+                        for k, rho in enumerate(rhos, start=1)],
+        "attempts": [{"kind": "preordering", "degree": 1, "status": "infeasible",
+                      "reason": "no certificate at this degree", "solver": dict(solver)}],
+        "notes": [],
+        "unproven_signal": signal,
+    }
+    return make_report(mode, parse_problem(TWO_INTERVAL_SPEC), {"tol_feas": 1e-6}, [entry])
+
+
+def test_evidence_report_is_valid():
+    assert validate_report_payload(_evidence_report()) == []
+    assert validate_report_payload(_evidence_report(source="moments", margin=0.0)) == []
+    assert validate_report_payload(_evidence_report(witness=False, signal=True)) == []
+    assert validate_report_payload(_evidence_report(witness=False, rhos=(-1.0, -1e-6))) == []
+
+
+@pytest.mark.parametrize("key", ["relaxations", "attempts"])
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_validate_report_requires_the_solver_record_keys(key, change):
+    payload = _evidence_report()
+    solver = payload["constraints"][0][key][0]["solver"]
+    if change == "missing":
+        del solver["p"]
+    else:
+        solver["elapsed"] = 0.0
+    (issue,) = validate_report_payload(payload)
+    assert issue.startswith(f"constraint 0 {key}[0].solver lacks")
+    assert ("['p'] and has extra []" if change == "missing" else "[] and has extra ['elapsed']") in issue
+
+
+@pytest.mark.parametrize("source, margin", [
+    ("moments", -1e-12),  # outside the set as evaluated
+    ("sampled", 0.0),  # a sampled atom lies strictly inside
+    ("sampled", math.nan),
+    ("moments", None),
+])
+def test_validate_report_requires_witness_atoms_in_the_set(source, margin):
+    payload = _evidence_report(source=source, margin=margin)
+    (issue,) = validate_report_payload(payload)
+    assert issue.startswith(f"constraint 0 witness atom 0 has feasibility_margin {margin!r}")
+
+
+@pytest.mark.parametrize("mode, rhos, signal", [
+    ("refute", (-0.571, -4.41e-5, 8.85e-11), True),  # a nonnegative last bound withdraws the signal
+    ("analyze", (-0.5, 1.0), True),
+    ("refute", (-0.5,), False),  # a negative last bound with no witness is a signal
+    ("certify", (-0.5,), True),  # certify mode raises no signal
+])
+def test_validate_report_requires_the_signal_of_the_last_bound(mode, rhos, signal):
+    payload = _evidence_report(mode=mode, rhos=rhos, signal=signal, witness=False)
+    (issue,) = validate_report_payload(payload)
+    assert issue == (f"constraint 0 has unproven_signal {signal!r}, but its mode, evidence and "
+                     f"last bound give {not signal}")
+    payload["constraints"][0]["unproven_signal"] = not signal
+    assert validate_report_payload(payload) == []
+
+
+def test_validate_report_never_raises_on_a_partial_payload():
+    payload = _evidence_report(witness=False, signal=True)
+    assert validate_report_payload({**payload, "parameters": {}}) == [
+        "constraint 0 has a bound but parameters.tol_feas is None"]
+    entries = [{}, {"relaxations": None, "attempts": [None, {"solver": None}]},
+               {"relaxations": [{"rho": "low"}], "witness": {"atoms": [None, {}]}},
+               {"witness": {"atoms": "none"}, "unproven_signal": True}]
+    issues = validate_report_payload({**payload, "constraints": entries})
+    assert [issue.split(" has ")[0].split(" lacks ")[0] for issue in issues] == [
+        "constraint 0", "constraint 1", "constraint 1 attempts[1].solver", "constraint 2",
+        "constraint 2 witness atom 0", "constraint 2 witness atom 1", "constraint 3", "constraint 3"]
+
+
 def test_serialized_report_is_deterministic():
     spec = parse_problem("vars: x1\ng: 1 - x1^2")
     a = serialize_report(_tiny_report(spec))

@@ -617,6 +617,22 @@ def test_sampled_pair_lies_inside_the_set(name):
         assert atom.violation <= -10 * witness.tol_feas
 
 
+def test_sampled_pair_on_the_boundary_is_not_taken(monkeypatch):
+    # a best pair validated with feasibility_margin 0 touches the boundary, so
+    # no radius yields a pair strictly inside the set
+    original = refute.validate_witness
+
+    def on_boundary(*args, **kwargs):
+        witness = original(*args, **kwargs)
+        witness.atoms[0].feasibility_margin = 0.0
+        return witness
+
+    spec = parse_problem((PROBLEMS / "hyperbola.txt").read_text())
+    assert sample_witness(spec, 1, seed=0) is not None
+    monkeypatch.setattr(refute, "validate_witness", on_boundary)
+    assert sample_witness(spec, 1, seed=0) is None
+
+
 def _exact_value(terms, point):
     """sum of coeff * prod(w_i ** e_i) over a term map, every float read as an exact rational."""
     w = [Fraction(v) for v in point]
@@ -656,6 +672,12 @@ def test_moment_sized_draw_refutes_at_any_scale(scale):
     assert first.rho <= atom.violation and 0.99 * first.rho < atom.violation  # order 1's bound is loose
     assert -1.5625 * scale * scale <= atom.violation <= 0.5 * -1.5625 * scale * scale
     assert atom.feasibility_margin > 0.0
+
+
+def test_moments_with_no_second_moment_give_no_radius():
+    # a Dirac at the origin: every E[w_i^2] is 0, so no box can be sized from it
+    assert moment_radius(synthetic_result(LIFTED1, 1, [(0.0, 0.0)], [1.0])) is None
+    assert moment_radius(synthetic_result(LIFTED1, 1, [(0.5, -1.0)], [1.0])) == 2.0
 
 
 @pytest.mark.parametrize("text", [INTERVAL, DISK, BOX, ELLIPSOID],
